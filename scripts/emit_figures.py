@@ -8,7 +8,7 @@ parameters.
 import sys
 from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hicat.emit import EmitSpec, emit
 from hicat.models import almost_positive_model, module_model

@@ -22,9 +22,7 @@ from .models import KINDS, MODULE, RELATIVE_F, make_model
 from .quotients import injproj_ideal, projinj_ideal, quotient
 from .rigidity import RigidSet, maximal_rigid, mutate
 from .tuples import IndexTuple, build_quiver
-from .verify import default_grid, parse_grid, run_theorem
-
-THEOREMS = ("equiv", "f-exangles", "main2", "sanity", "correspondence")
+from .verify import THEOREMS, default_grid, parse_grid, run_point, run_theorem
 
 
 def parse_tuple(text: str) -> IndexTuple:
@@ -109,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arrows", choices=("all-nonzero-homs", "irreducible-only"),
                    default="all-nonzero-homs")
     p.add_argument("--model", choices=KINDS, default=None)
-    p.add_argument("--theorem", choices=("equiv", "f-exangles", "main2"), default=None)
+    p.add_argument("--theorem", choices=THEOREMS, default=None)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--window", type=parse_window, default=None)
@@ -235,11 +233,11 @@ def _dispatch(args) -> int:
     elif args.content == "report":
         if args.theorem is None:
             raise ValueError("report emission needs --theorem")
-        from .verify import verify_equiv_module_ap, verify_f_exangles, verify_main2
-        runner = {"equiv": verify_equiv_module_ap,
-                  "f-exangles": verify_f_exangles,
-                  "main2": verify_main2}[args.theorem]
-        obj = runner(args.d, args.n)
+        reports = run_point(args.theorem, args.d, args.n)
+        if len(reports) != 1:
+            raise ValueError(f"{args.theorem} gives {len(reports)} reports; "
+                             "report emission takes a theorem with one")
+        obj = reports[0]
     else:
         if args.model is None:
             raise ValueError(f"{args.content} emission needs --model")

@@ -80,7 +80,8 @@ def realize(model: CategoryModel, b: IndexTuple, a: IndexTuple) -> Exangle:
         # the symmetric cyclic extension seen from the other side: unwrap b
         # past the modulus so the interleaving becomes linear
         b_rep = rotate_window_rep(b, model.modulus)
-    assert intertwines(a_rep, b_rep), "lift failed to interleave"
+    if not intertwines(a_rep, b_rep):
+        raise AssertionError("lift failed to interleave")
 
     member = _membership(model)
     if model.kind in (CLUSTER, RELATIVE_F):

@@ -23,7 +23,7 @@ from .models import (
     module_model,
     relative_f_model,
 )
-from .quotients import projinj_ideal, quotient
+from .quotients import projinj_ideal, quotient, strip_zero_summands
 from .tuples import IndexTuple
 from .verify import VerificationReport, compare_exangles
 
@@ -93,118 +93,12 @@ def tilting_sets(model: CategoryModel) -> tuple[RigidSet, ...]:
     return sets
 
 
-def _is_maximal_rigid(model: CategoryModel, summands: tuple[IndexTuple, ...]) -> bool:
-    if not is_rigid(model, summands):
-        return False
-    adj = conflict_map(model)
-    current = set(summands)
-    return all(y in current or adj[y] & current
-               for y in model.objects)
-
-
-def _free_objects(model: CategoryModel, rest: tuple[IndexTuple, ...]) -> list[IndexTuple]:
-    # objects compatible with every remaining summand, the removed one included
-    adj = conflict_map(model)
-    rest_set = set(rest)
-    return [y for y in model.objects
-            if y not in rest_set and not (adj[y] & rest_set)]
-
-
-def exchange_exangles(model: CategoryModel, t: RigidSet, x: IndexTuple) -> tuple[Exangle, ...]:
-    """Exchange d-exangles at a summand of a rigid set.
-
-    Returns every realized exangle whose end terms are x and some
-    replacement y (in either orientation) such that swapping x for y
-    keeps the set rigid and whose middle terms lie in the additive hull
-    of the remaining summands.
-    """
-    if x not in t.summands:
-        raise ValueError(f"{x} is not a summand of the rigid set")
-    rest = t.without(x)
-    allowed = set(rest)
-    found = []
-    for y in _free_objects(model, rest):
-        if y == x:
-            continue
-        for b, a in ((x, y), (y, x)):
-            if model.ext_dim(b, a) == 1:
-                e = realize(model, b, a)
-                if all(lbl in allowed for level in e.middles for lbl in level):
-                    found.append(e)
-    found.sort(key=lambda e: (e.x0, e.xlast))
-    return tuple(found)
-
-
-@dataclass(frozen=True)
-class MutationResult:
-    """Outcome of a single mutation: the new set and its exchange exangles."""
-    summands: tuple[IndexTuple, ...]
-    replaced_by: IndexTuple
-    exchanges: tuple[Exangle, ...]
-
-
-def mutate(model: CategoryModel, t: RigidSet, x: IndexTuple) -> MutationResult | None:
-    """Replace one summand of a maximal rigid set.
-
-    Returns None when no replacement keeps the set maximal rigid (a
-    legitimate outcome for some summands when d > 1); raises when the
-    replacement is ambiguous.
-    """
-    if x not in t.summands:
-        raise ValueError(f"{x} is not a summand of the rigid set")
-    if not _is_maximal_rigid(model, t.summands):
-        raise ValueError("mutation needs a maximal rigid set")
-    rest = t.without(x)
-    adj = conflict_map(model)
-    free = _free_objects(model, rest)
-    free_set = set(free)
-    # rest + {y} is maximal exactly when every other compatible object
-    # conflicts with y
-    candidates = [y for y in free
-                  if y != x and (free_set - {y}) <= adj[y]]
-    if not candidates:
-        return None
-    if len(candidates) > 1:
-        raise ValueError(f"ambiguous mutation of {x}: candidates {candidates}")
-    y = candidates[0]
-    new = RigidSet(model.kind, tuple(sorted(rest + (y,))))
-    return MutationResult(summands=new.summands, replaced_by=y,
-                          exchanges=exchange_exangles(model, t, x))
-
-
-def mutation_graph_dot(model: CategoryModel) -> str:
-    """DOT digraph of the mutation graph: nodes are maximal rigid sets."""
-    sets = maximal_rigid(model)
-
-    def set_id(s: RigidSet) -> str:
-        return "|".join(",".join(str(v) for v in lbl) for lbl in s.summands)
-
-    edges = set()
-    for t in sets:
-        for x in t.summands:
-            try:
-                result = mutate(model, t, x)
-            except ValueError:
-                continue
-            if result is None:
-                continue
-            pair = tuple(sorted((set_id(t), set_id(RigidSet(model.kind, result.summands)))))
-            edges.add(pair)
-    lines = ["digraph {"]
-    for t in sets:
-        lines.append(f'  "{set_id(t)}";')
-    for u, v in sorted(edges):
-        lines.append(f'  "{u}" -> "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def _strip(summands, dead: set[IndexTuple]) -> tuple[IndexTuple, ...]:
     return tuple(s for s in summands if s not in dead)
 
 
 class _MutationScanner:
-    """Shared machinery for scanning mutations of all maximal rigid sets.
+    """The mutation engine of one model, shared by every mutation path.
 
     For one maximal rigid set, a single pass over the objects buckets
     every outside object by its unique conflict inside the set; the
@@ -218,6 +112,11 @@ class _MutationScanner:
         self._exangle_cache: dict[tuple, Exangle | None] = {}
 
     def buckets(self, summands: tuple[IndexTuple, ...]) -> dict:
+        """Outside objects keyed by their unique conflict in a rigid set.
+
+        Raises ValueError when some outside object conflicts with no
+        summand, that is when the rigid set is not maximal.
+        """
         member = set(summands)
         out: dict[IndexTuple, list[IndexTuple]] = {x: [] for x in summands}
         for y in self.model.objects:
@@ -226,12 +125,21 @@ class _MutationScanner:
             hits = self.adj[y] & member
             if len(hits) == 1:
                 out[next(iter(hits))].append(y)
+            elif not hits:
+                raise ValueError("mutation needs a maximal rigid set")
         return out
 
     def candidates(self, x: IndexTuple, bucket: list[IndexTuple]) -> list[IndexTuple]:
         free = [x] + bucket
         return [y for y in bucket
                 if all(z == y or z in self.adj[y] for z in free)]
+
+    def replacement(self, x: IndexTuple, bucket: list[IndexTuple]) -> IndexTuple | None:
+        """The unique replacement of summand x, or None; raises when ambiguous."""
+        found = self.candidates(x, bucket)
+        if len(found) > 1:
+            raise ValueError(f"ambiguous mutation of {x}: candidates {found}")
+        return found[0] if found else None
 
     def exangle(self, b: IndexTuple, a: IndexTuple) -> Exangle | None:
         key = (b, a)
@@ -250,6 +158,86 @@ class _MutationScanner:
                                          for level in e.middles for lbl in level):
                     pairs.append((b, a))
         return sorted(pairs)
+
+
+def _scan_at(model: CategoryModel, t: RigidSet, x: IndexTuple):
+    """A scanner of the model and the replacement pool of summand x of t.
+
+    Raises ValueError unless t is a maximal rigid set with summand x.
+    """
+    if x not in t.summands:
+        raise ValueError(f"{x} is not a summand of the rigid set")
+    if not is_rigid(model, t.summands):
+        raise ValueError("mutation needs a maximal rigid set")
+    scan = _MutationScanner(model)
+    return scan, scan.buckets(t.summands)[x]
+
+
+def _exchanges(scan, t: RigidSet, x: IndexTuple, bucket) -> tuple[Exangle, ...]:
+    pairs = scan.exchange_pairs(x, bucket, set(t.without(x)))
+    return tuple(sorted((scan.exangle(b, a) for b, a in pairs),
+                        key=lambda e: (e.x0, e.xlast)))
+
+
+def exchange_exangles(model: CategoryModel, t: RigidSet, x: IndexTuple) -> tuple[Exangle, ...]:
+    """Exchange d-exangles at a summand of a maximal rigid set.
+
+    Returns every realized exangle whose end terms are x and some
+    replacement y (in either orientation) such that swapping x for y
+    keeps the set rigid and whose middle terms lie in the additive hull
+    of the remaining summands.  Raises ValueError when t is not a
+    maximal rigid set.
+    """
+    scan, bucket = _scan_at(model, t, x)
+    return _exchanges(scan, t, x, bucket)
+
+
+@dataclass(frozen=True)
+class MutationResult:
+    """Outcome of a single mutation: the new set and its exchange exangles."""
+    summands: tuple[IndexTuple, ...]
+    replaced_by: IndexTuple
+    exchanges: tuple[Exangle, ...]
+
+
+def mutate(model: CategoryModel, t: RigidSet, x: IndexTuple) -> MutationResult | None:
+    """Replace one summand of a maximal rigid set.
+
+    Returns None when no replacement keeps the set maximal rigid (a
+    legitimate outcome for some summands when d > 1); raises when the
+    replacement is ambiguous.
+    """
+    scan, bucket = _scan_at(model, t, x)
+    y = scan.replacement(x, bucket)
+    if y is None:
+        return None
+    return MutationResult(summands=tuple(sorted(t.without(x) + (y,))), replaced_by=y,
+                          exchanges=_exchanges(scan, t, x, bucket))
+
+
+def mutation_graph_dot(model: CategoryModel) -> str:
+    """DOT digraph of the mutation graph: nodes are maximal rigid sets."""
+    sets = maximal_rigid(model)
+    scan = _MutationScanner(model)
+
+    def set_id(summands) -> str:
+        return "|".join(",".join(str(v) for v in lbl) for lbl in summands)
+
+    edges = set()
+    for t in sets:
+        buckets = scan.buckets(t.summands)
+        for x in t.summands:
+            y = scan.replacement(x, buckets[x])
+            if y is not None:
+                new = sorted(t.without(x) + (y,))
+                edges.add(tuple(sorted((set_id(t.summands), set_id(new)))))
+    lines = ["digraph {"]
+    for t in sets:
+        lines.append(f'  "{set_id(t.summands)}";')
+    for u, v in sorted(edges):
+        lines.append(f'  "{u}" -> "{v}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def correspondence_check(d: int, n: int) -> VerificationReport:
@@ -306,7 +294,7 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
     def stripped_matches(b: IndexTuple, a: IndexTuple) -> bool:
         key = (b, a)
         if key not in match_cache:
-            stripped = _strip_exangle(scan_base.exangle(b, a), dead)
+            stripped = strip_zero_summands(scan_base.exangle(b, a), dead)
             match_cache[key] = compare_exangles(stripped, scan_ap.exangle(b, a)) is None
         return match_cache[key]
 
@@ -386,16 +374,3 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
     return VerificationReport(theorem="correspondence", d=d, n=n, ok=ok,
                               counters=counters, counterexample=counterexample,
                               elapsed=time.perf_counter() - start)
-
-
-def _strip_exangle(e: Exangle, dead: set[IndexTuple]) -> Exangle:
-    from .quotients import strip_zero_summands
-    return strip_zero_summands(e, dead)
-
-
-def same_exangle_lists(left, right) -> bool:
-    """Termwise equality of two exangle collections, end-pair by end-pair."""
-    left = sorted(left, key=lambda e: (e.x0, e.xlast))
-    right = sorted(right, key=lambda e: (e.x0, e.xlast))
-    return len(left) == len(right) and \
-        all(compare_exangles(a, b) is None for a, b in zip(left, right))

@@ -87,11 +87,6 @@ def intertwines(a: IndexTuple, b: IndexTuple) -> bool:
         all(b[i] < a[i + 1] for i in range(len(a) - 1))
 
 
-def intertwining_either(a: IndexTuple, b: IndexTuple) -> bool:
-    """True when the tuples interleave in one order or the other."""
-    return intertwines(a, b) or intertwines(b, a)
-
-
 def normalize_cyclic(a: IndexTuple, m: int) -> IndexTuple:
     """Reduce entries into [1, m] and sort ascending.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from math import comb
 from typing import Any
@@ -21,8 +21,6 @@ from .exangles import Exangle, hom_exactness_report, is_complex, realize
 from .models import (
     CLUSTER,
     DERIVED,
-    MODULE,
-    RELATIVE_F,
     BasisMorphism,
     CategoryModel,
     almost_positive_model,
@@ -34,6 +32,7 @@ from .models import (
 from .quotients import (
     OBJECT_CLASS,
     IdealSpec,
+    QuotientModel,
     factors_through,
     injproj_ideal,
     projinj_ideal,
@@ -41,8 +40,6 @@ from .quotients import (
 )
 from .tuples import (
     IndexTuple,
-    in_derset,
-    in_modset,
     normalize_cyclic,
     shift_cluster,
     shift_derived,
@@ -50,6 +47,9 @@ from .tuples import (
 
 DEFAULT_GRID = (3, 4, 200)
 GRID_ENV_VAR = "HICAT_GRID"
+
+#: The theorem names that run_point and run_theorem accept.
+THEOREMS = ("equiv", "f-exangles", "main2", "sanity", "correspondence")
 
 
 @dataclass(frozen=True)
@@ -116,24 +116,20 @@ def compare_exangles(left: Exangle, right: Exangle) -> str | None:
     return None
 
 
-def verify_equiv_module_ap(d: int, n: int) -> VerificationReport:
-    """Projective-injective quotient of the module model vs the almost-positive model.
+def compare_to_model(theorem: str, d: int, n: int, q: QuotientModel,
+                     ap: CategoryModel) -> VerificationReport:
+    """A quotient model against a target model, under the identity on labels.
 
-    Checks the object bijection, equality of hom and ext tables under the
-    identity on labels, and termwise equality of realized exangles after
-    deleting the zero-object middle summands.
+    Checks that the nonzero objects of the quotient are the objects of the
+    target, that the hom and ext tables agree, and that the realized
+    exangles agree termwise once the quotient has deleted its zero-object
+    middle summands.
     """
     start = time.perf_counter()
-    counters: dict[str, int] = {}
+    counters: dict[str, int] = {"objects": len(ap.objects)}
     counterexample = None
 
-    base = module_model(d, n + 1)
-    ap = almost_positive_model(d, n)
-    q = quotient(base, projinj_ideal(base))
-    dead = set(q.zero_objects)
-
-    counters["objects"] = len(ap.objects)
-    ok = tuple(q.nonzero_objects) == ap.objects
+    ok = q.nonzero_objects == ap.objects
     if not ok:
         counterexample = ("object-sets", q.nonzero_objects, ap.objects)
 
@@ -158,8 +154,17 @@ def verify_equiv_module_ap(d: int, n: int) -> VerificationReport:
                     counterexample = ("exangle", b, a, mismatch)
                     break
     counters.update(hom_pairs=hom_pairs, ext_pairs=ext_pairs, exangles=exangles)
-    return VerificationReport("equiv", d, n, ok, counters, counterexample,
+    return VerificationReport(theorem, d, n, ok, counters, counterexample,
                               time.perf_counter() - start)
+
+
+def verify_equiv_module_ap(d: int, n: int) -> VerificationReport:
+    """Projective-injective quotient of the module model vs the almost-positive model."""
+    start = time.perf_counter()
+    base = module_model(d, n + 1)
+    report = compare_to_model("equiv", d, n, quotient(base, projinj_ideal(base)),
+                              almost_positive_model(d, n))
+    return replace(report, elapsed=time.perf_counter() - start)
 
 
 def verify_f_exangles(d: int, n: int) -> VerificationReport:
@@ -207,41 +212,10 @@ def verify_f_exangles(d: int, n: int) -> VerificationReport:
 def verify_main2(d: int, n: int) -> VerificationReport:
     """Arrow-ideal quotient of the restricted cyclic model vs the almost-positive model."""
     start = time.perf_counter()
-    counters: dict[str, int] = {}
-    counterexample = None
-
     relf = relative_f_model(d, n)
-    ap = almost_positive_model(d, n)
-    q = quotient(relf, injproj_ideal(relf))
-
-    counters["objects"] = len(ap.objects)
-    ok = not q.zero_objects and q.objects == ap.objects
-    if not ok:
-        counterexample = ("object-sets", q.zero_objects)
-
-    hom_pairs = ext_pairs = exangles = 0
-    if ok:
-        for b, a in product(ap.objects, repeat=2):
-            hom_pairs += 1
-            if q.hom_dim(b, a) != ap.hom_dim(b, a):
-                ok = False
-                counterexample = ("hom", b, a, q.hom_dim(b, a), ap.hom_dim(b, a))
-                break
-            ext_pairs += 1
-            if q.ext_dim(b, a) != ap.ext_dim(b, a):
-                ok = False
-                counterexample = ("ext", b, a)
-                break
-            if ap.ext_dim(b, a) == 1:
-                exangles += 1
-                mismatch = compare_exangles(q.exangle(b, a), realize(ap, b, a))
-                if mismatch is not None:
-                    ok = False
-                    counterexample = ("exangle", b, a, mismatch)
-                    break
-    counters.update(hom_pairs=hom_pairs, ext_pairs=ext_pairs, exangles=exangles)
-    return VerificationReport("main2", d, n, ok, counters, counterexample,
-                              time.perf_counter() - start)
+    report = compare_to_model("main2", d, n, quotient(relf, injproj_ideal(relf)),
+                              almost_positive_model(d, n))
+    return replace(report, elapsed=time.perf_counter() - start)
 
 
 def _hom_successors(model) -> dict[IndexTuple, list[IndexTuple]]:
@@ -310,18 +284,12 @@ def verify_model_sanity(model: CategoryModel) -> VerificationReport:
 
     ext_pairs = 0
     if ok:
-        if model.kind == MODULE:
-            member = lambda t: in_modset(t, model.top, model.d)
-        elif model.kind in (CLUSTER, RELATIVE_F):
-            member = lambda t: t in model
-        else:
-            member = lambda t: in_derset(t, model.modulus)
         for b, a in product(model.objects, repeat=2):
             if model.ext_dim(b, a) != 1:
                 continue
             ext_pairs += 1
             e = realize(model, b, a)
-            if any(not member(lbl) for level in e.middles for lbl in level):
+            if any(lbl not in model for level in e.middles for lbl in level):
                 ok = False
                 counterexample = ("middle-membership", b, a)
                 break
@@ -385,13 +353,6 @@ def find_noncommuting_witness(model: CategoryModel):
     return None
 
 
-_THEOREM_RUNNERS = {
-    "equiv": verify_equiv_module_ap,
-    "f-exangles": verify_f_exangles,
-    "main2": verify_main2,
-}
-
-
 def sanity_reports(d: int, n: int, window: tuple[int, int] | None = None):
     """Sanity across the five models at one grid point.
 
@@ -408,19 +369,29 @@ def sanity_reports(d: int, n: int, window: tuple[int, int] | None = None):
     return [verify_model_sanity(m) for m in models]
 
 
+def run_point(theorem: str, d: int, n: int) -> list[VerificationReport]:
+    """Run one theorem verifier at one grid point.
+
+    Sanity gives one report per model, every other theorem one report.
+    """
+    if theorem == "equiv":
+        return [verify_equiv_module_ap(d, n)]
+    if theorem == "f-exangles":
+        return [verify_f_exangles(d, n)]
+    if theorem == "main2":
+        return [verify_main2(d, n)]
+    if theorem == "sanity":
+        return sanity_reports(d, n)
+    if theorem == "correspondence":
+        # looked up at call time: rigidity imports this module
+        from .rigidity import correspondence_check
+        return [correspondence_check(d, n)]
+    raise ValueError(f"unknown theorem {theorem!r}, expected one of {', '.join(THEOREMS)}")
+
+
 def run_theorem(theorem: str, grid: tuple[int, int, int],
                 extra_points: tuple[tuple[int, int], ...] = ()) -> list[VerificationReport]:
     """Run one theorem verifier over the whole grid."""
-    from .rigidity import correspondence_check
-
     base_points = grid_points(*grid)
     points = list(base_points) + [p for p in extra_points if p not in base_points]
-    reports: list[VerificationReport] = []
-    for d, n in points:
-        if theorem == "sanity":
-            reports.extend(sanity_reports(d, n))
-        elif theorem == "correspondence":
-            reports.append(correspondence_check(d, n))
-        else:
-            reports.append(_THEOREM_RUNNERS[theorem](d, n))
-    return reports
+    return [report for d, n in points for report in run_point(theorem, d, n)]

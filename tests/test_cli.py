@@ -136,6 +136,10 @@ def test_emit_report(capsys):
     code, _, _ = run_cli(capsys, "emit", "--content", "report",
                          "--d", "1", "--n", "2", "--format", "json")
     assert code == 2
+    # sanity gives one report per model, not one report
+    code, _, err = run_cli(capsys, "emit", "--content", "report", "--theorem", "sanity",
+                           "--d", "1", "--n", "2", "--format", "json")
+    assert code == 2 and "5 reports" in err
 
 
 def test_usage_errors(capsys):

@@ -40,6 +40,36 @@ def brute_maximal_independent(objects, conflict):
     return sorted(results)
 
 
+def brute_mutations(model, summands, x):
+    """Independent oracle: the outside objects y that make rest + {y} maximal rigid."""
+    conflict = lambda u, v: bool(model.ext_dim(u, v) or model.ext_dim(v, u))
+    rest = [s for s in summands if s != x]
+
+    def maximal_rigid_set(chosen):
+        return all(not conflict(u, v) for u in chosen for v in chosen) and \
+            all(any(conflict(y, c) for c in chosen)
+                for y in model.objects if y not in chosen)
+
+    return [y for y in model.objects
+            if y not in summands and maximal_rigid_set(rest + [y])]
+
+
+def brute_exchanges(model, summands, x):
+    """Independent oracle: extensions between x and a compatible y, middles in the rest."""
+    conflict = lambda u, v: bool(model.ext_dim(u, v) or model.ext_dim(v, u))
+    rest = [s for s in summands if s != x]
+    found = []
+    for y in model.objects:
+        if y in summands or any(conflict(y, r) for r in rest):
+            continue
+        for b, a in ((x, y), (y, x)):
+            if model.ext_dim(b, a):
+                e = realize(model, b, a)
+                if all(lbl in rest for level in e.middles for lbl in level):
+                    found.append(e)
+    return sorted(found, key=lambda e: (e.x0, e.xlast))
+
+
 def test_is_rigid_examples():
     ap = almost_positive_model(1, 2)
     assert is_rigid(ap, [(1, 3), (1, 4)])
@@ -109,6 +139,17 @@ def test_exchange_example():
         exchange_exangles(ap, t, (2, 4))
 
 
+def test_exchange_needs_maximal_rigid_set():
+    ap = almost_positive_model(1, 2)
+    # rigid, but (1, 4) and (3, 5) can still be added
+    t = RigidSet(ap.kind, ((1, 3),))
+    assert is_rigid(ap, t.summands)
+    with pytest.raises(ValueError, match="maximal rigid"):
+        exchange_exangles(ap, t, (1, 3))
+    with pytest.raises(ValueError, match="maximal rigid"):
+        mutate(ap, t, (1, 3))
+
+
 def test_exchange_middles_stay_in_rest():
     mod = module_model(1, 3)
     t = RigidSet(mod.kind, ((1, 3), (1, 4), (1, 5)))
@@ -153,6 +194,32 @@ def test_mutate_is_involution(model):
             assert back is not None
             assert back.summands == t.summands
             assert back.replaced_by == x
+
+
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 3), (3, 2)])
+@pytest.mark.parametrize("factory", [
+    almost_positive_model, cluster_model, relative_f_model, module_model,
+])
+def test_mutate_matches_bruteforce(factory, d, n):
+    model = factory(d, n)
+    for t in maximal_rigid(model):
+        for x in t.summands:
+            expected = brute_mutations(model, t.summands, x)
+            if len(expected) > 1:
+                with pytest.raises(ValueError, match="ambiguous"):
+                    mutate(model, t, x)
+                continue
+            r = mutate(model, t, x)
+            if not expected:
+                assert r is None
+                continue
+            y = expected[0]
+            assert r.replaced_by == y
+            assert r.summands == tuple(sorted(t.without(x) + (y,)))
+            want = brute_exchanges(model, t.summands, x)
+            assert [(e.x0, e.xlast, e.middles) for e in r.exchanges] == \
+                [(e.x0, e.xlast, e.middles) for e in want]
+            assert r.exchanges == exchange_exangles(model, t, x)
 
 
 @pytest.mark.parametrize("d,n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])

@@ -1,18 +1,27 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hicat.models import (
+    almost_positive_model,
     cluster_model,
     derived_model,
     module_model,
+    relative_f_model,
 )
+from hicat.quotients import injproj_ideal, projinj_ideal, quotient
 from hicat.verify import (
+    THEOREMS,
     compare_exangles,
+    compare_to_model,
     default_grid,
     find_noncommuting_witness,
     grid_points,
     parse_grid,
+    run_point,
     run_theorem,
     sanity_reports,
     verify_equiv_module_ap,
@@ -112,3 +121,36 @@ def test_failure_reports_counterexample():
                              ("hom", (1, 3), (2, 4)), 0.0)
     assert "FAIL" in rep.summary()
     assert "counterexample" in rep.summary()
+
+
+def test_unknown_theorem_is_rejected():
+    for call in (lambda: run_point("nope", 1, 1),
+                 lambda: run_theorem("nope", (1, 1, 10))):
+        with pytest.raises(ValueError, match="expected one of") as info:
+            call()
+        assert all(name in str(info.value) for name in THEOREMS)
+
+
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 2)])
+def test_compare_to_model_detects_wrong_model(d, n):
+    base = module_model(d, n + 1)
+    relf = relative_f_model(d, n)
+    for theorem, q in (("equiv", quotient(base, projinj_ideal(base))),
+                       ("main2", quotient(relf, injproj_ideal(relf)))):
+        assert compare_to_model(theorem, d, n, q, almost_positive_model(d, n)).ok
+        # the cluster model has the same labels but wraps its homs and exts
+        report = compare_to_model(theorem, d, n, q, cluster_model(d, n))
+        assert not report.ok
+        assert report.counterexample[0] in ("hom", "ext")
+        report = compare_to_model(theorem, d, n, q, almost_positive_model(d, n + 1))
+        assert not report.ok
+        assert report.counterexample[0] == "object-sets"
+
+
+def test_run_verification_script_from_any_directory(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "HICAT_GRID")}
+    proc = subprocess.run([sys.executable, str(script), "1:1:10"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "11/11 checks passed" in proc.stdout
