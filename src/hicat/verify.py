@@ -386,12 +386,18 @@ def run_point(theorem: str, d: int, n: int) -> list[VerificationReport]:
         # looked up at call time: rigidity imports this module
         from .rigidity import correspondence_check
         return [correspondence_check(d, n)]
-    raise ValueError(f"unknown theorem {theorem!r}, expected one of {', '.join(THEOREMS)}")
+    raise _unknown_theorem(theorem)
+
+
+def _unknown_theorem(theorem: str) -> ValueError:
+    return ValueError(f"unknown theorem {theorem!r}, expected one of {', '.join(THEOREMS)}")
 
 
 def run_theorem(theorem: str, grid: tuple[int, int, int],
                 extra_points: tuple[tuple[int, int], ...] = ()) -> list[VerificationReport]:
-    """Run one theorem verifier over the whole grid."""
+    """Run one theorem verifier over the whole grid; the name is checked first."""
+    if theorem not in THEOREMS:
+        raise _unknown_theorem(theorem)
     base_points = grid_points(*grid)
     points = list(base_points) + [p for p in extra_points if p not in base_points]
     return [report for d, n in points for report in run_point(theorem, d, n)]

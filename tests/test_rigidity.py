@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from hicat.exangles import realize
 from hicat.models import (
     almost_positive_model,
     cluster_model,
+    derived_model,
     module_model,
     relative_f_model,
 )
@@ -93,6 +98,7 @@ def test_maximal_rigid_small_examples():
 @pytest.mark.parametrize("model", [
     almost_positive_model(1, 3), cluster_model(1, 3), module_model(1, 4),
     almost_positive_model(2, 2), relative_f_model(2, 3),
+    derived_model(2, 3, (1, 3)), module_model(3, 2),
 ])
 def test_maximal_rigid_matches_bruteforce(model):
     conflict = lambda x, y: bool(model.ext_dim(x, y) or model.ext_dim(y, x))
@@ -228,6 +234,63 @@ def test_correspondence_grid_points(d, n):
     assert report.ok, report.summary()
     assert report.counters["tilting_sets"] == report.counters["ap_maximal_rigid"]
     assert report.counters["ap_maximal_rigid"] == report.counters["relf_maximal_rigid"]
+
+
+@pytest.mark.parametrize("d,n,count", [(1, 8, 4862), (2, 5, 4824), (4, 3, 3872)])
+def test_correspondence_reach(d, n, count):
+    # points beyond the default grid; (1, 8) is Catalan(9)
+    report = correspondence_check(d, n)
+    assert report.ok, report.summary()
+    assert report.counters["ap_maximal_rigid"] == count
+    assert report.counters["tilting_sets"] == count
+
+
+def test_correspondence_detects_unstripped_exangles(monkeypatch):
+    # without deleting the projective-injective middles the module-model
+    # exchange exangles no longer match the almost-positive ones
+    monkeypatch.setattr("hicat.rigidity.strip_zero_summands", lambda e, dead: e)
+    report = correspondence_check(2, 2)
+    assert not report.ok
+    assert report.counterexample[0] == "exchange-mismatch"
+
+
+def test_correspondence_detects_wrong_almost_positive_model(monkeypatch):
+    shifted = lambda d, n: almost_positive_model(d, n + 1)
+    monkeypatch.setattr("hicat.rigidity.almost_positive_model", shifted)
+    report = correspondence_check(2, 2)
+    assert not report.ok
+    assert report.counterexample[0] == "tilting-image-mismatch"
+
+
+def _run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter on this test run's path; returns its stdout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    return out.stdout.strip()
+
+
+def test_no_module_level_cache_keeps_models_alive():
+    # in a fresh process, so that no equal model built by another test
+    # can stand in for this one in an equality-keyed cache
+    code = """
+import gc, weakref
+from hicat.models import almost_positive_model
+from hicat.rigidity import is_rigid, maximal_rigid, mutate
+model = almost_positive_model(2, 3)
+t = maximal_rigid(model)[0]
+assert is_rigid(model, t.summands)
+mutate(model, t, t.summands[0])
+ref = weakref.ref(model)
+del model, t
+gc.collect()
+print(ref() is None)
+"""
+    assert _run_fresh(code) == "True"
+
+
+def test_networkx_is_not_imported():
+    assert _run_fresh("import sys, hicat, hicat.cli; print('networkx' in sys.modules)") == "False"
 
 
 def test_correspondence_catalan_counts():

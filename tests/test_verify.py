@@ -124,8 +124,11 @@ def test_failure_reports_counterexample():
 
 
 def test_unknown_theorem_is_rejected():
+    # (1, 1, 2) is a grid without points: the name is checked before the walk
+    assert grid_points(1, 1, 2) == () and run_theorem("equiv", (1, 1, 2)) == []
     for call in (lambda: run_point("nope", 1, 1),
-                 lambda: run_theorem("nope", (1, 1, 10))):
+                 lambda: run_theorem("nope", (1, 1, 10)),
+                 lambda: run_theorem("nope", (1, 1, 2))):
         with pytest.raises(ValueError, match="expected one of") as info:
             call()
         assert all(name in str(info.value) for name in THEOREMS)
