@@ -10,6 +10,9 @@ import json
 import sys
 
 from .emit import (
+    ARROW_POLICIES,
+    CONTENTS,
+    FORMATS,
     EmitSpec,
     emit,
     exangle_to_dict,
@@ -100,12 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", type=parse_tuple, required=True)
 
     p = subs.add_parser("emit", help="emit a diagram or report")
-    p.add_argument("--content",
-                   choices=("quiver", "category", "mutation-graph", "exangle", "report"),
-                   required=True)
-    p.add_argument("--format", choices=("dot", "tikz", "json"), default="dot")
-    p.add_argument("--arrows", choices=("all-nonzero-homs", "irreducible-only"),
-                   default="all-nonzero-homs")
+    p.add_argument("--content", choices=CONTENTS, required=True)
+    p.add_argument("--format", choices=FORMATS, default="dot")
+    p.add_argument("--arrows", choices=ARROW_POLICIES, default="all-nonzero-homs")
     p.add_argument("--model", choices=KINDS, default=None)
     p.add_argument("--theorem", choices=THEOREMS, default=None)
     p.add_argument("--d", type=int, required=True)

@@ -19,8 +19,8 @@ from itertools import combinations
 
 from .models import (
     CLUSTER,
+    CYCLIC_KINDS,
     MODULE,
-    RELATIVE_F,
     CategoryModel,
     MorphismMatrix,
     compose_matrices,
@@ -84,7 +84,7 @@ def realize(model: CategoryModel, b: IndexTuple, a: IndexTuple) -> Exangle:
         raise AssertionError("lift failed to interleave")
 
     member = _membership(model)
-    if model.kind in (CLUSTER, RELATIVE_F):
+    if model.kind in CYCLIC_KINDS:
         project = lambda t: normalize_cyclic(t, model.modulus)
     else:
         project = lambda t: t
@@ -156,38 +156,6 @@ def _rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _induced_post(model: CategoryModel, t: IndexTuple, diff: MorphismMatrix):
-    """Matrix of Hom(t, -) applied to diff, over the surviving basis morphisms."""
-    src = [x for x in diff.source if model.hom_dim(t, x)]
-    tgt = [y for y in diff.target if model.hom_dim(t, y)]
-    src_pos = {x: j for j, x in enumerate(diff.source)}
-    tgt_pos = {y: i for i, y in enumerate(diff.target)}
-    rows = []
-    for y in tgt:
-        row = []
-        for x in src:
-            v = diff.entries[tgt_pos[y]][src_pos[x]]
-            row.append(v * model.compose_scalar(t, x, y) if v else 0)
-        rows.append(row)
-    return rows, len(src), len(tgt)
-
-
-def _induced_pre(model: CategoryModel, t: IndexTuple, diff: MorphismMatrix):
-    """Matrix of Hom(-, t) applied to diff: maps Hom(target, t) to Hom(source, t)."""
-    src = [y for y in diff.target if model.hom_dim(y, t)]
-    tgt = [x for x in diff.source if model.hom_dim(x, t)]
-    src_pos = {y: i for i, y in enumerate(diff.target)}
-    tgt_pos = {x: j for j, x in enumerate(diff.source)}
-    rows = []
-    for x in tgt:
-        row = []
-        for y in src:
-            v = diff.entries[src_pos[y]][tgt_pos[x]]
-            row.append(v * model.compose_scalar(x, y, t) if v else 0)
-        rows.append(row)
-    return rows, len(src), len(tgt)
-
-
 @dataclass(frozen=True)
 class ExactnessReport:
     """Outcome of the rank-level exactness check of one exangle."""
@@ -197,33 +165,55 @@ class ExactnessReport:
     failures: tuple[tuple[IndexTuple, str, int], ...]
 
 
+def _hom_complex(model: CategoryModel, e: Exangle, t: IndexTuple,
+                 covariant: bool) -> tuple[list[int], list[int]]:
+    """Term dimensions and differential ranks of Hom(t, e), or of Hom(e, t)."""
+    if covariant:
+        live = [[i for i, x in enumerate(pos) if model.hom_dim(t, x)] for pos in e.terms]
+    else:
+        live = [[i for i, x in enumerate(pos) if model.hom_dim(x, t)] for pos in e.terms]
+    ranks = []
+    for diff, cols, rows in zip(e.differentials, live, live[1:]):
+        matrix = []
+        for i in rows:
+            y = diff.target[i]
+            row = []
+            for j in cols:
+                v = diff.entries[i][j]
+                if v:
+                    x = diff.source[j]
+                    v *= (model.compose_scalar(t, x, y) if covariant
+                          else model.compose_scalar(x, y, t))
+                row.append(v)
+            matrix.append(row)
+        ranks.append(_rank(matrix))
+    return [len(cols) for cols in live], ranks
+
+
 def hom_exactness_report(model: CategoryModel, e: Exangle) -> ExactnessReport:
     """Check exactness of both induced hom complexes at every interior position.
 
     For each test object t the covariant complex Hom(t, X_a) -> Hom(t, E_d)
-    -> ... -> Hom(t, X_b) and the contravariant one must satisfy
-    rank(incoming) + rank(outgoing) = dimension at each middle position.
+    -> ... -> Hom(t, X_b) and the contravariant one Hom(X_b, t) -> ... ->
+    Hom(X_a, t) must satisfy rank(incoming) + rank(outgoing) = dimension
+    at each middle position p.  Each term keeps the summands x with a
+    nonzero hom t -> x (covariant) or x -> t (contravariant), and each
+    differential x -> y gives one matrix over them, rows at its target,
+    scaled by the composite t -> x -> y or x -> y -> t.  The contravariant
+    map runs the other way and is the transpose of that matrix, with the
+    same rank, so in either orientation the ranks at p are those of the
+    differentials p - 1 and p.  Failures are (t, "covariant" |
+    "contravariant", p), covariant first for each t.
     """
     failures: list[tuple[IndexTuple, str, int]] = []
     checked = 0
-    terms = e.terms
     for t in model.objects:
-        cov_dims = [sum(model.hom_dim(t, x) for x in pos) for pos in terms]
-        cov_maps = [_induced_post(model, t, diff) for diff in e.differentials]
-        for p in range(1, len(terms) - 1):
-            checked += 1
-            incoming = _rank(cov_maps[p - 1][0]) if cov_maps[p - 1][0] else 0
-            outgoing = _rank(cov_maps[p][0]) if cov_maps[p][0] else 0
-            if incoming + outgoing != cov_dims[p]:
-                failures.append((t, "covariant", p))
-        con_dims = [sum(model.hom_dim(x, t) for x in pos) for pos in terms]
-        con_maps = [_induced_pre(model, t, diff) for diff in e.differentials]
-        for p in range(1, len(terms) - 1):
-            checked += 1
-            incoming = _rank(con_maps[p][0]) if con_maps[p][0] else 0
-            outgoing = _rank(con_maps[p - 1][0]) if con_maps[p - 1][0] else 0
-            if incoming + outgoing != con_dims[p]:
-                failures.append((t, "contravariant", p))
+        for orientation in ("covariant", "contravariant"):
+            dims, ranks = _hom_complex(model, e, t, orientation == "covariant")
+            for p in range(1, len(dims) - 1):
+                checked += 1
+                if ranks[p - 1] + ranks[p] != dims[p]:
+                    failures.append((t, orientation, p))
     return ExactnessReport(ok=not failures,
                            objects_checked=len(model.objects),
                            positions_checked=checked,

@@ -29,7 +29,7 @@ RELATIVE_F = "relative-f"
 KINDS = (MODULE, DERIVED, CLUSTER, ALMOST_POSITIVE, RELATIVE_F)
 
 #: Kinds whose labels live in the cyclically gapped family with modulus n + 2d + 1.
-_CYCLIC_KINDS = (CLUSTER, RELATIVE_F)
+CYCLIC_KINDS = (CLUSTER, RELATIVE_F)
 
 
 def _minus_one(a: IndexTuple) -> IndexTuple:
@@ -122,20 +122,21 @@ class CategoryModel:
 
     def hom_dim(self, src: IndexTuple, tgt: IndexTuple) -> int:
         """Dimension (0 or 1) of the space of morphisms src -> tgt."""
-        self._require(src)
-        self._require(tgt)
         cached = self._hom_cache.get((src, tgt))
         if cached is None:
-            if self.kind == MODULE:
-                cached = _chain_hom(src, tgt)
-            elif self.kind in (DERIVED, ALMOST_POSITIVE):
-                cached = _chain_hom_bounded(src, tgt, self.modulus)
-            else:
+            # only pairs of objects enter the cache, so a hit needs no check
+            self._require(src)
+            self._require(tgt)
+            if self.kind in CYCLIC_KINDS:
                 # cyclic intertwining of the shifted source with the target;
                 # on canonical representatives this is plain interleaving in
                 # one order or the other (the shift scan adds nothing)
                 shifted = normalize_cyclic(_minus_one(src), self.modulus)
                 cached = intertwines(shifted, tgt) or intertwines(tgt, shifted)
+            elif self.kind == MODULE:
+                cached = _chain_hom(src, tgt)
+            else:
+                cached = _chain_hom_bounded(src, tgt, self.modulus)
             self._hom_cache[(src, tgt)] = cached
         return 1 if cached else 0
 
@@ -161,12 +162,12 @@ class CategoryModel:
         key = (x, y, z)
         cached = self._compose_cache.get(key)
         if cached is None:
-            if self.kind == MODULE:
-                cached = _chain_hom(x, z)
-            elif self.kind in (DERIVED, ALMOST_POSITIVE):
-                cached = _chain_hom_bounded(x, z, self.modulus)
-            else:
+            if self.kind in CYCLIC_KINDS:
                 cached = _cyclic_compose(x, y, z, self.modulus)
+            else:
+                # in the linear kinds a composite is nonzero exactly when
+                # the hom space it lands in is
+                cached = self.hom_dim(x, z) == 1
             self._compose_cache[key] = cached
         return 1 if cached else 0
 

@@ -1,11 +1,12 @@
 """Factoring-through ideals and the resulting quotient models.
 
-Two ideals are built here: the ideal of morphisms factoring through the
-projective-injective objects of the module model, and the ideal of
-morphisms factoring through an arrow from a shifted projective to a
-projective image in the cyclic model with restricted extensions.  Since
-all hom spaces are at most one-dimensional and composition scalars are
-0/1, a single middle object (or a single admissible arrow) suffices to
+Both quotients divide by an ideal of morphisms factoring through a set
+of admissible arrows: the identities of the projective-injective objects
+of the module model, and the arrows from shifted projectives to
+projective images in the cyclic model with restricted extensions.  An
+ideal generated by objects is the one generated by their identity
+arrows.  Since all hom spaces are at most one-dimensional and
+composition scalars are 0/1, a single admissible arrow suffices to
 witness membership in the ideal; closure under composition is verified
 by tests rather than assumed.
 """
@@ -24,61 +25,52 @@ from .models import (
 )
 from .tuples import IndexTuple
 
-OBJECT_CLASS = "through-object-class"
-ARROW_CLASS = "through-arrow-class"
-
 
 @dataclass(frozen=True)
 class IdealSpec:
-    """A factoring-through ideal of a base model.
+    """The ideal of a base model generated by a set of admissible arrows.
 
-    Either an object class (morphisms factoring through a member object)
-    or an arrow class (morphisms factoring through an admissible arrow).
+    The arrows are basis morphisms z1 -> z2 of the base, stored sorted;
+    the ideal generated by a set of objects is the one generated by
+    their identity arrows (z, z).
     """
     base: CategoryModel
-    kind: str
-    class_objects: frozenset[IndexTuple] | None = None
-    class_arrows: frozenset[tuple[IndexTuple, IndexTuple]] | None = None
+    arrows: tuple[tuple[IndexTuple, IndexTuple], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "arrows", tuple(sorted(self.arrows)))
 
 
 def projinj_ideal(model: CategoryModel) -> IdealSpec:
-    """The object-class ideal of projective-injective objects of a module model."""
+    """The ideal generated by the projective-injective objects of a module model."""
     if model.kind != MODULE:
         raise ValueError(f"projective-injective ideal needs a module model, got {model.kind}")
-    cls = frozenset(a for a in model.objects
-                    if model.classify(a).projective and model.classify(a).injective)
-    return IdealSpec(base=model, kind=OBJECT_CLASS, class_objects=cls)
+    return IdealSpec(model, tuple((a, a) for a in model.objects
+                                  if model.classify(a).projective and model.classify(a).injective))
 
 
 def injproj_ideal(model: CategoryModel) -> IdealSpec:
-    """The arrow-class ideal from shifted projectives to projective images."""
+    """The ideal generated by the arrows from shifted projectives to projective images."""
     if model.kind != RELATIVE_F:
         raise ValueError(f"arrow ideal needs the restricted cyclic model, got {model.kind}")
     sources = [a for a in model.objects if model.classify(a).shifted_projective]
     targets = [a for a in model.objects if model.classify(a).projective_image]
-    arrows = frozenset((z1, z2) for z1 in sources for z2 in targets
-                       if model.hom_dim(z1, z2) == 1)
-    return IdealSpec(base=model, kind=ARROW_CLASS, class_arrows=arrows)
+    return IdealSpec(model, tuple((z1, z2) for z1 in sources for z2 in targets
+                                  if model.hom_dim(z1, z2) == 1))
 
 
 def factors_through(model: CategoryModel, f: BasisMorphism, ideal: IdealSpec) -> bool:
     """Whether a basis morphism lies in the ideal.
 
-    Object class: some class object z admits basis morphisms source -> z -> target
-    with nonzero composite.  Arrow class: some admissible arrow z1 -> z2 fits into
-    source -> z1 -> z2 -> target with all partial composites nonzero.
+    It does when some arrow z1 -> z2 of the ideal fits into source -> z1
+    -> z2 -> target with nonzero partial composites.  For an identity
+    arrow (z, z) the unit law makes this the object rule: basis morphisms
+    source -> z -> target with nonzero composite.
     """
     src, tgt = f.source, f.target
-    if ideal.kind == OBJECT_CLASS:
-        for z in sorted(ideal.class_objects):
-            if model.hom_dim(src, z) and model.hom_dim(z, tgt) \
-                    and model.compose_scalar(src, z, tgt):
-                return True
-        return False
-    for z1, z2 in sorted(ideal.class_arrows):
-        if not (model.hom_dim(src, z1) and model.hom_dim(z2, tgt)):
-            continue
-        if model.compose_scalar(src, z1, z2) and model.compose_scalar(src, z2, tgt):
+    for z1, z2 in ideal.arrows:
+        if model.hom_dim(src, z1) and model.hom_dim(z2, tgt) \
+                and model.compose_scalar(src, z1, z2) and model.compose_scalar(src, z2, tgt):
             return True
     return False
 

@@ -155,9 +155,9 @@ def tilting_sets(model: CategoryModel) -> tuple[RigidSet, ...]:
 
     The projective-injective objects are extension-orthogonal to
     everything, so maximality forces their inclusion; this is checked.
+    Raises ValueError for a model of another kind.
     """
-    projinj = {a for a in model.objects
-               if model.classify(a).projective and model.classify(a).injective}
+    projinj = {z for z, _ in projinj_ideal(model).arrows}
     sets = maximal_rigid(model)
     for t in sets:
         missing = projinj - set(t.summands)

@@ -30,7 +30,6 @@ from .models import (
     relative_f_model,
 )
 from .quotients import (
-    OBJECT_CLASS,
     IdealSpec,
     QuotientModel,
     factors_through,
@@ -182,9 +181,8 @@ def verify_f_exangles(d: int, n: int) -> VerificationReport:
     cl = cluster_model(d, n)
     relf = relative_f_model(d, n)
     m = cl.modulus
-    shifted_proj = IdealSpec(base=cl, kind=OBJECT_CLASS,
-                             class_objects=frozenset(
-                                 z for z in cl.objects if z[-1] == m))
+    shifted_proj = IdealSpec(cl, tuple((z, z) for z in cl.objects
+                                       if cl.classify(z).shifted_projective))
     pairs = distinguished = 0
     for b, a in product(cl.objects, repeat=2):
         if cl.ext_dim(b, a) != 1:

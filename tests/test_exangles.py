@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -135,6 +136,68 @@ def test_realized_exangles_are_exact_complexes(model):
                 e = realize(model, b, a)
                 assert is_complex(e)
                 assert hom_exactness_report(model, e).ok
+
+
+def reference_failures(model, e):
+    """Exactness failures from explicit Hom matrices, ranked by numpy.
+
+    The covariant map Hom(t, source) -> Hom(t, target) and the
+    contravariant map Hom(target, t) -> Hom(source, t) of each
+    differential are built separately, each in its own direction.
+    """
+    import numpy as np
+
+    def rank(rows, n_cols):
+        matrix = np.array(rows, dtype=float).reshape(len(rows), n_cols)
+        return int(np.linalg.matrix_rank(matrix)) if matrix.size else 0
+
+    def entry(diff, x, y, scalar):
+        v = diff.entries[diff.target.index(y)][diff.source.index(x)]
+        return v * scalar() if v else 0
+
+    failures = []
+    for t in model.objects:
+        cov, con = [], []
+        for diff in e.differentials:
+            xs = [x for x in diff.source if model.hom_dim(t, x)]
+            ys = [y for y in diff.target if model.hom_dim(t, y)]
+            cov.append(rank([[entry(diff, x, y, lambda: model.compose_scalar(t, x, y))
+                              for x in xs] for y in ys], len(xs)))
+            xs = [x for x in diff.source if model.hom_dim(x, t)]
+            ys = [y for y in diff.target if model.hom_dim(y, t)]
+            con.append(rank([[entry(diff, x, y, lambda: model.compose_scalar(x, y, t))
+                              for y in ys] for x in xs], len(ys)))
+        cov_dims = [sum(model.hom_dim(t, x) for x in term) for term in e.terms]
+        con_dims = [sum(model.hom_dim(x, t) for x in term) for term in e.terms]
+        for p in range(1, len(e.terms) - 1):
+            if cov[p - 1] + cov[p] != cov_dims[p]:
+                failures.append((t, "covariant", p))
+        for p in range(1, len(e.terms) - 1):
+            # Hom(E_p, t) receives from Hom(E_{p+1}, t) and maps to Hom(E_{p-1}, t)
+            if con[p] + con[p - 1] != con_dims[p]:
+                failures.append((t, "contravariant", p))
+    return tuple(failures)
+
+
+@pytest.mark.parametrize("model,b,a,pos,i,j", [
+    (module_model(2, 3), (2, 4, 6), (1, 3, 5), 1, 0, 0),
+    (cluster_model(2, 3), (1, 3, 6), (2, 5, 8), 1, 1, 0),
+])
+def test_exactness_failures_match_reference(model, b, a, pos, i, j):
+    e = realize(model, b, a)
+    assert hom_exactness_report(model, e).failures == reference_failures(model, e) == ()
+    diff = e.differentials[pos]
+    assert diff.entries[i][j] != 0
+    rows = [list(row) for row in diff.entries]
+    rows[i][j] = 0
+    broken_diff = MorphismMatrix(diff.source, diff.target, tuple(map(tuple, rows)))
+    broken = replace(e, differentials=e.differentials[:pos] + (broken_diff,)
+                     + e.differentials[pos + 1:])
+    report = hom_exactness_report(model, broken)
+    expected = reference_failures(model, broken)
+    assert {orientation for _, orientation, _ in expected} == {"covariant", "contravariant"}
+    assert not report.ok
+    assert report.failures == expected
 
 
 def test_rank_against_numpy():

@@ -8,6 +8,7 @@ from hicat.models import (
     relative_f_model,
 )
 from hicat.quotients import (
+    IdealSpec,
     factors_through,
     injproj_ideal,
     projinj_ideal,
@@ -15,9 +16,15 @@ from hicat.quotients import (
 )
 
 
+def _identity_objects(ideal):
+    """The objects of an ideal generated by objects, asserting its arrows are identities."""
+    assert all(z1 == z2 for z1, z2 in ideal.arrows)
+    return {z for z, _ in ideal.arrows}
+
+
 def test_projinj_ideal_members():
-    assert projinj_ideal(module_model(1, 3)).class_objects == {(1, 5)}
-    marked = projinj_ideal(module_model(2, 4)).class_objects
+    assert _identity_objects(projinj_ideal(module_model(1, 3))) == {(1, 5)}
+    marked = _identity_objects(projinj_ideal(module_model(2, 4)))
     assert marked == {(1, 3, 8), (1, 4, 8), (1, 5, 8), (1, 6, 8)}
     # cross-check: the marked objects are exactly the surplus of the full
     # family over the cyclically gapped one
@@ -41,6 +48,33 @@ def test_factors_through_object_class():
     assert not factors_through(m, basis_morphism(m, (1, 4), (2, 4)), ideal)
 
 
+def _shifted_projective_ideal(model):
+    return IdealSpec(model, tuple((z, z) for z in model.objects
+                                  if model.classify(z).shifted_projective))
+
+
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 3), (3, 2)])
+@pytest.mark.parametrize("make,ideal_of", [
+    (module_model, projinj_ideal),
+    (cluster_model, _shifted_projective_ideal),
+])
+def test_identity_arrow_ideal_is_the_object_ideal(d, n, make, ideal_of):
+    model = make(d, n)
+    ideal = ideal_of(model)
+    objects = _identity_objects(ideal)
+    assert objects
+    killed = 0
+    for s in model.objects:
+        for t in model.objects:
+            if not model.hom_dim(s, t):
+                continue
+            by_objects = any(model.hom_dim(s, z) and model.hom_dim(z, t)
+                             and model.compose_scalar(s, z, t) for z in objects)
+            assert factors_through(model, BasisMorphism(s, t), ideal) == by_objects
+            killed += by_objects
+    assert killed
+
+
 def test_quotient_module_examples():
     m = module_model(1, 3)
     q = quotient(m, projinj_ideal(m))
@@ -54,7 +88,7 @@ def test_quotient_module_examples():
 def test_quotient_zero_objects_are_exactly_the_class():
     m = module_model(2, 3)
     q = quotient(m, projinj_ideal(m))
-    assert set(q.zero_objects) == set(projinj_ideal(m).class_objects)
+    assert set(q.zero_objects) == _identity_objects(projinj_ideal(m))
 
 
 def test_injproj_quotient_has_no_zero_objects():

@@ -14,6 +14,7 @@ from hicat.models import (
 )
 from hicat.rigidity import (
     RigidSet,
+    _MutationScanner,
     correspondence_check,
     exchange_exangles,
     is_rigid,
@@ -93,6 +94,11 @@ def test_maximal_rigid_small_examples():
     assert len(tilts) == 5
     assert all(len(t.summands) == 3 for t in tilts)
     assert all((1, 5) in t.summands for t in tilts)
+
+
+def test_tilting_sets_needs_a_module_model():
+    with pytest.raises(ValueError):
+        tilting_sets(cluster_model(1, 3))
 
 
 @pytest.mark.parametrize("model", [
@@ -320,3 +326,35 @@ def test_exchange_realizes_extension_ends():
                 assert ap.ext_dim(b, a) == 1
                 fresh = realize(ap, b, a)
                 assert fresh.middles == e.middles
+
+
+class _ConflictTable:
+    """A stand-in model: labelled objects and a symmetric 0/1 extension table."""
+
+    def __init__(self, objects, conflicts):
+        self.objects = tuple(objects)
+        self._pairs = {frozenset(pair) for pair in conflicts}
+
+    def ext_dim(self, b, a):
+        return 1 if frozenset((b, a)) in self._pairs else 0
+
+
+@pytest.mark.parametrize("bucket_conflicts,expected", [
+    ((("y1", "y2"), ("y1", "y3")), "y1"),
+    ((("y1", "y2"), ("y1", "y3"), ("y2", "y3")), "ambiguous"),
+])
+def test_replacement_from_a_bucket_of_three(bucket_conflicts, expected):
+    # t = {x, r}: r conflicts with nothing, so each y has its one conflict
+    # in t at x and the bucket of x is {y1, y2, y3}
+    table = _ConflictTable(("r", "x", "y1", "y2", "y3"),
+                           (("x", "y1"), ("x", "y2"), ("x", "y3")) + bucket_conflicts)
+    scan = _MutationScanner(table)
+    bit = scan.conflicts.bit
+    x = bit["x"].bit_length() - 1
+    bucket = scan.rows[x] & scan.single_hits(bit["x"] | bit["r"])
+    assert bucket == bit["y1"] | bit["y2"] | bit["y3"]
+    if expected == "ambiguous":
+        with pytest.raises(ValueError, match="ambiguous mutation"):
+            scan.replacement(x, bucket)
+    else:
+        assert scan.conflicts.labels[scan.replacement(x, bucket)] == expected
