@@ -54,7 +54,6 @@ from .tuples import (
     gen_modset,
     gen_nonconsec,
     intertwines,
-    intertwines_cyclic,
     m_mix,
     normalize_cyclic,
     shift_cluster,

@@ -7,8 +7,8 @@ graph; mutation exchanges one summand for the unique alternative that
 keeps the set maximal rigid, witnessed by exchange d-exangles whose
 middle terms stay inside the rest of the set.
 
-Internally every set of objects is an integer bitmask over a sorted
-label universe, so that bit order is label order; labels appear only at
+Internally every set of objects is an integer bitmask over the model's
+sorted labels, so that bit order is label order; labels appear only at
 the API edge and in counterexamples.
 """
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .models import (
     module_model,
     relative_f_model,
 )
-from .quotients import projinj_ideal, quotient, strip_zero_summands
+from .quotients import projinj_ideal, strip_zero_summands
 from .tuples import IndexTuple
 from .verify import VerificationReport, compare_exangles
 
@@ -47,52 +47,43 @@ def _indices(mask: int):
 
 
 class _Conflicts:
-    """A model's objects numbered within a sorted label universe.
+    """A model's objects numbered in sorted label order.
 
     rows[i] has bit j set when the objects i and j have an extension in
-    either order, read from the model's own ext_dim; universe labels that
-    are not objects of the model get an empty row and no bit in
-    ``objects``.
+    either order, read from the model's own ext_dim.
     """
 
-    def __init__(self, model: CategoryModel, universe: tuple[IndexTuple, ...]):
-        self.labels = universe
-        self.bit = {lbl: 1 << i for i, lbl in enumerate(universe)}
-        members = [(self.bit[x].bit_length() - 1, x) for x in model.objects]
-        rows = [0] * len(universe)
+    def __init__(self, model: CategoryModel):
+        self.labels = labels = tuple(sorted(model.objects))
+        self.bit = {lbl: 1 << i for i, lbl in enumerate(labels)}
+        rows = [0] * len(labels)
         ext = model.ext_dim
-        for k, (i, x) in enumerate(members):
+        for i, x in enumerate(labels):
             if ext(x, x):
                 rows[i] |= 1 << i
-            for j, y in members[k + 1:]:
+            for j, y in enumerate(labels[i + 1:], i + 1):
                 if ext(x, y) or ext(y, x):
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
         self.rows = rows
-        self.objects = sum(1 << i for i, _ in members)
 
     def mask(self, labels) -> int:
-        """The mask of distinct labels of the universe."""
+        """The mask of distinct labels."""
         return sum(map(self.bit.__getitem__, labels))
 
     def labels_of(self, mask: int) -> tuple[IndexTuple, ...]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.labels[low.bit_length() - 1])
-            mask ^= low
-        return tuple(out)
+        return tuple(self.labels[i] for i in _indices(mask))
 
 
 def _own_conflicts(model: CategoryModel) -> _Conflicts:
-    """The conflict masks of a model on its own objects, built once per model.
+    """The conflict masks of a model, built once per model.
 
     They are kept in the model's instance dictionary, as a cached_property
     would keep them, so they live and die with the model.
     """
     table = vars(model).get("_conflicts")
     if table is None:
-        table = vars(model)["_conflicts"] = _Conflicts(model, tuple(sorted(model.objects)))
+        table = vars(model)["_conflicts"] = _Conflicts(model)
     return table
 
 
@@ -106,13 +97,14 @@ def is_rigid(model: CategoryModel, summands) -> bool:
     return not any(c.rows[i] & m for i in _indices(m))
 
 
-def _maximal_independent(rows: list[int], vertices: int) -> list[int]:
+def _maximal_independent(rows: list[int]) -> list[int]:
     """Maximal independent sets of a conflict graph, as masks.
 
     Pivoting Bron–Kerbosch (Bron–Kerbosch 1973; Tomita et al. 2006) on
     the complement masks: each step branches only on the vertices of P
     outside the neighbourhood of the pivot with most neighbours in P.
     """
+    vertices = (1 << len(rows)) - 1
     nbrs = [vertices & ~row & ~(1 << i) for i, row in enumerate(rows)]
     found: list[int] = []
 
@@ -146,7 +138,7 @@ def _maximal_independent(rows: list[int], vertices: int) -> list[int]:
 def maximal_rigid(model: CategoryModel) -> tuple[RigidSet, ...]:
     """All inclusion-maximal rigid sets, deterministically ordered."""
     c = _own_conflicts(model)
-    sets = sorted(c.labels_of(m) for m in _maximal_independent(c.rows, c.objects))
+    sets = sorted(c.labels_of(m) for m in _maximal_independent(c.rows))
     return tuple(RigidSet(model.kind, s) for s in sets)
 
 
@@ -175,14 +167,12 @@ class _MutationScanner:
     of a summand x is those of them that conflict with x, and the
     replacements of x are the members of its bucket that conflict with
     every other compatible object.  Sets, buckets and summands are masks
-    and bit positions over a sorted label universe: the model's own
-    objects by default, or a larger universe shared with other scanners.
+    and bit positions over the model's sorted labels.
     """
 
-    def __init__(self, model: CategoryModel, universe: tuple[IndexTuple, ...] | None = None):
+    def __init__(self, model: CategoryModel):
         self.model = model
-        own = _own_conflicts(model)
-        self.conflicts = own if universe in (None, own.labels) else _Conflicts(model, universe)
+        self.conflicts = _own_conflicts(model)
         self.rows = self.conflicts.rows
         # (b, a) -> (exangle, mask of its middle terms), or None without extension
         self._exchange: dict[tuple[int, int], tuple[Exangle, int] | None] = {}
@@ -204,7 +194,7 @@ class _MutationScanner:
             twice |= once & row
             once |= row
             rest ^= low
-        if self.conflicts.objects & ~(t | once):
+        if (t | once).bit_count() < len(rows):
             raise ValueError("mutation needs a maximal rigid set")
         return once & ~twice & ~t
 
@@ -341,152 +331,127 @@ def mutation_graph_dot(model: CategoryModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def correspondence_check(d: int, n: int) -> VerificationReport:
-    """Maximal rigid sets and their mutations transported along both quotients.
+def _premise_failure(base: CategoryModel, projinj: set[IndexTuple],
+                     targets: tuple[CategoryModel, ...]):
+    """The first failure of the correspondence premise, or None.
 
-    Checks that deleting the projective-injective summands carries the
-    module-model tilting sets bijectively onto the maximal rigid sets of
-    the almost-positive model with exchange exangles matching termwise,
-    that the restricted cyclic model's maximal rigid sets map bijectively
-    onto the same sets with mutation intertwined, and that mutation is an
-    involution wherever it is defined.
-
-    All three scanners number their objects in one universe, the module
-    model's labels (plus any label of the other two models outside it, so
-    that a mismatch is reported rather than raised); each reads its bits
-    from its own ext_dim, so sets, buckets, candidates and exchange pairs
-    compare as integers.
+    The premise: the projective-injectives of the module model conflict
+    with nothing, and each target model has exactly the other module
+    objects, with the module model's conflict rows on them.
     """
-    start = time.perf_counter()
-    counters: dict[str, int] = {}
-    counterexample = None
-    ok = True
+    cb = _own_conflicts(base)
+    base_rows = {x: cb.labels_of(row) for x, row in zip(cb.labels, cb.rows)}
+    for z in sorted(projinj):
+        if base_rows[z]:
+            return ("projinj-conflict", z, base_rows[z][0])
+    live = tuple(x for x in cb.labels if x not in projinj)
+    for model in targets:
+        c = _own_conflicts(model)
+        if c.labels != live:
+            return ("tilting-image-mismatch", model.kind, min(set(c.labels) ^ set(live)))
+        for x, row in zip(live, c.rows):
+            got = c.labels_of(row)
+            if got != base_rows[x]:
+                return ("conflict-mismatch", model.kind, x, min(set(got) ^ set(base_rows[x])))
+    return None
 
-    base = module_model(d, n + 1)
-    ap = almost_positive_model(d, n)
-    relf = relative_f_model(d, n)
-    q = quotient(base, projinj_ideal(base))
-    dead_labels = set(q.zero_objects)
 
-    tilts = tilting_sets(base)
-    ap_rigid = maximal_rigid(ap)
-    relf_rigid = maximal_rigid(relf)
-    counters["tilting_sets"] = len(tilts)
-    counters["ap_maximal_rigid"] = len(ap_rigid)
-    counters["relf_maximal_rigid"] = len(relf_rigid)
-    sizes = {len(t.summands) for t in ap_rigid}
-    # not all maximal rigid sets have the same size once d reaches 3;
-    # record the range instead of assuming purity
-    counters["set_size_min"] = min(sizes)
-    counters["set_size_max"] = max(sizes)
+def _scan_tilting(base: CategoryModel, ap: CategoryModel, tilts: tuple[RigidSet, ...],
+                  projinj: set[IndexTuple], counters: dict[str, int]):
+    """Mutate every tilting set at every live summand: the first counterexample, or None.
 
-    universe = tuple(sorted(set(base.objects) | set(ap.objects) | set(relf.objects)))
-    scan_base = _MutationScanner(base, universe)
-    scan_ap = _MutationScanner(ap, universe)
-    scan_relf = _MutationScanner(relf, universe)
-    c = scan_base.conflicts
-    dead = c.mask(dead_labels)
+    Adds the scan counts of ``correspondence_check`` to ``counters`` as it goes.
+    """
+    scan = _MutationScanner(base)
+    c = scan.conflicts
+    dead = c.mask(projinj)
+    # (b, a) -> whether both models realize the same extension of b by a
+    pair_matches: dict[tuple[int, int], bool] = {}
+    # (x, bucket) whose oriented pairs all matched
+    linked_ok: set[tuple[int, int]] = set()
 
-    def labels(masks) -> list[tuple[IndexTuple, ...]]:
-        return sorted(c.labels_of(m) for m in masks)
-
-    tilt_masks = [c.mask(t.summands) for t in tilts]
-    images = sorted(t & ~dead for t in tilt_masks)
-    ap_sets = sorted(c.mask(t.summands) for t in ap_rigid)
-    if images != ap_sets or len(set(images)) != len(images):
-        ok = False
-        counterexample = ("tilting-image-mismatch", labels(images)[:3], labels(ap_sets)[:3])
-
-    relf_masks = [c.mask(t.summands) for t in relf_rigid]
-    if ok and sorted(relf_masks) != ap_sets:
-        ok = False
-        counterexample = ("relf-set-mismatch", labels(relf_masks)[:3], labels(ap_sets)[:3])
-
-    exchanges = 0
-    mutations = 0
-    rows_base, rows_ap, rows_relf = scan_base.rows, scan_ap.rows, scan_relf.rows
-    match_cache: dict[tuple[int, int], bool] = {}
-
-    def stripped_matches(pair: tuple[int, int]) -> bool:
-        if pair not in match_cache:
-            stripped = strip_zero_summands(scan_base.exchange(*pair)[0], dead_labels)
-            match_cache[pair] = compare_exangles(stripped, scan_ap.exchange(*pair)[0]) is None
-        return match_cache[pair]
+    def matches(pair: tuple[int, int]) -> bool:
+        if pair not in pair_matches:
+            found = scan.exchange(*pair)
+            lb, la = (c.labels[i] for i in pair)
+            pair_matches[pair] = (found is None) != bool(ap.ext_dim(lb, la)) and (
+                found is None or compare_exangles(strip_zero_summands(found[0], projinj),
+                                                  realize(ap, lb, la)) is None)
+        return pair_matches[pair]
 
     def at(t: int, x: int):
         return c.labels_of(t), c.labels[x]
 
     # (new set, replacement) -> (old set, replaced summand)
     mutation_edges: dict[tuple[int, int], tuple[int, int]] = {}
-    if ok:
-        for t in tilt_masks:
-            single_base = scan_base.single_hits(t)
-            single_ap = scan_ap.single_hits(t & ~dead)
-            for x in _indices(t):
-                bucket = rows_base[x] & single_base
-                if dead >> x & 1:
-                    # projective-injectives sit in every maximal rigid set,
-                    # so they can never be exchanged
-                    if scan_base.candidates(x, bucket):
-                        ok = False
-                        counterexample = ("projinj-summand-mutable", *at(t, x))
-                        break
-                    continue
-                mutations += 1
-                if bucket != rows_ap[x] & single_ap:
-                    ok = False
-                    counterexample = ("replacement-pool-mismatch", *at(t, x))
-                    break
-                rest = t & ~(1 << x)
-                pairs_base = scan_base.exchange_pairs(x, bucket, rest)
-                pairs_ap = scan_ap.exchange_pairs(x, bucket, rest & ~dead)
-                if pairs_base != pairs_ap or not all(map(stripped_matches, pairs_base)):
-                    ok = False
-                    counterexample = ("exchange-mismatch", *at(t, x))
-                    break
-                exchanges += len(pairs_base)
-                cand = scan_base.candidates(x, bucket)
-                if cand != scan_ap.candidates(x, bucket):
-                    ok = False
-                    counterexample = ("mutation-mismatch", *at(t, x))
-                    break
-                if cand & (cand - 1):
-                    ok = False
-                    counterexample = ("ambiguous-mutation", *at(t, x),
-                                      list(c.labels_of(cand)))
-                    break
-                if cand:
-                    mutation_edges[(rest | cand, cand)] = (t, 1 << x)
-            if not ok:
-                break
-    if ok:
-        # mutating (old, x) gave (new, y); mutating (new, y) must give (old, x)
-        for key, value in mutation_edges.items():
-            if mutation_edges.get(value) != key:
-                ok = False
-                counterexample = ("mutation-not-involutive",
-                                  *(at(t, bit.bit_length() - 1) for t, bit in (value, key)))
-                break
-    if ok:
-        for t in relf_masks:
-            single_relf = scan_relf.single_hits(t)
-            single_ap = scan_ap.single_hits(t)
-            for x in _indices(t):
-                mutations += 1
-                bucket = rows_relf[x] & single_relf
-                if bucket != rows_ap[x] & single_ap:
-                    ok = False
-                    counterexample = ("relf-replacement-mismatch", *at(t, x))
-                    break
-                if scan_relf.candidates(x, bucket) != scan_ap.candidates(x, bucket):
-                    ok = False
-                    counterexample = ("relf-mutation-mismatch", *at(t, x))
-                    break
-            if not ok:
-                break
-    counters["exchange_exangles"] = exchanges
-    counters["mutations_checked"] = mutations
+    for tilt in tilts:
+        t = c.mask(tilt.summands)
+        single = scan.single_hits(t)
+        for x in _indices(t & ~dead):
+            bucket = scan.rows[x] & single
+            if (x, bucket) not in linked_ok:
+                bad = next((pair for y in _indices(bucket) for pair in ((x, y), (y, x))
+                            if not matches(pair)), None)
+                if bad is not None:
+                    return ("exchange-mismatch", *at(t, x), tuple(c.labels[i] for i in bad))
+                linked_ok.add((x, bucket))
+            rest = t & ~(1 << x)
+            counters["exchange_exangles"] += len(scan.exchange_pairs(x, bucket, rest))
+            cand = scan.candidates(x, bucket)
+            if cand & (cand - 1):
+                return ("ambiguous-mutation", *at(t, x), list(c.labels_of(cand)))
+            if cand:
+                mutation_edges[(rest | cand, cand)] = (t, 1 << x)
+            # one verified pair for each of the two target models
+            counters["mutations_checked"] += 2
+    # mutating (old, x) gave (new, y); mutating (new, y) must give (old, x)
+    for key, value in mutation_edges.items():
+        if mutation_edges.get(value) != key:
+            return ("mutation-not-involutive",
+                    *(at(t, bit.bit_length() - 1) for t, bit in (value, key)))
+    return None
 
-    return VerificationReport(theorem="correspondence", d=d, n=n, ok=ok,
+
+def correspondence_check(d: int, n: int) -> VerificationReport:
+    """Maximal rigid sets and their mutations transported along both quotients.
+
+    Deleting the projective-injectives carries the tilting sets of the
+    module model of A^d_{n+1} onto the maximal rigid sets of the
+    almost-positive and the restricted cyclic model, and mutation goes
+    along.  The premise is checked first, as a certificate: the
+    projective-injectives conflict with nothing, and both targets have
+    exactly the other module objects, with the module model's conflict
+    rows.  Maximal independent sets of a graph plus isolated vertices
+    are those of the graph with the isolated vertices added, so this
+    proves the bijection of sets and that buckets and replacements agree.
+    One enumeration of the tilting sets then gives every count, and one
+    mutation scan on the module model checks what depends on the set:
+    exchange pairs with middles in the rest, each linked exchange exangle
+    with zero summands stripped against the almost-positive one, unique
+    replacements, and that mutation is an involution.
+
+    ``mutations_checked`` counts the (set, live summand) pairs whose
+    checks passed, once for each of the two targets, so a scan that stops
+    early counts only what it verified.  Until an independent extension
+    oracle exists, all three conflict tables read the intertwining
+    predicate, so the certificate compares that predicate with itself.
+    """
+    start = time.perf_counter()
+    base = module_model(d, n + 1)
+    ap = almost_positive_model(d, n)
+    relf = relative_f_model(d, n)
+    projinj = {z for z, _ in projinj_ideal(base).arrows}
+    counters: dict[str, int] = {}
+    counterexample = _premise_failure(base, projinj, (ap, relf))
+    if counterexample is None:
+        tilts = tilting_sets(base)
+        # not all maximal rigid sets have the same size once d reaches 3
+        sizes = [len(t.summands) - len(projinj) for t in tilts]
+        counters = {"tilting_sets": len(tilts), "ap_maximal_rigid": len(tilts),
+                    "relf_maximal_rigid": len(tilts), "set_size_min": min(sizes),
+                    "set_size_max": max(sizes), "exchange_exangles": 0,
+                    "mutations_checked": 0}
+        counterexample = _scan_tilting(base, ap, tilts, projinj, counters)
+    return VerificationReport(theorem="correspondence", d=d, n=n, ok=counterexample is None,
                               counters=counters, counterexample=counterexample,
                               elapsed=time.perf_counter() - start)

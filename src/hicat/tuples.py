@@ -101,25 +101,6 @@ def normalize_cyclic(a: IndexTuple, m: int) -> IndexTuple:
     return tuple(reduced)
 
 
-def intertwines_cyclic(a: IndexTuple, b: IndexTuple, m: int) -> bool:
-    """Cyclic intertwining: some simultaneous shift interleaves the tuples.
-
-    Scans all m simultaneous shifts; the pair intertwines when some shift
-    puts the normalized representatives in strict interleaving position
-    (in either order).  Entries must already lie in [1, m].
-    """
-    _check_same_length(a, b)
-    for t in (a, b):
-        if any(v < 1 or v > m for v in t):
-            raise ValueError(f"entries of {t} outside [1, {m}]")
-    for k in range(m):
-        na = normalize_cyclic(tuple(v + k for v in a), m)
-        nb = normalize_cyclic(tuple(v + k for v in b), m)
-        if intertwines(na, nb) or intertwines(nb, na):
-            return True
-    return False
-
-
 def m_mix(I, a: IndexTuple, b: IndexTuple) -> IndexTuple:
     """Mix two tuples: take a_i at positions in I, b_i elsewhere.
 

@@ -136,11 +136,37 @@ def test_criterion_5_count_coincidence():
             assert len(set(counts.values())) == 1, counts
 
 
+# (d, n) -> maximal rigid sets, exchange exangles, mutations checked,
+# smallest and largest set size, as reported by correspondence_check
+CORRESPONDENCE_COUNTERS = {
+    (1, 1): (2, 2, 4, 1, 1),
+    (1, 2): (5, 10, 20, 2, 2),
+    (1, 3): (14, 42, 84, 3, 3),
+    (1, 4): (42, 168, 336, 4, 4),
+    (2, 1): (2, 2, 4, 1, 1),
+    (2, 2): (7, 14, 42, 3, 3),
+    (2, 3): (40, 128, 480, 6, 6),
+    (2, 4): (357, 1650, 7140, 10, 10),
+    (3, 1): (2, 2, 4, 1, 1),
+    (3, 2): (12, 26, 90, 3, 4),
+    (3, 3): (272, 924, 4760, 6, 10),
+    (3, 4): (26378, 122602, 864666, 10, 20),
+}
+
+
 def test_criterion_6_mutation_correspondence():
     with criterion(6, "exchange exangles and mutations correspond on the grid"):
-        for d, n in grid_points(*GRID):
+        points = grid_points(*GRID)
+        assert sorted(points) == sorted(CORRESPONDENCE_COUNTERS)
+        for d, n in points:
             report = correspondence_check(d, n)
             assert report.ok, report.summary()
+            sets, exchanges, mutations, smallest, largest = CORRESPONDENCE_COUNTERS[(d, n)]
+            assert report.counters == {
+                "tilting_sets": sets, "ap_maximal_rigid": sets, "relf_maximal_rigid": sets,
+                "exchange_exangles": exchanges, "mutations_checked": mutations,
+                "set_size_min": smallest, "set_size_max": largest,
+            }, (d, n)
 
 
 FIGURE_QUIVER_23 = {("1,3", "1,4"), ("1,4", "1,5"), ("1,4", "2,4"),

@@ -156,7 +156,8 @@ def test_compose_matrices_identity_and_zero():
 @given(st.sampled_from(gen_nonconsec(9, 1)), st.sampled_from(gen_nonconsec(9, 1)))
 def test_cluster_hom_is_shifted_crossing(src, tgt):
     # hom nonzero exactly when the shifted source cyclically interleaves the target
-    from hicat.tuples import intertwines_cyclic, normalize_cyclic
+    from cyclic_oracle import intertwines_cyclic
+    from hicat.tuples import normalize_cyclic
     c = cluster_model(1, 6)
     shifted = normalize_cyclic(tuple(v - 1 for v in src), 9)
     overlap = set(shifted) & set(tgt)

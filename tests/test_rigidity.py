@@ -15,6 +15,7 @@ from hicat.models import (
 from hicat.rigidity import (
     RigidSet,
     _MutationScanner,
+    _own_conflicts,
     correspondence_check,
     exchange_exangles,
     is_rigid,
@@ -260,12 +261,54 @@ def test_correspondence_detects_unstripped_exangles(monkeypatch):
     assert report.counterexample[0] == "exchange-mismatch"
 
 
+def test_correspondence_counts_only_verified_summands(monkeypatch):
+    # the unstripped scan stops at the third live summand of the first
+    # set, so it has verified two (set, summand) pairs, not all 21
+    monkeypatch.setattr("hicat.rigidity.strip_zero_summands", lambda e, dead: e)
+    report = correspondence_check(2, 2)
+    assert not report.ok
+    assert report.counters["mutations_checked"] == 2 * 2
+    assert report.counters["exchange_exangles"] == 1
+
+
 def test_correspondence_detects_wrong_almost_positive_model(monkeypatch):
     shifted = lambda d, n: almost_positive_model(d, n + 1)
     monkeypatch.setattr("hicat.rigidity.almost_positive_model", shifted)
     report = correspondence_check(2, 2)
     assert not report.ok
     assert report.counterexample[0] == "tilting-image-mismatch"
+
+
+def _flipping_conflict(factory, x, y):
+    """The factory, with the conflict of x and y flipped in each model's table."""
+    def build(d, n):
+        model = factory(d, n)
+        c = _own_conflicts(model)
+        i, j = (c.bit[lbl].bit_length() - 1 for lbl in (x, y))
+        c.rows[i] ^= 1 << j
+        c.rows[j] ^= 1 << i
+        return model
+    return build
+
+
+@pytest.mark.parametrize("factory,kind", [
+    (relative_f_model, "relative-f"), (almost_positive_model, "almost-positive"),
+])
+def test_correspondence_certificate_detects_a_flipped_conflict(monkeypatch, factory, kind):
+    flipped = _flipping_conflict(factory, (1, 3, 5), (2, 4, 6))
+    monkeypatch.setattr(f"hicat.rigidity.{factory.__name__}", flipped)
+    report = correspondence_check(2, 2)
+    assert not report.ok
+    assert report.counterexample == ("conflict-mismatch", kind, (1, 3, 5), (2, 4, 6))
+
+
+def test_correspondence_certificate_detects_a_conflicting_projinj(monkeypatch):
+    # (1, 3, 7) is the first projective-injective of the module model of A^2_3
+    flipped = _flipping_conflict(module_model, (1, 3, 7), (2, 4, 6))
+    monkeypatch.setattr("hicat.rigidity.module_model", flipped)
+    report = correspondence_check(2, 2)
+    assert not report.ok
+    assert report.counterexample == ("projinj-conflict", (1, 3, 7), (2, 4, 6))
 
 
 def _run_fresh(code: str) -> str:

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from itertools import product
 
+from cyclic_oracle import intertwines_cyclic
 from hicat.tuples import (
     build_quiver,
     gen_derset_window,
@@ -12,7 +13,6 @@ from hicat.tuples import (
     in_modset,
     in_nonconsec,
     intertwines,
-    intertwines_cyclic,
     m_mix,
     normalize_cyclic,
     rotate_window_rep,
