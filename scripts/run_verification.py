@@ -10,11 +10,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hicat.verify import THEOREMS, default_grid, parse_grid, run_theorem
+from hicat.verify import DEFAULT_GRID, THEOREMS, parse_grid, run_theorem
 
 
 def main() -> int:
-    grid = parse_grid(sys.argv[1]) if len(sys.argv) > 1 else default_grid()
+    grid = parse_grid(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT_GRID
     print(f"verification grid: d <= {grid[0]}, n <= {grid[1]}, "
           f"objects <= {grid[2]}")
     failures = 0

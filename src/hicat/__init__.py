@@ -36,6 +36,7 @@ from .quotients import (
     projinj_ideal,
     quotient,
 )
+from .report import VerificationReport
 from .rigidity import (
     MutationResult,
     RigidSet,
@@ -60,8 +61,7 @@ from .tuples import (
     shift_derived,
 )
 from .verify import (
-    VerificationReport,
-    default_grid,
+    DEFAULT_GRID,
     grid_points,
     run_theorem,
     sanity_reports,

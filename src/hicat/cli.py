@@ -25,7 +25,7 @@ from .models import KINDS, MODULE, RELATIVE_F, make_model
 from .quotients import injproj_ideal, projinj_ideal, quotient
 from .rigidity import RigidSet, maximal_rigid, mutate
 from .tuples import IndexTuple, build_quiver
-from .verify import THEOREMS, default_grid, parse_grid, run_point, run_theorem
+from .verify import DEFAULT_GRID, THEOREMS, parse_grid, run_point, run_theorem
 
 
 def parse_tuple(text: str) -> IndexTuple:
@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run a theorem verifier over the grid")
     p.add_argument("--theorem", choices=THEOREMS, required=True)
-    p.add_argument("--grid", type=parse_grid, default=None,
-                   help="DMAX:NMAX:OBJMAX, default 3:4:200 or HICAT_GRID")
+    p.add_argument("--grid", type=parse_grid, default=DEFAULT_GRID,
+                   help="DMAX:NMAX:OBJMAX, default 3:4:200")
 
     p = subs.add_parser("rigid", help="list maximal rigid sets")
     _add_model_args(p)
@@ -117,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("count", help="count the objects of a model")
     _add_model_args(p)
-    p.add_argument("--rigid", action="store_true",
-                   help="count maximal rigid sets instead of objects")
 
     return parser
 
@@ -187,8 +185,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
-        grid = args.grid or default_grid()
-        reports = run_theorem(args.theorem, grid)
+        reports = run_theorem(args.theorem, args.grid)
         for report in reports:
             print(report.summary())
         failed = [r for r in reports if not r.ok]
@@ -219,7 +216,7 @@ def _dispatch(args) -> int:
 
     if args.command == "count":
         model = _model(args)
-        print(len(maximal_rigid(model)) if args.rigid else len(model.objects))
+        print(len(model.objects))
         return 0
 
     # emit

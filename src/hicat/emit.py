@@ -14,9 +14,9 @@ from pathlib import Path
 from .exangles import Exangle
 from .models import CategoryModel
 from .quotients import QuotientModel
+from .report import VerificationReport
 from .rigidity import mutation_graph_dot
 from .tuples import IndexTuple, Quiver
-from .verify import VerificationReport
 
 FORMATS = ("dot", "tikz", "json")
 CONTENTS = ("quiver", "category", "mutation-graph", "exangle", "report")

@@ -57,6 +57,23 @@ class Exangle:
         return ((self.x0,),) + self.middles + ((self.xlast,),)
 
 
+def compare_exangles(left: Exangle, right: Exangle) -> str | None:
+    """Termwise comparison; returns a description of the first mismatch or None.
+
+    Middle terms are compared as label tuples and differentials entrywise.
+    Both construction paths fix the same summand order and sign gauge, so
+    exact matrix equality is the expected outcome.
+    """
+    if (left.x0, left.xlast) != (right.x0, right.xlast):
+        return f"ends differ: {(left.x0, left.xlast)} vs {(right.x0, right.xlast)}"
+    if left.middles != right.middles:
+        return f"middle terms differ: {left.middles} vs {right.middles}"
+    for pos, (dl, dr) in enumerate(zip(left.differentials, right.differentials)):
+        if dl.entries != dr.entries:
+            return f"differential {pos} differs: {dl.entries} vs {dr.entries}"
+    return None
+
+
 def _membership(model: CategoryModel):
     if model.kind == MODULE:
         top, d = model.top, model.d

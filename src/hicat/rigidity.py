@@ -13,10 +13,9 @@ the API edge and in counterexamples.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from .exangles import Exangle, realize
+from .exangles import Exangle, compare_exangles, realize
 from .models import (
     CategoryModel,
     almost_positive_model,
@@ -24,8 +23,8 @@ from .models import (
     relative_f_model,
 )
 from .quotients import projinj_ideal, strip_zero_summands
+from .report import VerificationReport, run_check
 from .tuples import IndexTuple
-from .verify import VerificationReport, compare_exangles
 
 
 @dataclass(frozen=True)
@@ -436,22 +435,19 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
     oracle exists, all three conflict tables read the intertwining
     predicate, so the certificate compares that predicate with itself.
     """
-    start = time.perf_counter()
-    base = module_model(d, n + 1)
-    ap = almost_positive_model(d, n)
-    relf = relative_f_model(d, n)
-    projinj = {z for z, _ in projinj_ideal(base).arrows}
-    counters: dict[str, int] = {}
-    counterexample = _premise_failure(base, projinj, (ap, relf))
-    if counterexample is None:
+    def check(counters):
+        base = module_model(d, n + 1)
+        ap = almost_positive_model(d, n)
+        relf = relative_f_model(d, n)
+        projinj = {z for z, _ in projinj_ideal(base).arrows}
+        failure = _premise_failure(base, projinj, (ap, relf))
+        if failure is not None:
+            return failure
         tilts = tilting_sets(base)
         # not all maximal rigid sets have the same size once d reaches 3
         sizes = [len(t.summands) - len(projinj) for t in tilts]
-        counters = {"tilting_sets": len(tilts), "ap_maximal_rigid": len(tilts),
-                    "relf_maximal_rigid": len(tilts), "set_size_min": min(sizes),
-                    "set_size_max": max(sizes), "exchange_exangles": 0,
-                    "mutations_checked": 0}
-        counterexample = _scan_tilting(base, ap, tilts, projinj, counters)
-    return VerificationReport(theorem="correspondence", d=d, n=n, ok=counterexample is None,
-                              counters=counters, counterexample=counterexample,
-                              elapsed=time.perf_counter() - start)
+        counters.update(tilting_sets=len(tilts), ap_maximal_rigid=len(tilts),
+                        relf_maximal_rigid=len(tilts), set_size_min=min(sizes),
+                        set_size_max=max(sizes), exchange_exangles=0, mutations_checked=0)
+        return _scan_tilting(base, ap, tilts, projinj, counters)
+    return run_check("correspondence", d, n, check)

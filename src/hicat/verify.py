@@ -10,14 +10,11 @@ compatibilities.
 """
 from __future__ import annotations
 
-import os
-import time
-from dataclasses import dataclass, replace
 from itertools import product
 from math import comb
 from typing import Any
 
-from .exangles import Exangle, hom_exactness_report, is_complex, realize
+from .exangles import compare_exangles, hom_exactness_report, is_complex, realize
 from .models import (
     CLUSTER,
     DERIVED,
@@ -37,6 +34,8 @@ from .quotients import (
     projinj_ideal,
     quotient,
 )
+from .report import VerificationReport, run_check
+from .rigidity import correspondence_check
 from .tuples import (
     IndexTuple,
     normalize_cyclic,
@@ -45,30 +44,9 @@ from .tuples import (
 )
 
 DEFAULT_GRID = (3, 4, 200)
-GRID_ENV_VAR = "HICAT_GRID"
 
 #: The theorem names that run_point and run_theorem accept.
 THEOREMS = ("equiv", "f-exangles", "main2", "sanity", "correspondence")
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one verification run at a fixed grid point."""
-    theorem: str
-    d: int
-    n: int
-    ok: bool
-    counters: dict[str, int]
-    counterexample: Any | None
-    elapsed: float
-
-    def summary(self) -> str:
-        status = "pass" if self.ok else "FAIL"
-        counts = ", ".join(f"{k}={v}" for k, v in sorted(self.counters.items()))
-        line = f"{self.theorem} (d={self.d}, n={self.n}): {status} [{counts}] {self.elapsed:.2f}s"
-        if not self.ok:
-            line += f" counterexample={self.counterexample}"
-        return line
 
 
 def parse_grid(text: str) -> tuple[int, int, int]:
@@ -82,12 +60,6 @@ def parse_grid(text: str) -> tuple[int, int, int]:
     return dmax, nmax, objmax
 
 
-def default_grid() -> tuple[int, int, int]:
-    """The built-in grid, overridable through the HICAT_GRID variable."""
-    env = os.environ.get(GRID_ENV_VAR)
-    return parse_grid(env) if env else DEFAULT_GRID
-
-
 def grid_points(dmax: int, nmax: int, objmax: int) -> tuple[tuple[int, int], ...]:
     """Grid points (d, n) whose largest model stays within the object bound."""
     points = []
@@ -98,72 +70,40 @@ def grid_points(dmax: int, nmax: int, objmax: int) -> tuple[tuple[int, int], ...
     return tuple(points)
 
 
-def compare_exangles(left: Exangle, right: Exangle) -> str | None:
-    """Termwise comparison; returns a description of the first mismatch or None.
-
-    Middle terms are compared as label tuples and differentials entrywise.
-    Both construction paths fix the same summand order and sign gauge, so
-    exact matrix equality is the expected outcome.
-    """
-    if (left.x0, left.xlast) != (right.x0, right.xlast):
-        return f"ends differ: {(left.x0, left.xlast)} vs {(right.x0, right.xlast)}"
-    if left.middles != right.middles:
-        return f"middle terms differ: {left.middles} vs {right.middles}"
-    for pos, (dl, dr) in enumerate(zip(left.differentials, right.differentials)):
-        if dl.entries != dr.entries:
-            return f"differential {pos} differs: {dl.entries} vs {dr.entries}"
-    return None
-
-
-def compare_to_model(theorem: str, d: int, n: int, q: QuotientModel,
-                     ap: CategoryModel) -> VerificationReport:
+def compare_to_model(q: QuotientModel, target: CategoryModel,
+                     counters: dict[str, int]) -> Any | None:
     """A quotient model against a target model, under the identity on labels.
 
     Checks that the nonzero objects of the quotient are the objects of the
     target, that the hom and ext tables agree, and that the realized
     exangles agree termwise once the quotient has deleted its zero-object
-    middle summands.
+    middle summands.  Returns the first counterexample, or None.
     """
-    start = time.perf_counter()
-    counters: dict[str, int] = {"objects": len(ap.objects)}
-    counterexample = None
-
-    ok = q.nonzero_objects == ap.objects
-    if not ok:
-        counterexample = ("object-sets", q.nonzero_objects, ap.objects)
-
-    hom_pairs = ext_pairs = exangles = 0
-    if ok:
-        for b, a in product(ap.objects, repeat=2):
-            hom_pairs += 1
-            if q.hom_dim(b, a) != ap.hom_dim(b, a):
-                ok = False
-                counterexample = ("hom", b, a, q.hom_dim(b, a), ap.hom_dim(b, a))
-                break
-            ext_pairs += 1
-            if q.ext_dim(b, a) != ap.ext_dim(b, a):
-                ok = False
-                counterexample = ("ext", b, a)
-                break
-            if ap.ext_dim(b, a) == 1:
-                exangles += 1
-                mismatch = compare_exangles(q.exangle(b, a), realize(ap, b, a))
-                if mismatch is not None:
-                    ok = False
-                    counterexample = ("exangle", b, a, mismatch)
-                    break
-    counters.update(hom_pairs=hom_pairs, ext_pairs=ext_pairs, exangles=exangles)
-    return VerificationReport(theorem, d, n, ok, counters, counterexample,
-                              time.perf_counter() - start)
+    counters.update(objects=len(target.objects), hom_pairs=0, ext_pairs=0, exangles=0)
+    if q.nonzero_objects != target.objects:
+        return ("object-sets", q.nonzero_objects, target.objects)
+    for b, a in product(target.objects, repeat=2):
+        counters["hom_pairs"] += 1
+        if q.hom_dim(b, a) != target.hom_dim(b, a):
+            return ("hom", b, a, q.hom_dim(b, a), target.hom_dim(b, a))
+        counters["ext_pairs"] += 1
+        if q.ext_dim(b, a) != target.ext_dim(b, a):
+            return ("ext", b, a)
+        if target.ext_dim(b, a) == 1:
+            counters["exangles"] += 1
+            mismatch = compare_exangles(q.exangle(b, a), realize(target, b, a))
+            if mismatch is not None:
+                return ("exangle", b, a, mismatch)
+    return None
 
 
 def verify_equiv_module_ap(d: int, n: int) -> VerificationReport:
     """Projective-injective quotient of the module model vs the almost-positive model."""
-    start = time.perf_counter()
-    base = module_model(d, n + 1)
-    report = compare_to_model("equiv", d, n, quotient(base, projinj_ideal(base)),
-                              almost_positive_model(d, n))
-    return replace(report, elapsed=time.perf_counter() - start)
+    def check(counters):
+        base = module_model(d, n + 1)
+        return compare_to_model(quotient(base, projinj_ideal(base)),
+                                almost_positive_model(d, n), counters)
+    return run_check("equiv", d, n, check)
 
 
 def verify_f_exangles(d: int, n: int) -> VerificationReport:
@@ -173,47 +113,36 @@ def verify_f_exangles(d: int, n: int) -> VerificationReport:
     morphism factors through a shifted projective exactly when the end
     labels interleave linearly on canonical representatives.
     """
-    start = time.perf_counter()
-    counters: dict[str, int] = {}
-    counterexample = None
-    ok = True
-
-    cl = cluster_model(d, n)
-    relf = relative_f_model(d, n)
-    m = cl.modulus
-    shifted_proj = IdealSpec(cl, tuple((z, z) for z in cl.objects
-                                       if cl.classify(z).shifted_projective))
-    pairs = distinguished = 0
-    for b, a in product(cl.objects, repeat=2):
-        if cl.ext_dim(b, a) != 1:
-            continue
-        pairs += 1
-        connecting_target = normalize_cyclic(tuple(v - 1 for v in a), m)
-        if cl.hom_dim(b, connecting_target) != 1:
-            ok = False
-            counterexample = ("missing-connecting-morphism", b, a)
-            break
-        factors = factors_through(cl, BasisMorphism(b, connecting_target), shifted_proj)
-        expected = relf.ext_dim(b, a) == 1
-        if factors != expected:
-            ok = False
-            counterexample = ("distinguished-mismatch", b, a, factors, expected)
-            break
-        if expected:
-            distinguished += 1
-    counters.update(ext_pairs=pairs, distinguished=distinguished,
-                    objects=len(cl.objects))
-    return VerificationReport("f-exangles", d, n, ok, counters, counterexample,
-                              time.perf_counter() - start)
+    def check(counters):
+        cl = cluster_model(d, n)
+        relf = relative_f_model(d, n)
+        shifted_proj = IdealSpec(cl, tuple((z, z) for z in cl.objects
+                                           if cl.classify(z).shifted_projective))
+        counters.update(ext_pairs=0, distinguished=0, objects=len(cl.objects))
+        for b, a in product(cl.objects, repeat=2):
+            if cl.ext_dim(b, a) != 1:
+                continue
+            counters["ext_pairs"] += 1
+            connecting_target = normalize_cyclic(tuple(v - 1 for v in a), cl.modulus)
+            if cl.hom_dim(b, connecting_target) != 1:
+                return ("missing-connecting-morphism", b, a)
+            factors = factors_through(cl, BasisMorphism(b, connecting_target), shifted_proj)
+            expected = relf.ext_dim(b, a) == 1
+            if factors != expected:
+                return ("distinguished-mismatch", b, a, factors, expected)
+            if expected:
+                counters["distinguished"] += 1
+        return None
+    return run_check("f-exangles", d, n, check)
 
 
 def verify_main2(d: int, n: int) -> VerificationReport:
     """Arrow-ideal quotient of the restricted cyclic model vs the almost-positive model."""
-    start = time.perf_counter()
-    relf = relative_f_model(d, n)
-    report = compare_to_model("main2", d, n, quotient(relf, injproj_ideal(relf)),
-                              almost_positive_model(d, n))
-    return replace(report, elapsed=time.perf_counter() - start)
+    def check(counters):
+        relf = relative_f_model(d, n)
+        return compare_to_model(quotient(relf, injproj_ideal(relf)),
+                                almost_positive_model(d, n), counters)
+    return run_check("main2", d, n, check)
 
 
 def _hom_successors(model) -> dict[IndexTuple, list[IndexTuple]]:
@@ -231,108 +160,62 @@ def verify_model_sanity(model: CategoryModel) -> VerificationReport:
     hom and ext tables.  For the cyclic model a witness that composition
     is not determined by hom dimensions alone is recorded when present.
     """
-    start = time.perf_counter()
-    counters: dict[str, int] = {}
-    counterexample = None
-    ok = True
-
-    succ = _hom_successors(model)
-
-    for x in model.objects:
-        if model.hom_dim(x, x) != 1:
-            ok = False
-            counterexample = ("missing-identity", x)
-            break
-    counters["objects"] = len(model.objects)
-
-    unit_checks = 0
-    if ok:
+    def check(counters):
+        counters.update(objects=len(model.objects), unit_checks=0,
+                        associativity_triples=0, ext_pairs=0, shift_checks=0)
+        succ = _hom_successors(model)
+        for x in model.objects:
+            if model.hom_dim(x, x) != 1:
+                return ("missing-identity", x)
         for x in model.objects:
             for y in succ[x]:
-                unit_checks += 2
+                counters["unit_checks"] += 2
                 if model.compose_scalar(x, x, y) != 1 or model.compose_scalar(x, y, y) != 1:
-                    ok = False
-                    counterexample = ("unit-law", x, y)
-                    break
-            if not ok:
-                break
-    counters["unit_checks"] = unit_checks
-
-    triples = 0
-    if ok:
+                    return ("unit-law", x, y)
         for w in model.objects:
             for x in succ[w]:
                 for y in succ[x]:
                     wx_y = model.compose_scalar(w, x, y)
                     for z in succ[y]:
-                        triples += 1
+                        counters["associativity_triples"] += 1
                         left = wx_y and model.compose_scalar(w, y, z)
                         right = model.compose_scalar(x, y, z) and model.compose_scalar(w, x, z)
                         if bool(left) != bool(right):
-                            ok = False
-                            counterexample = ("associativity", w, x, y, z)
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-    counters["associativity_triples"] = triples
-
-    ext_pairs = 0
-    if ok:
+                            return ("associativity", w, x, y, z)
         for b, a in product(model.objects, repeat=2):
             if model.ext_dim(b, a) != 1:
                 continue
-            ext_pairs += 1
+            counters["ext_pairs"] += 1
             e = realize(model, b, a)
             if any(lbl not in model for level in e.middles for lbl in level):
-                ok = False
-                counterexample = ("middle-membership", b, a)
-                break
+                return ("middle-membership", b, a)
             if not is_complex(e):
-                ok = False
-                counterexample = ("not-a-complex", b, a)
-                break
+                return ("not-a-complex", b, a)
             report = hom_exactness_report(model, e)
             if not report.ok:
-                ok = False
-                counterexample = ("hom-exactness", b, a, report.failures[:3])
-                break
-    counters["ext_pairs"] = ext_pairs
-
-    shift_checks = 0
-    if ok and model.kind == CLUSTER:
-        m = model.modulus
-        for x, y in product(model.objects, repeat=2):
-            shift_checks += 1
-            if model.hom_dim(x, y) != model.hom_dim(shift_cluster(x, m), shift_cluster(y, m)):
-                ok = False
-                counterexample = ("shift-hom-invariance", x, y)
-                break
-    if ok and model.kind == DERIVED:
-        for x, y in product(model.objects, repeat=2):
-            sx = shift_derived(x, model.n, model.d)
-            sy = shift_derived(y, model.n, model.d)
-            if sx in model and sy in model:
-                shift_checks += 1
-                if model.hom_dim(x, y) != model.hom_dim(sx, sy) or \
-                        model.ext_dim(x, y) != model.ext_dim(sx, sy):
-                    ok = False
-                    counterexample = ("shift-invariance", x, y)
-                    break
-    counters["shift_checks"] = shift_checks
-
-    if ok and model.kind == CLUSTER:
-        witness = find_noncommuting_witness(model)
-        counters["noncommuting_witnesses"] = 1 if witness else 0
-        if witness:
-            counters["witness_recorded"] = 1
-
-    return VerificationReport(f"sanity-{model.kind}", model.d, model.n, ok,
-                              counters, counterexample,
-                              time.perf_counter() - start)
+                return ("hom-exactness", b, a, report.failures[:3])
+        if model.kind == CLUSTER:
+            m = model.modulus
+            for x, y in product(model.objects, repeat=2):
+                counters["shift_checks"] += 1
+                if model.hom_dim(x, y) != model.hom_dim(shift_cluster(x, m),
+                                                        shift_cluster(y, m)):
+                    return ("shift-hom-invariance", x, y)
+            witness = find_noncommuting_witness(model)
+            counters["noncommuting_witnesses"] = 1 if witness else 0
+            if witness:
+                counters["witness_recorded"] = 1
+        if model.kind == DERIVED:
+            for x, y in product(model.objects, repeat=2):
+                sx = shift_derived(x, model.n, model.d)
+                sy = shift_derived(y, model.n, model.d)
+                if sx in model and sy in model:
+                    counters["shift_checks"] += 1
+                    if model.hom_dim(x, y) != model.hom_dim(sx, sy) or \
+                            model.ext_dim(x, y) != model.ext_dim(sx, sy):
+                        return ("shift-invariance", x, y)
+        return None
+    return run_check(f"sanity-{model.kind}", model.d, model.n, check)
 
 
 def find_noncommuting_witness(model: CategoryModel):
@@ -351,18 +234,17 @@ def find_noncommuting_witness(model: CategoryModel):
     return None
 
 
-def sanity_reports(d: int, n: int, window: tuple[int, int] | None = None):
+def sanity_reports(d: int, n: int) -> list[VerificationReport]:
     """Sanity across the five models at one grid point.
 
-    The derived model runs on a three-layer window by default; the full
-    default window is available by passing it explicitly.
+    The derived model runs on the three-layer window (1, 3).
     """
     models = (
         module_model(d, n),
         cluster_model(d, n),
         almost_positive_model(d, n),
         relative_f_model(d, n),
-        derived_model(d, n, window or (1, 3)),
+        derived_model(d, n, (1, 3)),
     )
     return [verify_model_sanity(m) for m in models]
 
@@ -381,8 +263,6 @@ def run_point(theorem: str, d: int, n: int) -> list[VerificationReport]:
     if theorem == "sanity":
         return sanity_reports(d, n)
     if theorem == "correspondence":
-        # looked up at call time: rigidity imports this module
-        from .rigidity import correspondence_check
         return [correspondence_check(d, n)]
     raise _unknown_theorem(theorem)
 

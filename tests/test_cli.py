@@ -27,8 +27,8 @@ def test_count_objects(capsys):
 
 
 def test_count_rigid(capsys):
-    code, out, _ = run_cli(capsys, "count", "--model", "almost-positive",
-                           "--d", "1", "--n", "2", "--rigid")
+    code, out, _ = run_cli(capsys, "rigid", "--model", "almost-positive",
+                           "--d", "1", "--n", "2", "--count")
     assert code == 0
     assert out.strip() == "5"
 

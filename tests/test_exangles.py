@@ -10,6 +10,7 @@ from hicat.exangles import (
     realize,
 )
 from hicat.models import (
+    CategoryModel,
     MorphismMatrix,
     almost_positive_model,
     cluster_model,
@@ -198,6 +199,26 @@ def test_exactness_failures_match_reference(model, b, a, pos, i, j):
     assert {orientation for _, orientation, _ in expected} == {"covariant", "contravariant"}
     assert not report.ok
     assert report.failures == expected
+
+
+class _ZeroComposite(CategoryModel):
+    """A model whose composite (1,3,5) -> (1,3,6) -> (1,3,7) is zero."""
+
+    def compose_scalar(self, x, y, z):
+        if (x, y, z) == ((1, 3, 5), (1, 3, 6), (1, 3, 7)):
+            return 0
+        return super().compose_scalar(x, y, z)
+
+
+def test_composition_scalars_enter_the_exactness_ranks():
+    # the hom dimensions are unchanged, so only the scalar can break exactness:
+    # the contravariant complex Hom(-, (1,3,7)) loses a rank at E_2
+    m = module_model(2, 3)
+    f = _ZeroComposite(m.kind, m.d, m.n, m.window, m.objects)
+    e = realize(f, (2, 4, 6), (1, 3, 5))
+    assert hom_exactness_report(m, e).ok
+    expected = (((1, 3, 7), "contravariant", 1),)
+    assert hom_exactness_report(f, e).failures == reference_failures(f, e) == expected
 
 
 def test_rank_against_numpy():

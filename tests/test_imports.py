@@ -1,0 +1,34 @@
+"""The package's modules import one another without a cycle."""
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hicat"
+
+
+def relative_imports() -> dict[str, set[str]]:
+    """Each module's relative imports, those inside functions too; __init__ is left out."""
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    targets.add(node.module.split(".")[0])
+                else:
+                    targets.update(alias.name for alias in node.names)
+        graph[path.stem] = targets - {"__init__"}
+    return graph
+
+
+def test_package_imports_form_no_cycle():
+    graph = relative_imports()
+    assert {"models", "tuples"} <= graph["verify"]
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")

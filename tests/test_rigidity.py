@@ -309,6 +309,8 @@ def test_correspondence_certificate_detects_a_conflicting_projinj(monkeypatch):
     report = correspondence_check(2, 2)
     assert not report.ok
     assert report.counterexample == ("projinj-conflict", (1, 3, 7), (2, 4, 6))
+    # a failed certificate reports no counters
+    assert report.counters == {}
 
 
 def _run_fresh(code: str) -> str:

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from hicat.exangles import compare_exangles, realize
 from hicat.models import (
+    CategoryModel,
     almost_positive_model,
     cluster_model,
     derived_model,
@@ -13,11 +15,11 @@ from hicat.models import (
     relative_f_model,
 )
 from hicat.quotients import injproj_ideal, projinj_ideal, quotient
+from hicat.report import VerificationReport
+from hicat.tuples import normalize_cyclic
 from hicat.verify import (
     THEOREMS,
-    compare_exangles,
     compare_to_model,
-    default_grid,
     find_noncommuting_witness,
     grid_points,
     parse_grid,
@@ -82,7 +84,6 @@ def test_noncommuting_witness_cluster_1_6():
 
 def test_compare_exangles_reports_mismatch():
     m = module_model(2, 3)
-    from hicat.exangles import realize
     e1 = realize(m, (2, 4, 6), (1, 3, 5))
     e2 = realize(m, (2, 4, 7), (1, 3, 5))
     assert compare_exangles(e1, e1) is None
@@ -101,13 +102,6 @@ def test_grid_helpers():
     assert grid_points(3, 4, 10) == ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
 
 
-def test_default_grid_env_override(monkeypatch):
-    monkeypatch.delenv("HICAT_GRID", raising=False)
-    assert default_grid() == (3, 4, 200)
-    monkeypatch.setenv("HICAT_GRID", "2:2:50")
-    assert default_grid() == (2, 2, 50)
-
-
 def test_run_theorem_with_extra_points():
     reports = run_theorem("equiv", (1, 2, 50), extra_points=((1, 3),))
     assert [r.ok for r in reports] == [True, True, True]
@@ -116,7 +110,6 @@ def test_run_theorem_with_extra_points():
 
 def test_failure_reports_counterexample():
     # a deliberately broken comparison records the first mismatch
-    from hicat.verify import VerificationReport
     rep = VerificationReport("demo", 1, 1, False, {"objects": 2},
                              ("hom", (1, 3), (2, 4)), 0.0)
     assert "FAIL" in rep.summary()
@@ -138,22 +131,91 @@ def test_unknown_theorem_is_rejected():
 def test_compare_to_model_detects_wrong_model(d, n):
     base = module_model(d, n + 1)
     relf = relative_f_model(d, n)
-    for theorem, q in (("equiv", quotient(base, projinj_ideal(base))),
-                       ("main2", quotient(relf, injproj_ideal(relf)))):
-        assert compare_to_model(theorem, d, n, q, almost_positive_model(d, n)).ok
+    for q in (quotient(base, projinj_ideal(base)), quotient(relf, injproj_ideal(relf))):
+        assert compare_to_model(q, almost_positive_model(d, n), {}) is None
         # the cluster model has the same labels but wraps its homs and exts
-        report = compare_to_model(theorem, d, n, q, cluster_model(d, n))
-        assert not report.ok
-        assert report.counterexample[0] in ("hom", "ext")
-        report = compare_to_model(theorem, d, n, q, almost_positive_model(d, n + 1))
-        assert not report.ok
-        assert report.counterexample[0] == "object-sets"
+        assert compare_to_model(q, cluster_model(d, n), {})[0] in ("hom", "ext")
+        assert compare_to_model(q, almost_positive_model(d, n + 1), {})[0] == "object-sets"
 
 
 def test_run_verification_script_from_any_directory(tmp_path):
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "HICAT_GRID")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, str(script), "1:1:10"], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "11/11 checks passed" in proc.stdout
+
+
+def _corrupted(model, method, key, value):
+    """The model as a CategoryModel subclass whose method answers value at key."""
+    right = getattr(CategoryModel, method)
+
+    class Corrupted(CategoryModel):
+        pass
+
+    setattr(Corrupted, method, lambda self, *args: value if args == key else right(self, *args))
+    return Corrupted(model.kind, model.d, model.n, model.window, model.objects)
+
+
+def _sanity(objects, unit, triples, ext, shift):
+    return {"objects": objects, "unit_checks": unit, "associativity_triples": triples,
+            "ext_pairs": ext, "shift_checks": shift}
+
+
+# One corrupted value per case, and the report it gives: the first
+# counterexample and every counter, including the partial counts of the
+# phase that failed and the zeros of the phases after it.  No single
+# value reaches "middle-membership" (realize draws middles from the
+# model's own family) or "shift-hom-invariance" (a changed cyclic hom
+# breaks the unit law, associativity or exactness first).
+FAULTS = [
+    ("sanity-cluster", cluster_model, 1, 4, "hom_dim", ((3, 5), (3, 5)), 0,
+     ("missing-identity", (3, 5)), _sanity(14, 0, 0, 0, 0)),
+    ("sanity-cluster", cluster_model, 1, 4, "compose_scalar", ((2, 4), (2, 5), (2, 5)), 0,
+     ("unit-law", (2, 4), (2, 5)), _sanity(14, 44, 0, 0, 0)),
+    ("sanity-cluster", cluster_model, 1, 4, "compose_scalar", ((2, 5), (2, 6), (2, 7)), 0,
+     ("associativity", (2, 4), (2, 5), (2, 6), (2, 7)), _sanity(14, 140, 572, 0, 0)),
+    ("sanity-derived", derived_model, 1, 2, "hom_dim", ((2, 4), (3, 5)), 1,
+     ("not-a-complex", (3, 5), (2, 4)), _sanity(6, 24, 47, 5, 0)),
+    ("sanity-cluster", cluster_model, 1, 4, "hom_dim", ((2, 6), (2, 7)), 0,
+     ("hom-exactness", (1, 3), (2, 7), (((2, 6), "covariant", 1),)),
+     _sanity(14, 138, 1828, 4, 0)),
+    ("sanity-derived", derived_model, 1, 2, "ext_dim", ((2, 4), (1, 3)), 0,
+     ("shift-invariance", (2, 4), (1, 3)), _sanity(6, 22, 36, 6, 7)),
+    ("f-exangles", relative_f_model, 1, 3, "ext_dim", ((3, 5), (1, 4)), 0,
+     ("distinguished-mismatch", (3, 5), (1, 4), True, False),
+     {"ext_pairs": 21, "distinguished": 6, "objects": 9}),
+    ("f-exangles", cluster_model, 1, 3, "hom_dim", ((3, 5), (1, 3)), 0,
+     ("missing-connecting-morphism", (3, 5), (2, 4)),
+     {"ext_pairs": 22, "distinguished": 7, "objects": 9}),
+    ("equiv", almost_positive_model, 1, 3, "hom_dim", ((2, 6), (1, 5)), 1,
+     ("hom", (2, 6), (1, 5), 0, 1),
+     {"objects": 9, "hom_pairs": 48, "ext_pairs": 47, "exangles": 5}),
+    ("main2", almost_positive_model, 1, 3, "ext_dim", ((3, 5), (1, 4)), 0,
+     ("ext", (3, 5), (1, 4)),
+     {"objects": 9, "hom_pairs": 56, "ext_pairs": 56, "exangles": 6}),
+]
+
+
+@pytest.mark.parametrize("name,factory,d,n,method,key,value,counterexample,counters", FAULTS,
+                         ids=[f"{case[0]}-{case[7][0]}" for case in FAULTS])
+def test_a_corrupted_value_gives_its_pinned_report(monkeypatch, name, factory, d, n, method,
+                                                   key, value, counterexample, counters):
+    monkeypatch.setattr(f"hicat.verify.{factory.__name__}",
+                        lambda *args: _corrupted(factory(*args), method, key, value))
+    theorem = "sanity" if name.startswith("sanity-") else name
+    [report] = [r for r in run_point(theorem, d, n) if r.theorem == name]
+    assert not report.ok
+    assert report.counterexample == counterexample
+    assert report.counters == counters
+
+
+def test_sanity_detects_a_shift_that_breaks_cluster_homs(monkeypatch):
+    # a reflection in place of the rotation reverses the cyclic homs
+    monkeypatch.setattr("hicat.verify.shift_cluster",
+                        lambda x, m: normalize_cyclic(tuple(m + 1 - v for v in x), m))
+    report = verify_model_sanity(cluster_model(1, 4))
+    assert not report.ok
+    assert report.counterexample == ("shift-hom-invariance", (1, 3), (1, 4))
+    assert report.counters == _sanity(14, 140, 1904, 70, 2)
