@@ -14,7 +14,6 @@ induced hom sequences are checked exhaustively rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .models import (
@@ -86,6 +85,10 @@ def _drop_sign(I: frozenset[int], i: int) -> int:
     return -1 if sum(1 for j in I if j < i) % 2 else 1
 
 
+class NoInterleavingLift(ValueError):
+    """An extension pair whose end labels interleave in no lift."""
+
+
 def realize(model: CategoryModel, b: IndexTuple, a: IndexTuple) -> Exangle:
     """Realize the extension of X_b by X_a as a d-exangle from a to b."""
     if model.ext_dim(b, a) != 1:
@@ -98,7 +101,8 @@ def realize(model: CategoryModel, b: IndexTuple, a: IndexTuple) -> Exangle:
         # past the modulus so the interleaving becomes linear
         b_rep = rotate_window_rep(b, model.modulus)
     if not intertwines(a_rep, b_rep):
-        raise AssertionError("lift failed to interleave")
+        raise NoInterleavingLift(f"the extension of {b} by {a} in {model.kind} "
+                                 "has no interleaving lift")
 
     member = _membership(model)
     if model.kind in CYCLIC_KINDS:
@@ -150,23 +154,29 @@ def is_complex(e: Exangle) -> bool:
     return True
 
 
-def _rank(rows: list[list[int]]) -> int:
-    """Exact rank over the rationals by Gaussian elimination."""
-    mat = [[Fraction(v) for v in row] for row in rows]
+def _rank(rows) -> int:
+    """Exact rank over the rationals by fraction-free (Bareiss) elimination.
+
+    After k pivot steps every entry below the pivot rows is a
+    (k+1)-minor of the input (Sylvester's identity), so each division by
+    the previous pivot is exact and the arithmetic stays on integers.
+    """
+    mat = [list(row) for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     rank = 0
+    prev = 1
     for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if mat[r][col] != 0), None)
+        pivot = next((r for r in range(rank, nrows) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [v / inv for v in mat[rank]]
-        for r in range(nrows):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [v - factor * p for v, p in zip(mat[r], mat[rank])]
+        top = mat[rank]
+        p = top[col]
+        for r in range(rank + 1, nrows):
+            f = mat[r][col]
+            mat[r] = [(p * v - f * w) // prev for v, w in zip(mat[r], top)]
+        prev = p
         rank += 1
         if rank == nrows:
             break
@@ -182,29 +192,38 @@ class ExactnessReport:
     failures: tuple[tuple[IndexTuple, str, int], ...]
 
 
-def _hom_complex(model: CategoryModel, e: Exangle, t: IndexTuple,
-                 covariant: bool) -> tuple[list[int], list[int]]:
-    """Term dimensions and differential ranks of Hom(t, e), or of Hom(e, t)."""
-    if covariant:
-        live = [[i for i, x in enumerate(pos) if model.hom_dim(t, x)] for pos in e.terms]
-    else:
-        live = [[i for i, x in enumerate(pos) if model.hom_dim(x, t)] for pos in e.terms]
+def _hom_ranks(model: CategoryModel, e: Exangle, t: IndexTuple, covariant: bool,
+               live: list[list[int]], memo: dict) -> list[int]:
+    """Differential ranks of Hom(t, e), or of Hom(e, t), on the live summands.
+
+    live[p] lists the summands of term p with a nonzero hom t -> x
+    (covariant) or x -> t (contravariant); memo maps a matrix, as its
+    tuple of rows, to its rank.
+    """
     ranks = []
     for diff, cols, rows in zip(e.differentials, live, live[1:]):
+        if not cols or not rows:
+            ranks.append(0)
+            continue
         matrix = []
         for i in rows:
             y = diff.target[i]
+            entries = diff.entries[i]
             row = []
             for j in cols:
-                v = diff.entries[i][j]
+                v = entries[j]
                 if v:
                     x = diff.source[j]
                     v *= (model.compose_scalar(t, x, y) if covariant
                           else model.compose_scalar(x, y, t))
                 row.append(v)
-            matrix.append(row)
-        ranks.append(_rank(matrix))
-    return [len(cols) for cols in live], ranks
+            matrix.append(tuple(row))
+        key = tuple(matrix)
+        rank = memo.get(key)
+        if rank is None:
+            rank = memo[key] = _rank(key)
+        ranks.append(rank)
+    return ranks
 
 
 def hom_exactness_report(model: CategoryModel, e: Exangle) -> ExactnessReport:
@@ -214,24 +233,39 @@ def hom_exactness_report(model: CategoryModel, e: Exangle) -> ExactnessReport:
     -> ... -> Hom(t, X_b) and the contravariant one Hom(X_b, t) -> ... ->
     Hom(X_a, t) must satisfy rank(incoming) + rank(outgoing) = dimension
     at each middle position p.  Each term keeps the summands x with a
-    nonzero hom t -> x (covariant) or x -> t (contravariant), and each
-    differential x -> y gives one matrix over them, rows at its target,
-    scaled by the composite t -> x -> y or x -> y -> t.  The contravariant
-    map runs the other way and is the transpose of that matrix, with the
-    same rank, so in either orientation the ranks at p are those of the
-    differentials p - 1 and p.  Failures are (t, "covariant" |
+    nonzero hom t -> x (covariant) or x -> t (contravariant), read from
+    the bit-row of t in the model's hom table, and each differential
+    x -> y gives one matrix over them, rows at its target, scaled by the
+    composite t -> x -> y or x -> y -> t.  The contravariant map runs the
+    other way and is the transpose of that matrix, with the same rank, so
+    in either orientation the ranks at p are those of the differentials
+    p - 1 and p.  When the row of t misses every interior summand, all
+    interior dimensions are 0, so are the ranks of all differentials, and
+    the identity holds without a matrix.  Failures are (t, "covariant" |
     "contravariant", p), covariant first for each t.
     """
+    hom = model.hom_rows
+    for term in e.terms:
+        for x in term:
+            if x not in hom.index:
+                model._require(x)
+    terms = [[hom.index[x] for x in term] for term in e.terms]
+    interior = 0
+    for term in terms[1:-1]:
+        for i in term:
+            interior |= 1 << i
+    memo: dict = {}
     failures: list[tuple[IndexTuple, str, int]] = []
-    checked = 0
-    for t in model.objects:
-        for orientation in ("covariant", "contravariant"):
-            dims, ranks = _hom_complex(model, e, t, orientation == "covariant")
-            for p in range(1, len(dims) - 1):
-                checked += 1
-                if ranks[p - 1] + ranks[p] != dims[p]:
+    for ti, t in enumerate(model.objects):
+        for orientation, row in (("covariant", hom.out[ti]), ("contravariant", hom.into[ti])):
+            if not row & interior:
+                continue
+            live = [[k for k, i in enumerate(term) if row >> i & 1] for term in terms]
+            ranks = _hom_ranks(model, e, t, orientation == "covariant", live, memo)
+            for p in range(1, len(terms) - 1):
+                if ranks[p - 1] + ranks[p] != len(live[p]):
                     failures.append((t, orientation, p))
     return ExactnessReport(ok=not failures,
                            objects_checked=len(model.objects),
-                           positions_checked=checked,
+                           positions_checked=2 * len(model.objects) * (len(terms) - 2),
                            failures=tuple(failures))

@@ -46,20 +46,27 @@ def _chain_hom_bounded(src: IndexTuple, tgt: IndexTuple, m: int) -> bool:
     return _chain_hom(src, tgt) and tgt[-1] < src[0] + m - 1
 
 
-def _cyclic_compose(x: IndexTuple, y: IndexTuple, z: IndexTuple, m: int) -> bool:
+def bit_indices(mask: int):
+    """Bit positions of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _cyclic_compose(xs: tuple[IndexTuple, ...], ys: tuple[IndexTuple, ...],
+                    zs: tuple[IndexTuple, ...], m: int) -> bool:
     """Composition criterion in the cyclic models.
 
-    Scans the m rotated coordinate systems on [1, m]; the composite of the
-    basis morphisms X -> Y -> Z is nonzero exactly when some rotation puts
-    the three tuples in chain position
+    Scans the m rotated coordinate systems on [1, m], given as each
+    tuple's m normalized rotations; the composite of the basis morphisms
+    X -> Y -> Z is nonzero exactly when some rotation puts the three
+    tuples in chain position
 
         x_i <= y_i,  y_i <= z_i,  z_i < x_{i+1} - 1,  z_d < x_0 + m - 1.
     """
-    d = len(x) - 1
-    for k in range(m):
-        a = normalize_cyclic(tuple(v + k for v in x), m)
-        b = normalize_cyclic(tuple(v + k for v in y), m)
-        c = normalize_cyclic(tuple(v + k for v in z), m)
+    d = len(xs[0]) - 1
+    for a, b, c in zip(xs, ys, zs):
         if not all(a[i] <= b[i] and b[i] <= c[i] for i in range(d + 1)):
             continue
         if not all(c[i] < a[i + 1] - 1 for i in range(d)):
@@ -76,6 +83,18 @@ class ObjectClass:
     injective: bool = False
     projective_image: bool = False
     shifted_projective: bool = False
+
+
+@dataclass(frozen=True)
+class HomRows:
+    """A model's hom table as integer bit-rows over its object order.
+
+    index numbers the objects; bit j of out[i] and bit i of into[j] are
+    set when the hom space objects[i] -> objects[j] is nonzero.
+    """
+    index: dict[IndexTuple, int]
+    out: tuple[int, ...]
+    into: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -112,6 +131,23 @@ class CategoryModel:
     @cached_property
     def _hom_cache(self) -> dict:
         return {}
+
+    @cached_property
+    def _rotations(self) -> dict:
+        return {}
+
+    @cached_property
+    def hom_rows(self) -> HomRows:
+        """The dense hom table, built once from hom_dim over all ordered pairs."""
+        objects = self.objects
+        out = [0] * len(objects)
+        into = [0] * len(objects)
+        for i, x in enumerate(objects):
+            for j, y in enumerate(objects):
+                if self.hom_dim(x, y):
+                    out[i] |= 1 << j
+                    into[j] |= 1 << i
+        return HomRows({x: i for i, x in enumerate(objects)}, tuple(out), tuple(into))
 
     def __contains__(self, a: IndexTuple) -> bool:
         return a in self._objset
@@ -157,19 +193,30 @@ class CategoryModel:
 
     def compose_scalar(self, x: IndexTuple, y: IndexTuple, z: IndexTuple) -> int:
         """Scalar (0 or 1) of the composite of basis morphisms x -> y -> z."""
-        if self.hom_dim(x, y) == 0 or self.hom_dim(y, z) == 0:
-            raise ValueError(f"no basis morphisms along {x} -> {y} -> {z}")
         key = (x, y, z)
         cached = self._compose_cache.get(key)
         if cached is None:
+            # only composable triples enter the cache, so a hit needs no check
+            if self.hom_dim(x, y) == 0 or self.hom_dim(y, z) == 0:
+                raise ValueError(f"no basis morphisms along {x} -> {y} -> {z}")
             if self.kind in CYCLIC_KINDS:
-                cached = _cyclic_compose(x, y, z, self.modulus)
+                cached = _cyclic_compose(self._rotated(x), self._rotated(y),
+                                         self._rotated(z), self.modulus)
             else:
                 # in the linear kinds a composite is nonzero exactly when
                 # the hom space it lands in is
                 cached = self.hom_dim(x, z) == 1
             self._compose_cache[key] = cached
         return 1 if cached else 0
+
+    def _rotated(self, x: IndexTuple) -> tuple[IndexTuple, ...]:
+        """The m normalized rotations x + k, k = 0 .. m - 1, computed once per tuple."""
+        rotations = self._rotations.get(x)
+        if rotations is None:
+            m = self.modulus
+            rotations = self._rotations[x] = tuple(
+                normalize_cyclic(tuple(v + k for v in x), m) for k in range(m))
+        return rotations
 
     def classify(self, a: IndexTuple) -> ObjectClass:
         """Projectivity and shift flags for one object."""

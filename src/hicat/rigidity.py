@@ -19,6 +19,7 @@ from .exangles import Exangle, compare_exangles, realize
 from .models import (
     CategoryModel,
     almost_positive_model,
+    bit_indices,
     module_model,
     relative_f_model,
 )
@@ -35,14 +36,6 @@ class RigidSet:
 
     def without(self, x: IndexTuple) -> tuple[IndexTuple, ...]:
         return tuple(s for s in self.summands if s != x)
-
-
-def _indices(mask: int):
-    """Bit positions of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class _Conflicts:
@@ -71,7 +64,7 @@ class _Conflicts:
         return sum(map(self.bit.__getitem__, labels))
 
     def labels_of(self, mask: int) -> tuple[IndexTuple, ...]:
-        return tuple(self.labels[i] for i in _indices(mask))
+        return tuple(self.labels[i] for i in bit_indices(mask))
 
 
 def _own_conflicts(model: CategoryModel) -> _Conflicts:
@@ -93,7 +86,7 @@ def is_rigid(model: CategoryModel, summands) -> bool:
         model._require(x)
     c = _own_conflicts(model)
     m = c.mask(set(items))
-    return not any(c.rows[i] & m for i in _indices(m))
+    return not any(c.rows[i] & m for i in bit_indices(m))
 
 
 def _maximal_independent(rows: list[int]) -> list[int]:
@@ -204,14 +197,14 @@ class _MutationScanner:
             return bucket
         free = bucket | 1 << x
         found = 0
-        for y in _indices(bucket):
+        for y in bit_indices(bucket):
             if not free & ~self.rows[y] & ~(1 << y):
                 found |= 1 << y
         return found
 
     def replacement(self, x: int, bucket: int) -> int | None:
         """The unique replacement of summand x, or None; raises when ambiguous."""
-        found = list(_indices(self.candidates(x, bucket)))
+        found = list(bit_indices(self.candidates(x, bucket)))
         if len(found) > 1:
             labels = self.conflicts.labels
             raise ValueError(f"ambiguous mutation of {labels[x]}: candidates "
@@ -236,7 +229,7 @@ class _MutationScanner:
         links = self._links.get((x, bucket))
         if links is None:
             links = self._links[(x, bucket)] = sorted(
-                (pair, found[1]) for y in _indices(bucket) for pair in ((x, y), (y, x))
+                (pair, found[1]) for y in bit_indices(bucket) for pair in ((x, y), (y, x))
                 if (found := self.exchange(*pair)) is not None)
         return [pair for pair, middles in links if not middles & ~rest]
 
@@ -309,14 +302,14 @@ def mutation_graph_dot(model: CategoryModel) -> str:
 
     def set_id(mask: int) -> str:
         if mask not in ids:
-            ids[mask] = "|".join(names[i] for i in _indices(mask))
+            ids[mask] = "|".join(names[i] for i in bit_indices(mask))
         return ids[mask]
 
     masks = [c.mask(t.summands) for t in sets]
     edges = set()
     for tmask in masks:
         single = scan.single_hits(tmask)
-        for x in _indices(tmask):
+        for x in bit_indices(tmask):
             y = scan.replacement(x, scan.rows[x] & single)
             if y is not None:
                 new = tmask & ~(1 << x) | 1 << y
@@ -386,10 +379,10 @@ def _scan_tilting(base: CategoryModel, ap: CategoryModel, tilts: tuple[RigidSet,
     for tilt in tilts:
         t = c.mask(tilt.summands)
         single = scan.single_hits(t)
-        for x in _indices(t & ~dead):
+        for x in bit_indices(t & ~dead):
             bucket = scan.rows[x] & single
             if (x, bucket) not in linked_ok:
-                bad = next((pair for y in _indices(bucket) for pair in ((x, y), (y, x))
+                bad = next((pair for y in bit_indices(bucket) for pair in ((x, y), (y, x))
                             if not matches(pair)), None)
                 if bad is not None:
                     return ("exchange-mismatch", *at(t, x), tuple(c.labels[i] for i in bad))

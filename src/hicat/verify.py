@@ -14,13 +14,21 @@ from itertools import product
 from math import comb
 from typing import Any
 
-from .exangles import compare_exangles, hom_exactness_report, is_complex, realize
+from .exangles import (
+    Exangle,
+    NoInterleavingLift,
+    compare_exangles,
+    hom_exactness_report,
+    is_complex,
+    realize,
+)
 from .models import (
     CLUSTER,
     DERIVED,
     BasisMorphism,
     CategoryModel,
     almost_positive_model,
+    bit_indices,
     cluster_model,
     derived_model,
     module_model,
@@ -145,20 +153,34 @@ def verify_main2(d: int, n: int) -> VerificationReport:
     return run_check("main2", d, n, check)
 
 
-def _hom_successors(model) -> dict[IndexTuple, list[IndexTuple]]:
-    return {x: [y for y in model.objects if model.hom_dim(x, y)]
-            for x in model.objects}
+def _hom_successors(model: CategoryModel) -> dict[IndexTuple, list[IndexTuple]]:
+    objects, out = model.objects, model.hom_rows.out
+    return {x: [objects[j] for j in bit_indices(out[i])] for i, x in enumerate(objects)}
+
+
+def _differential_off_hom(model: CategoryModel, e: Exangle):
+    """The first nonzero differential entry x -> y whose hom space is zero, or None."""
+    index, out = model.hom_rows.index, model.hom_rows.out
+    for diff in e.differentials:
+        for y, row in zip(diff.target, diff.entries):
+            for x, v in zip(diff.source, row):
+                if v and not out[index[x]] >> index[y] & 1:
+                    return x, y
+    return None
 
 
 def verify_model_sanity(model: CategoryModel) -> VerificationReport:
     """Structural sanity of one model.
 
-    Identities exist, composition satisfies the unit law and is
-    associative over all composable basis triples, every realized exangle
-    is a complex with membership-respecting middle terms and passes the
-    hom-exactness check, and the shift operations are compatible with the
-    hom and ext tables.  For the cyclic model a witness that composition
-    is not determined by hom dimensions alone is recorded when present.
+    Identities exist, composition satisfies the unit law, every nonzero
+    composite of composable basis morphisms lands on a nonzero hom space,
+    and composition is associative over all composable basis triples.
+    Every extension has an interleaving lift, and its realized exangle has
+    membership-respecting middle terms and nonzero differential entries
+    only on nonzero hom spaces, is a complex and passes the hom-exactness
+    check.  The shift operations are compatible with the hom and ext
+    tables.  For the cyclic model a witness that composition is not
+    determined by hom dimensions alone is recorded when present.
     """
     def check(counters):
         counters.update(objects=len(model.objects), unit_checks=0,
@@ -172,6 +194,12 @@ def verify_model_sanity(model: CategoryModel) -> VerificationReport:
                 counters["unit_checks"] += 2
                 if model.compose_scalar(x, x, y) != 1 or model.compose_scalar(x, y, y) != 1:
                     return ("unit-law", x, y)
+        for x in model.objects:
+            reach = set(succ[x])
+            for y in succ[x]:
+                for z in succ[y]:
+                    if z not in reach and model.compose_scalar(x, y, z):
+                        return ("composite-off-hom", x, y, z)
         for w in model.objects:
             for x in succ[w]:
                 for y in succ[x]:
@@ -186,9 +214,15 @@ def verify_model_sanity(model: CategoryModel) -> VerificationReport:
             if model.ext_dim(b, a) != 1:
                 continue
             counters["ext_pairs"] += 1
-            e = realize(model, b, a)
+            try:
+                e = realize(model, b, a)
+            except NoInterleavingLift:
+                return ("ext-without-lift", b, a)
             if any(lbl not in model for level in e.middles for lbl in level):
                 return ("middle-membership", b, a)
+            off_hom = _differential_off_hom(model, e)
+            if off_hom is not None:
+                return ("differential-off-hom", b, a, *off_hom)
             if not is_complex(e):
                 return ("not-a-complex", b, a)
             report = hom_exactness_report(model, e)
@@ -222,14 +256,16 @@ def find_noncommuting_witness(model: CategoryModel):
     """A triple x -> y -> z of nonzero basis morphisms with zero composite
     while the hom space x -> z is nonzero, or None when no such triple exists."""
     succ = _hom_successors(model)
+    index, out = model.hom_rows.index, model.hom_rows.out
     for x in model.objects:
+        reach = out[index[x]]
         for y in succ[x]:
             if y == x:
                 continue
             for z in succ[y]:
                 if z == y:
                     continue
-                if model.hom_dim(x, z) == 1 and model.compose_scalar(x, y, z) == 0:
+                if reach >> index[z] & 1 and model.compose_scalar(x, y, z) == 0:
                     return (x, y, z)
     return None
 

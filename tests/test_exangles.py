@@ -1,5 +1,6 @@
 from dataclasses import replace
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -221,6 +222,43 @@ def test_composition_scalars_enter_the_exactness_ranks():
     assert hom_exactness_report(f, e).failures == reference_failures(f, e) == expected
 
 
+def fraction_rank(rows):
+    """Rank over the rationals by Gaussian elimination on Fractions."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = mat[rank][col]
+        mat[rank] = [v / inv for v in mat[rank]]
+        for r in range(nrows):
+            if r != rank and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [v - factor * p for v, p in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def _signed_matrices(nrows, ncols):
+    for values in product((-1, 0, 1), repeat=nrows * ncols):
+        yield [list(values[r * ncols:(r + 1) * ncols]) for r in range(nrows)]
+
+
+@pytest.mark.parametrize("shape", [(r, c) for r in range(1, 4) for c in range(1, 4)]
+                         + [(1, k) for k in range(4, 7)] + [(k, 1) for k in range(4, 7)])
+def test_rank_matches_fraction_elimination_on_every_signed_matrix(shape):
+    from hicat.exangles import _rank
+
+    for rows in _signed_matrices(*shape):
+        assert _rank(rows) == fraction_rank(rows), rows
+
+
 def test_rank_against_numpy():
     import numpy as np
     from hypothesis import given, settings
@@ -230,13 +268,29 @@ def test_rank_against_numpy():
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.integers(min_value=-2, max_value=2),
-                             min_size=1, max_size=5),
-                    min_size=1, max_size=5).filter(
+                             min_size=1, max_size=6),
+                    min_size=1, max_size=6).filter(
         lambda rows: len({len(r) for r in rows}) == 1))
     def check(rows):
         assert _rank(rows) == np.linalg.matrix_rank(np.array(rows, dtype=float))
 
     check()
+
+
+@pytest.mark.parametrize("model", [
+    module_model(2, 2), derived_model(2, 2), cluster_model(2, 2),
+    almost_positive_model(2, 2), relative_f_model(2, 2),
+], ids=lambda m: m.kind)
+def test_exactness_shortcut_keeps_every_position(model):
+    # pairs whose hom row misses the interior are counted without a matrix,
+    # and the failures agree with the reference on every exangle
+    pairs = [(b, a) for b in model.objects for a in model.objects if model.ext_dim(b, a)]
+    assert pairs
+    for b, a in pairs:
+        e = realize(model, b, a)
+        report = hom_exactness_report(model, e)
+        assert report.positions_checked == 2 * len(model.objects) * model.d
+        assert report.failures == reference_failures(model, e)
 
 
 def test_exangle_shape():

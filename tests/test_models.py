@@ -163,3 +163,59 @@ def test_cluster_hom_is_shifted_crossing(src, tgt):
     overlap = set(shifted) & set(tgt)
     expected = not overlap and intertwines_cyclic(shifted, tgt, 9)
     assert c.hom_dim(src, tgt) == (1 if expected else 0)
+
+
+@pytest.mark.parametrize("model", [
+    module_model(2, 3), derived_model(1, 3, (1, 3)), cluster_model(2, 2),
+    almost_positive_model(1, 4), relative_f_model(1, 3),
+])
+def test_hom_rows_are_the_hom_table(model):
+    rows = model.hom_rows
+    assert rows.index == {x: i for i, x in enumerate(model.objects)}
+    for i, x in enumerate(model.objects):
+        for j, y in enumerate(model.objects):
+            assert rows.out[i] >> j & 1 == rows.into[j] >> i & 1 == model.hom_dim(x, y)
+
+
+def test_hom_rows_follow_an_overridden_hom_dim():
+    m = module_model(2, 2)
+
+    class NoHom(type(m)):
+        def hom_dim(self, src, tgt):
+            return 0 if (src, tgt) == ((1, 3, 5), (1, 3, 6)) else super().hom_dim(src, tgt)
+
+    rows = NoHom(m.kind, m.d, m.n, m.window, m.objects).hom_rows
+    i, j = m.objects.index((1, 3, 5)), m.objects.index((1, 3, 6))
+    assert m.hom_rows.out[i] >> j & 1 == 1
+    assert rows.out[i] >> j & 1 == rows.into[j] >> i & 1 == 0
+    assert rows.out[i] | 1 << j == m.hom_rows.out[i]
+
+
+def _chain_position_oracle(x, y, z, m):
+    """The cyclic composition rule, normalizing every rotation afresh."""
+    from hicat.tuples import normalize_cyclic
+    d = len(x) - 1
+    for k in range(m):
+        a, b, c = (normalize_cyclic(tuple(v + k for v in t), m) for t in (x, y, z))
+        if all(a[i] <= b[i] <= c[i] for i in range(d + 1)) \
+                and all(c[i] < a[i + 1] - 1 for i in range(d)) and c[d] < a[0] + m - 1:
+            return 1
+    return 0
+
+
+@pytest.mark.parametrize("model", [cluster_model(1, 4), cluster_model(2, 2),
+                                   relative_f_model(1, 5)])
+def test_cyclic_composition_from_rotation_table(model):
+    composable = [(x, y, z) for x in model.objects for y in model.objects
+                  for z in model.objects if model.hom_dim(x, y) and model.hom_dim(y, z)]
+    assert composable
+    for x, y, z in composable:
+        assert model.compose_scalar(x, y, z) == _chain_position_oracle(x, y, z, model.modulus)
+
+
+def test_compose_scalar_checks_every_uncached_triple():
+    m = module_model(2, 3)
+    assert m.compose_scalar((1, 3, 5), (1, 3, 6), (1, 3, 7)) == 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no basis morphisms"):
+            m.compose_scalar((1, 3, 6), (1, 3, 5), (1, 3, 7))

@@ -174,6 +174,13 @@ FAULTS = [
      ("missing-identity", (3, 5)), _sanity(14, 0, 0, 0, 0)),
     ("sanity-cluster", cluster_model, 1, 4, "compose_scalar", ((2, 4), (2, 5), (2, 5)), 0,
      ("unit-law", (2, 4), (2, 5)), _sanity(14, 44, 0, 0, 0)),
+    ("sanity-cluster", cluster_model, 1, 4, "hom_dim", ((1, 3), (1, 5)), 0,
+     ("composite-off-hom", (1, 3), (1, 4), (1, 5)), _sanity(14, 138, 0, 0, 0)),
+    ("sanity-module", module_model, 2, 2, "hom_dim", ((1, 3, 5), (1, 3, 6)), 0,
+     ("differential-off-hom", (2, 4, 6), (1, 3, 5), (1, 3, 5), (1, 3, 6)),
+     _sanity(4, 12, 13, 1, 0)),
+    ("sanity-module", module_model, 2, 2, "ext_dim", ((1, 3, 5), (1, 3, 6)), 1,
+     ("ext-without-lift", (1, 3, 5), (1, 3, 6)), _sanity(4, 14, 20, 1, 0)),
     ("sanity-cluster", cluster_model, 1, 4, "compose_scalar", ((2, 5), (2, 6), (2, 7)), 0,
      ("associativity", (2, 4), (2, 5), (2, 6), (2, 7)), _sanity(14, 140, 572, 0, 0)),
     ("sanity-derived", derived_model, 1, 2, "hom_dim", ((2, 4), (3, 5)), 1,
