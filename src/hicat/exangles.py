@@ -244,12 +244,12 @@ def hom_exactness_report(model: CategoryModel, e: Exangle) -> ExactnessReport:
     the identity holds without a matrix.  Failures are (t, "covariant" |
     "contravariant", p), covariant first for each t.
     """
-    hom = model.hom_rows
+    index, hom = model.index, model.hom_rows
     for term in e.terms:
         for x in term:
-            if x not in hom.index:
+            if x not in index:
                 model._require(x)
-    terms = [[hom.index[x] for x in term] for term in e.terms]
+    terms = [[index[x] for x in term] for term in e.terms]
     interior = 0
     for term in terms[1:-1]:
         for i in term:

@@ -86,13 +86,12 @@ class ObjectClass:
 
 
 @dataclass(frozen=True)
-class HomRows:
-    """A model's hom table as integer bit-rows over its object order.
+class BitRows:
+    """A 0/1 table over a model's object order as integer bit-rows.
 
-    index numbers the objects; bit j of out[i] and bit i of into[j] are
-    set when the hom space objects[i] -> objects[j] is nonzero.
+    Bit j of out[i] and bit i of into[j] are set when the table is
+    nonzero at the ordered pair objects[i], objects[j].
     """
-    index: dict[IndexTuple, int]
     out: tuple[int, ...]
     into: tuple[int, ...]
 
@@ -101,8 +100,9 @@ class HomRows:
 class CategoryModel:
     """One of the five finite models.
 
-    The object list is ordered lexicographically and immutable; all
-    queries are pure, so models are safe to share across threads.
+    The object list is ordered lexicographically and immutable, so one
+    index gives both bit order and label order; all queries are pure,
+    so models are safe to share across threads.
     """
     kind: str
     d: int
@@ -121,8 +121,9 @@ class CategoryModel:
         return self.n + 2 * self.d
 
     @cached_property
-    def _objset(self) -> frozenset[IndexTuple]:
-        return frozenset(self.objects)
+    def index(self) -> dict[IndexTuple, int]:
+        """Each object's position in the object order, which is label order."""
+        return {x: i for i, x in enumerate(self.objects)}
 
     @cached_property
     def _compose_cache(self) -> dict:
@@ -136,24 +137,39 @@ class CategoryModel:
     def _rotations(self) -> dict:
         return {}
 
-    @cached_property
-    def hom_rows(self) -> HomRows:
-        """The dense hom table, built once from hom_dim over all ordered pairs."""
+    def _bit_rows(self, dim) -> BitRows:
+        """The table of a 0/1 dimension method, from one call per ordered pair."""
         objects = self.objects
         out = [0] * len(objects)
         into = [0] * len(objects)
         for i, x in enumerate(objects):
             for j, y in enumerate(objects):
-                if self.hom_dim(x, y):
+                if dim(x, y):
                     out[i] |= 1 << j
                     into[j] |= 1 << i
-        return HomRows({x: i for i, x in enumerate(objects)}, tuple(out), tuple(into))
+        return BitRows(tuple(out), tuple(into))
+
+    @cached_property
+    def hom_rows(self) -> BitRows:
+        """The dense hom table: out[i] holds the targets of nonzero homs from objects[i]."""
+        return self._bit_rows(self.hom_dim)
+
+    @cached_property
+    def ext_rows(self) -> BitRows:
+        """The dense ext table: out[i] holds the a with ext_dim(objects[i], a) = 1."""
+        return self._bit_rows(self.ext_dim)
+
+    @cached_property
+    def conflict_rows(self) -> tuple[int, ...]:
+        """Bit j of row i is set when objects i and j have an extension in either order."""
+        ext = self.ext_rows
+        return tuple(out | into for out, into in zip(ext.out, ext.into))
 
     def __contains__(self, a: IndexTuple) -> bool:
-        return a in self._objset
+        return a in self.index
 
     def _require(self, a: IndexTuple) -> None:
-        if a not in self._objset:
+        if a not in self.index:
             raise ValueError(f"{a} is not an object of {self.kind}(d={self.d}, n={self.n})")
 
     def hom_dim(self, src: IndexTuple, tgt: IndexTuple) -> int:

@@ -8,8 +8,9 @@ keeps the set maximal rigid, witnessed by exchange d-exangles whose
 middle terms stay inside the rest of the set.
 
 Internally every set of objects is an integer bitmask over the model's
-sorted labels, so that bit order is label order; labels appear only at
-the API edge and in counterexamples.
+object index, read against the model's conflict rows; the objects are
+sorted, so bit order is label order.  Labels appear only at the API
+edge and in counterexamples.
 """
 from __future__ import annotations
 
@@ -38,45 +39,15 @@ class RigidSet:
         return tuple(s for s in self.summands if s != x)
 
 
-class _Conflicts:
-    """A model's objects numbered in sorted label order.
-
-    rows[i] has bit j set when the objects i and j have an extension in
-    either order, read from the model's own ext_dim.
-    """
-
-    def __init__(self, model: CategoryModel):
-        self.labels = labels = tuple(sorted(model.objects))
-        self.bit = {lbl: 1 << i for i, lbl in enumerate(labels)}
-        rows = [0] * len(labels)
-        ext = model.ext_dim
-        for i, x in enumerate(labels):
-            if ext(x, x):
-                rows[i] |= 1 << i
-            for j, y in enumerate(labels[i + 1:], i + 1):
-                if ext(x, y) or ext(y, x):
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        self.rows = rows
-
-    def mask(self, labels) -> int:
-        """The mask of distinct labels."""
-        return sum(map(self.bit.__getitem__, labels))
-
-    def labels_of(self, mask: int) -> tuple[IndexTuple, ...]:
-        return tuple(self.labels[i] for i in bit_indices(mask))
+def _mask(model: CategoryModel, labels) -> int:
+    """The mask of distinct objects of the model."""
+    index = model.index
+    return sum([1 << index[x] for x in labels])
 
 
-def _own_conflicts(model: CategoryModel) -> _Conflicts:
-    """The conflict masks of a model, built once per model.
-
-    They are kept in the model's instance dictionary, as a cached_property
-    would keep them, so they live and die with the model.
-    """
-    table = vars(model).get("_conflicts")
-    if table is None:
-        table = vars(model)["_conflicts"] = _Conflicts(model)
-    return table
+def _labels(model: CategoryModel, mask: int) -> tuple[IndexTuple, ...]:
+    objects = model.objects
+    return tuple(objects[i] for i in bit_indices(mask))
 
 
 def is_rigid(model: CategoryModel, summands) -> bool:
@@ -84,12 +55,12 @@ def is_rigid(model: CategoryModel, summands) -> bool:
     items = tuple(summands)
     for x in items:
         model._require(x)
-    c = _own_conflicts(model)
-    m = c.mask(set(items))
-    return not any(c.rows[i] & m for i in bit_indices(m))
+    m = _mask(model, set(items))
+    rows = model.conflict_rows
+    return not any(rows[i] & m for i in bit_indices(m))
 
 
-def _maximal_independent(rows: list[int]) -> list[int]:
+def _maximal_independent(rows: tuple[int, ...]) -> list[int]:
     """Maximal independent sets of a conflict graph, as masks.
 
     Pivoting Bron–Kerbosch (Bron–Kerbosch 1973; Tomita et al. 2006) on
@@ -129,8 +100,7 @@ def _maximal_independent(rows: list[int]) -> list[int]:
 
 def maximal_rigid(model: CategoryModel) -> tuple[RigidSet, ...]:
     """All inclusion-maximal rigid sets, deterministically ordered."""
-    c = _own_conflicts(model)
-    sets = sorted(c.labels_of(m) for m in _maximal_independent(c.rows))
+    sets = sorted(_labels(model, m) for m in _maximal_independent(model.conflict_rows))
     return tuple(RigidSet(model.kind, s) for s in sets)
 
 
@@ -159,13 +129,12 @@ class _MutationScanner:
     of a summand x is those of them that conflict with x, and the
     replacements of x are the members of its bucket that conflict with
     every other compatible object.  Sets, buckets and summands are masks
-    and bit positions over the model's sorted labels.
+    and bit positions over the model's object index.
     """
 
     def __init__(self, model: CategoryModel):
         self.model = model
-        self.conflicts = _own_conflicts(model)
-        self.rows = self.conflicts.rows
+        self.rows = model.conflict_rows
         # (b, a) -> (exangle, mask of its middle terms), or None without extension
         self._exchange: dict[tuple[int, int], tuple[Exangle, int] | None] = {}
         # (x, bucket) -> sorted ((b, a), middles mask) of the extensions between them
@@ -206,7 +175,7 @@ class _MutationScanner:
         """The unique replacement of summand x, or None; raises when ambiguous."""
         found = list(bit_indices(self.candidates(x, bucket)))
         if len(found) > 1:
-            labels = self.conflicts.labels
+            labels = self.model.objects
             raise ValueError(f"ambiguous mutation of {labels[x]}: candidates "
                              f"{[labels[y] for y in found]}")
         return found[0] if found else None
@@ -215,11 +184,11 @@ class _MutationScanner:
         """The exangle realizing an extension of b by a, with its middles mask."""
         key = (b, a)
         if key not in self._exchange:
-            lb, la = self.conflicts.labels[b], self.conflicts.labels[a]
-            if self.model.ext_dim(lb, la):
-                e = realize(self.model, lb, la)
+            model = self.model
+            if model.ext_rows.out[b] >> a & 1:
+                e = realize(model, model.objects[b], model.objects[a])
                 middles = {lbl for level in e.middles for lbl in level}
-                self._exchange[key] = (e, self.conflicts.mask(middles))
+                self._exchange[key] = (e, _mask(model, middles))
             else:
                 self._exchange[key] = None
         return self._exchange[key]
@@ -250,8 +219,8 @@ def _scan_at(model: CategoryModel, t: RigidSet, x: IndexTuple):
     if not is_rigid(model, t.summands):
         raise ValueError("mutation needs a maximal rigid set")
     scan = _MutationScanner(model)
-    tmask = scan.conflicts.mask(set(t.summands))
-    i = scan.conflicts.bit[x].bit_length() - 1
+    tmask = _mask(model, set(t.summands))
+    i = model.index[x]
     return scan, tmask, i, scan.rows[i] & scan.single_hits(tmask)
 
 
@@ -287,7 +256,7 @@ def mutate(model: CategoryModel, t: RigidSet, x: IndexTuple) -> MutationResult |
     j = scan.replacement(i, bucket)
     if j is None:
         return None
-    y = scan.conflicts.labels[j]
+    y = model.objects[j]
     return MutationResult(summands=tuple(sorted(t.without(x) + (y,))), replaced_by=y,
                           exchanges=scan.exchanges(i, bucket, tmask & ~(1 << i)))
 
@@ -296,8 +265,7 @@ def mutation_graph_dot(model: CategoryModel) -> str:
     """DOT digraph of the mutation graph: nodes are maximal rigid sets."""
     sets = maximal_rigid(model)
     scan = _MutationScanner(model)
-    c = scan.conflicts
-    names = [",".join(str(v) for v in lbl) for lbl in c.labels]
+    names = [",".join(str(v) for v in lbl) for lbl in model.objects]
     ids: dict[int, str] = {}
 
     def set_id(mask: int) -> str:
@@ -305,7 +273,7 @@ def mutation_graph_dot(model: CategoryModel) -> str:
             ids[mask] = "|".join(names[i] for i in bit_indices(mask))
         return ids[mask]
 
-    masks = [c.mask(t.summands) for t in sets]
+    masks = [_mask(model, t.summands) for t in sets]
     edges = set()
     for tmask in masks:
         single = scan.single_hits(tmask)
@@ -331,18 +299,16 @@ def _premise_failure(base: CategoryModel, projinj: set[IndexTuple],
     with nothing, and each target model has exactly the other module
     objects, with the module model's conflict rows on them.
     """
-    cb = _own_conflicts(base)
-    base_rows = {x: cb.labels_of(row) for x, row in zip(cb.labels, cb.rows)}
+    base_rows = {x: _labels(base, row) for x, row in zip(base.objects, base.conflict_rows)}
     for z in sorted(projinj):
         if base_rows[z]:
             return ("projinj-conflict", z, base_rows[z][0])
-    live = tuple(x for x in cb.labels if x not in projinj)
+    live = tuple(x for x in base.objects if x not in projinj)
     for model in targets:
-        c = _own_conflicts(model)
-        if c.labels != live:
-            return ("tilting-image-mismatch", model.kind, min(set(c.labels) ^ set(live)))
-        for x, row in zip(live, c.rows):
-            got = c.labels_of(row)
+        if model.objects != live:
+            return ("tilting-image-mismatch", model.kind, min(set(model.objects) ^ set(live)))
+        for x, row in zip(live, model.conflict_rows):
+            got = _labels(model, row)
             if got != base_rows[x]:
                 return ("conflict-mismatch", model.kind, x, min(set(got) ^ set(base_rows[x])))
     return None
@@ -355,8 +321,8 @@ def _scan_tilting(base: CategoryModel, ap: CategoryModel, tilts: tuple[RigidSet,
     Adds the scan counts of ``correspondence_check`` to ``counters`` as it goes.
     """
     scan = _MutationScanner(base)
-    c = scan.conflicts
-    dead = c.mask(projinj)
+    labels = base.objects
+    dead = _mask(base, projinj)
     # (b, a) -> whether both models realize the same extension of b by a
     pair_matches: dict[tuple[int, int], bool] = {}
     # (x, bucket) whose oriented pairs all matched
@@ -365,19 +331,19 @@ def _scan_tilting(base: CategoryModel, ap: CategoryModel, tilts: tuple[RigidSet,
     def matches(pair: tuple[int, int]) -> bool:
         if pair not in pair_matches:
             found = scan.exchange(*pair)
-            lb, la = (c.labels[i] for i in pair)
+            lb, la = (labels[i] for i in pair)
             pair_matches[pair] = (found is None) != bool(ap.ext_dim(lb, la)) and (
                 found is None or compare_exangles(strip_zero_summands(found[0], projinj),
                                                   realize(ap, lb, la)) is None)
         return pair_matches[pair]
 
     def at(t: int, x: int):
-        return c.labels_of(t), c.labels[x]
+        return _labels(base, t), labels[x]
 
     # (new set, replacement) -> (old set, replaced summand)
     mutation_edges: dict[tuple[int, int], tuple[int, int]] = {}
     for tilt in tilts:
-        t = c.mask(tilt.summands)
+        t = _mask(base, tilt.summands)
         single = scan.single_hits(t)
         for x in bit_indices(t & ~dead):
             bucket = scan.rows[x] & single
@@ -385,13 +351,13 @@ def _scan_tilting(base: CategoryModel, ap: CategoryModel, tilts: tuple[RigidSet,
                 bad = next((pair for y in bit_indices(bucket) for pair in ((x, y), (y, x))
                             if not matches(pair)), None)
                 if bad is not None:
-                    return ("exchange-mismatch", *at(t, x), tuple(c.labels[i] for i in bad))
+                    return ("exchange-mismatch", *at(t, x), tuple(labels[i] for i in bad))
                 linked_ok.add((x, bucket))
             rest = t & ~(1 << x)
             counters["exchange_exangles"] += len(scan.exchange_pairs(x, bucket, rest))
             cand = scan.candidates(x, bucket)
             if cand & (cand - 1):
-                return ("ambiguous-mutation", *at(t, x), list(c.labels_of(cand)))
+                return ("ambiguous-mutation", *at(t, x), list(_labels(base, cand)))
             if cand:
                 mutation_edges[(rest | cand, cand)] = (t, 1 << x)
             # one verified pair for each of the two target models

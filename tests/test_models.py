@@ -167,28 +167,36 @@ def test_cluster_hom_is_shifted_crossing(src, tgt):
 
 @pytest.mark.parametrize("model", [
     module_model(2, 3), derived_model(1, 3, (1, 3)), cluster_model(2, 2),
-    almost_positive_model(1, 4), relative_f_model(1, 3),
+    almost_positive_model(1, 4), relative_f_model(1, 3), derived_model(3, 2, (2, 5)),
 ])
 def test_hom_rows_are_the_hom_table(model):
-    rows = model.hom_rows
-    assert rows.index == {x: i for i, x in enumerate(model.objects)}
+    # sorted objects let the one index give both bit order and label order
+    assert list(model.objects) == sorted(model.objects)
+    assert model.index == {x: i for i, x in enumerate(model.objects)}
+    hom, ext = model.hom_rows, model.ext_rows
     for i, x in enumerate(model.objects):
         for j, y in enumerate(model.objects):
-            assert rows.out[i] >> j & 1 == rows.into[j] >> i & 1 == model.hom_dim(x, y)
+            assert hom.out[i] >> j & 1 == hom.into[j] >> i & 1 == model.hom_dim(x, y)
+            assert ext.out[i] >> j & 1 == ext.into[j] >> i & 1 == model.ext_dim(x, y)
+            assert model.conflict_rows[i] >> j & 1 == model.ext_dim(x, y) | model.ext_dim(y, x)
 
 
-def test_hom_rows_follow_an_overridden_hom_dim():
+@pytest.mark.parametrize("method", ["hom_dim", "ext_dim"])
+def test_hom_rows_follow_an_overridden_hom_dim(method):
     m = module_model(2, 2)
+    key = ((1, 3, 5), (1, 3, 6)) if method == "hom_dim" else ((2, 4, 6), (1, 3, 5))
+    rows = method.replace("_dim", "_rows")
+    right = getattr(type(m), method)
 
-    class NoHom(type(m)):
-        def hom_dim(self, src, tgt):
-            return 0 if (src, tgt) == ((1, 3, 5), (1, 3, 6)) else super().hom_dim(src, tgt)
+    class Cleared(type(m)):
+        pass
 
-    rows = NoHom(m.kind, m.d, m.n, m.window, m.objects).hom_rows
-    i, j = m.objects.index((1, 3, 5)), m.objects.index((1, 3, 6))
-    assert m.hom_rows.out[i] >> j & 1 == 1
-    assert rows.out[i] >> j & 1 == rows.into[j] >> i & 1 == 0
-    assert rows.out[i] | 1 << j == m.hom_rows.out[i]
+    setattr(Cleared, method, lambda self, *args: 0 if args == key else right(self, *args))
+    cleared = getattr(Cleared(m.kind, m.d, m.n, m.window, m.objects), rows)
+    i, j = (m.index[x] for x in key)
+    assert getattr(m, rows).out[i] >> j & 1 == 1
+    assert cleared.out[i] >> j & 1 == cleared.into[j] >> i & 1 == 0
+    assert cleared.out[i] | 1 << j == getattr(m, rows).out[i]
 
 
 def _chain_position_oracle(x, y, z, m):

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import pytest
 
 from hicat.exangles import realize
 from hicat.models import (
+    CategoryModel,
     almost_positive_model,
     cluster_model,
     derived_model,
@@ -15,7 +17,6 @@ from hicat.models import (
 from hicat.rigidity import (
     RigidSet,
     _MutationScanner,
-    _own_conflicts,
     correspondence_check,
     exchange_exangles,
     is_rigid,
@@ -243,13 +244,25 @@ def test_correspondence_grid_points(d, n):
     assert report.counters["ap_maximal_rigid"] == report.counters["relf_maximal_rigid"]
 
 
+#: (exchange_exangles, mutations_checked, set_size_min, set_size_max) off the default grid
+REACH_COUNTERS = {
+    (1, 8): (38896, 77792, 8, 8),
+    (2, 5): (30240, 144720, 15, 15),
+    (4, 3): (14290, 93456, 9, 15),
+}
+
+
 @pytest.mark.parametrize("d,n,count", [(1, 8, 4862), (2, 5, 4824), (4, 3, 3872)])
 def test_correspondence_reach(d, n, count):
-    # points beyond the default grid; (1, 8) is Catalan(9)
+    # points beyond the default grid; (1, 8) is Catalan(9), (4, 3) the first d = 4 point
     report = correspondence_check(d, n)
     assert report.ok, report.summary()
-    assert report.counters["ap_maximal_rigid"] == count
-    assert report.counters["tilting_sets"] == count
+    exchanges, mutations, smallest, largest = REACH_COUNTERS[(d, n)]
+    assert report.counters == {
+        "tilting_sets": count, "ap_maximal_rigid": count, "relf_maximal_rigid": count,
+        "exchange_exangles": exchanges, "mutations_checked": mutations,
+        "set_size_min": smallest, "set_size_max": largest,
+    }
 
 
 def test_correspondence_detects_unstripped_exangles(monkeypatch):
@@ -280,14 +293,16 @@ def test_correspondence_detects_wrong_almost_positive_model(monkeypatch):
 
 
 def _flipping_conflict(factory, x, y):
-    """The factory, with the conflict of x and y flipped in each model's table."""
+    """The factory, with the conflict of x and y flipped through ext_dim in both orders."""
     def build(d, n):
         model = factory(d, n)
-        c = _own_conflicts(model)
-        i, j = (c.bit[lbl].bit_length() - 1 for lbl in (x, y))
-        c.rows[i] ^= 1 << j
-        c.rows[j] ^= 1 << i
-        return model
+        flipped = 1 - (model.ext_dim(x, y) | model.ext_dim(y, x))
+
+        class Flipped(CategoryModel):
+            def ext_dim(self, b, a):
+                return flipped if {b, a} == {x, y} else super().ext_dim(b, a)
+
+        return Flipped(model.kind, model.d, model.n, model.window, model.objects)
     return build
 
 
@@ -373,15 +388,13 @@ def test_exchange_realizes_extension_ends():
                 assert fresh.middles == e.middles
 
 
-class _ConflictTable:
-    """A stand-in model: labelled objects and a symmetric 0/1 extension table."""
-
-    def __init__(self, objects, conflicts):
-        self.objects = tuple(objects)
-        self._pairs = {frozenset(pair) for pair in conflicts}
+@dataclass(frozen=True)
+class _ConflictTable(CategoryModel):
+    """A stand-in model: sorted string labels and a symmetric 0/1 extension table."""
+    pairs: frozenset
 
     def ext_dim(self, b, a):
-        return 1 if frozenset((b, a)) in self._pairs else 0
+        return 1 if frozenset((b, a)) in self.pairs else 0
 
 
 @pytest.mark.parametrize("bucket_conflicts,expected", [
@@ -391,15 +404,16 @@ class _ConflictTable:
 def test_replacement_from_a_bucket_of_three(bucket_conflicts, expected):
     # t = {x, r}: r conflicts with nothing, so each y has its one conflict
     # in t at x and the bucket of x is {y1, y2, y3}
-    table = _ConflictTable(("r", "x", "y1", "y2", "y3"),
-                           (("x", "y1"), ("x", "y2"), ("x", "y3")) + bucket_conflicts)
+    conflicts = (("x", "y1"), ("x", "y2"), ("x", "y3")) + bucket_conflicts
+    table = _ConflictTable("conflict-table", 1, 1, None, ("r", "x", "y1", "y2", "y3"),
+                           frozenset(map(frozenset, conflicts)))
     scan = _MutationScanner(table)
-    bit = scan.conflicts.bit
-    x = bit["x"].bit_length() - 1
+    bit = {lbl: 1 << i for lbl, i in table.index.items()}
+    x = table.index["x"]
     bucket = scan.rows[x] & scan.single_hits(bit["x"] | bit["r"])
     assert bucket == bit["y1"] | bit["y2"] | bit["y3"]
     if expected == "ambiguous":
         with pytest.raises(ValueError, match="ambiguous mutation"):
             scan.replacement(x, bucket)
     else:
-        assert scan.conflicts.labels[scan.replacement(x, bucket)] == expected
+        assert table.objects[scan.replacement(x, bucket)] == expected
