@@ -184,8 +184,8 @@ def emit_string(obj, spec: EmitSpec) -> str:
                 payload.update(quotient_to_dict(obj))
             return _json_dump(payload)
         nodes = obj.nonzero_objects if isinstance(obj, QuotientModel) else obj.objects
-        edges = category_arrows(obj, spec.arrows)
-        edges = [(s, t) for s, t in edges if s in set(nodes) and t in set(nodes)]
+        live = set(nodes)
+        edges = [(s, t) for s, t in category_arrows(obj, spec.arrows) if s in live and t in live]
         if spec.fmt == "dot":
             return _dot_graph(nodes, edges)
         return _tikz_graph(nodes, edges)

@@ -9,8 +9,8 @@ middle terms stay inside the rest of the set.
 
 Internally every set of objects is an integer bitmask over the model's
 object index, read against the model's conflict rows; the objects are
-sorted, so bit order is label order.  Labels appear only at the API
-edge and in counterexamples.
+sorted, so bit order is label order, and the enumeration yields masks in
+label order.  Labels are built only for public results and counterexamples.
 """
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ def is_rigid(model: CategoryModel, summands) -> bool:
 
 
 def _maximal_independent(rows: tuple[int, ...]) -> list[int]:
-    """Maximal independent sets of a conflict graph, as masks.
+    """Maximal independent sets of a conflict graph, as masks in label order.
 
     Pivoting Bron–Kerbosch (Bron–Kerbosch 1973; Tomita et al. 2006) on
     the complement masks: each step branches only on the vertices of P
@@ -95,13 +95,15 @@ def _maximal_independent(rows: tuple[int, ...]) -> list[int]:
             branch ^= low
 
     expand(0, vertices, 0)
-    return found
+    # maximal sets form an antichain, so label order puts first the set holding the
+    # lowest vertex of their symmetric difference: the larger bit-reversed mask
+    return sorted(found, key=lambda m: int(f"{m:0{len(rows)}b}"[::-1], 2), reverse=True)
 
 
 def maximal_rigid(model: CategoryModel) -> tuple[RigidSet, ...]:
     """All inclusion-maximal rigid sets, deterministically ordered."""
-    sets = sorted(_labels(model, m) for m in _maximal_independent(model.conflict_rows))
-    return tuple(RigidSet(model.kind, s) for s in sets)
+    return tuple(RigidSet(model.kind, _labels(model, m))
+                 for m in _maximal_independent(model.conflict_rows))
 
 
 def tilting_sets(model: CategoryModel) -> tuple[RigidSet, ...]:
@@ -263,7 +265,7 @@ def mutate(model: CategoryModel, t: RigidSet, x: IndexTuple) -> MutationResult |
 
 def mutation_graph_dot(model: CategoryModel) -> str:
     """DOT digraph of the mutation graph: nodes are maximal rigid sets."""
-    sets = maximal_rigid(model)
+    masks = _maximal_independent(model.conflict_rows)
     scan = _MutationScanner(model)
     names = [",".join(str(v) for v in lbl) for lbl in model.objects]
     ids: dict[int, str] = {}
@@ -273,7 +275,6 @@ def mutation_graph_dot(model: CategoryModel) -> str:
             ids[mask] = "|".join(names[i] for i in bit_indices(mask))
         return ids[mask]
 
-    masks = [_mask(model, t.summands) for t in sets]
     edges = set()
     for tmask in masks:
         single = scan.single_hits(tmask)
@@ -314,7 +315,7 @@ def _premise_failure(base: CategoryModel, projinj: set[IndexTuple],
     return None
 
 
-def _scan_tilting(base: CategoryModel, ap: CategoryModel, tilts: tuple[RigidSet, ...],
+def _scan_tilting(base: CategoryModel, ap: CategoryModel, tilts: list[int],
                   projinj: set[IndexTuple], counters: dict[str, int]):
     """Mutate every tilting set at every live summand: the first counterexample, or None.
 
@@ -342,8 +343,7 @@ def _scan_tilting(base: CategoryModel, ap: CategoryModel, tilts: tuple[RigidSet,
 
     # (new set, replacement) -> (old set, replaced summand)
     mutation_edges: dict[tuple[int, int], tuple[int, int]] = {}
-    for tilt in tilts:
-        t = _mask(base, tilt.summands)
+    for t in tilts:
         single = scan.single_hits(t)
         for x in bit_indices(t & ~dead):
             bucket = scan.rows[x] & single
@@ -402,9 +402,9 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
         failure = _premise_failure(base, projinj, (ap, relf))
         if failure is not None:
             return failure
-        tilts = tilting_sets(base)
+        tilts = _maximal_independent(base.conflict_rows)
         # not all maximal rigid sets have the same size once d reaches 3
-        sizes = [len(t.summands) - len(projinj) for t in tilts]
+        sizes = [t.bit_count() - len(projinj) for t in tilts]
         counters.update(tilting_sets=len(tilts), ap_maximal_rigid=len(tilts),
                         relf_maximal_rigid=len(tilts), set_size_min=min(sizes),
                         set_size_max=max(sizes), exchange_exangles=0, mutations_checked=0)

@@ -376,6 +376,23 @@ def test_mutation_graph_dot():
     assert mutation_graph_dot(ap) == text
 
 
+def test_mutation_graph_follows_maximal_rigid_and_mutate():
+    # the nodes come in the order of maximal_rigid, here over sets of two sizes,
+    # and the edges are exactly the mutations that mutate finds
+    ap = almost_positive_model(3, 2)
+    sets = maximal_rigid(ap)
+    assert sorted(len(t.summands) for t in sets) == [3] * 3 + [4] * 9
+    name = lambda summands: "|".join(",".join(map(str, x)) for x in summands)
+    lines = mutation_graph_dot(ap).splitlines()
+    assert [ln for ln in lines[1:-1] if "->" not in ln] == \
+        [f'  "{name(t.summands)}";' for t in sets]
+    edges = [ln.strip(' ";').split('" -> "') for ln in lines if "->" in ln]
+    expected = {frozenset((name(t.summands), name(r.summands)))
+                for t in sets for x in t.summands if (r := mutate(ap, t, x)) is not None}
+    assert len(edges) == len(expected)
+    assert {frozenset(e) for e in edges} == expected
+
+
 def test_exchange_realizes_extension_ends():
     ap = almost_positive_model(2, 3)
     for t in maximal_rigid(ap)[:6]:
