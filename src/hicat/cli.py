@@ -57,25 +57,13 @@ def _add_model_args(sub):
                      help="LO:HI window of first entries (derived model only)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hicat",
-                     description="Combinatorial higher cluster category toolkit")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("objects", help="list the objects of a model")
-    _add_model_args(p)
-
-    p = subs.add_parser("hom", help="hom dimension or full hom table")
+def _add_query_args(p):
     _add_model_args(p)
     p.add_argument("--from", dest="src", type=parse_tuple, default=None)
     p.add_argument("--to", dest="tgt", type=parse_tuple, default=None)
 
-    p = subs.add_parser("ext", help="ext dimension or full ext table")
-    _add_model_args(p)
-    p.add_argument("--from", dest="src", type=parse_tuple, default=None)
-    p.add_argument("--to", dest="tgt", type=parse_tuple, default=None)
 
-    p = subs.add_parser("exangle", help="realize the exangle of an extension")
+def _add_exangle_args(p):
     _add_model_args(p)
     p.add_argument("--from", dest="src", type=parse_tuple, required=True,
                    help="the end the exangle terminates at")
@@ -83,26 +71,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the end the exangle starts from")
     p.add_argument("--out", default=None)
 
-    p = subs.add_parser("quotient", help="ideal quotient of a model")
+
+def _add_quotient_args(p):
     _add_model_args(p)
     p.add_argument("--out", default=None)
 
-    p = subs.add_parser("verify", help="run a theorem verifier over the grid")
+
+def _add_verify_args(p):
     p.add_argument("--theorem", choices=THEOREMS, required=True)
     p.add_argument("--grid", type=parse_grid, default=DEFAULT_GRID,
                    help="DMAX:NMAX:OBJMAX, default 3:4:200")
 
-    p = subs.add_parser("rigid", help="list maximal rigid sets")
+
+def _add_rigid_args(p):
     _add_model_args(p)
     p.add_argument("--count", action="store_true", help="print only the number of sets")
 
-    p = subs.add_parser("mutate", help="mutate a maximal rigid set at one summand")
+
+def _add_mutate_args(p):
     _add_model_args(p)
     p.add_argument("--summands", required=True,
                    help="semicolon-separated tuples, e.g. '13;14'")
     p.add_argument("--at", type=parse_tuple, required=True)
 
-    p = subs.add_parser("emit", help="emit a diagram or report")
+
+def _add_emit_args(p):
     p.add_argument("--content", choices=CONTENTS, required=True)
     p.add_argument("--format", choices=FORMATS, default="dot")
     p.add_argument("--arrows", choices=ARROW_POLICIES, default="all-nonzero-homs")
@@ -115,9 +108,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="tgt", type=parse_tuple, default=None)
     p.add_argument("--out", default=None)
 
-    p = subs.add_parser("count", help="count the objects of a model")
-    _add_model_args(p)
 
+#: command -> (help line, function adding its arguments), in the order `hicat --help` lists them
+COMMANDS = {
+    "objects": ("list the objects of a model", _add_model_args),
+    "hom": ("hom dimension or full hom table", _add_query_args),
+    "ext": ("ext dimension or full ext table", _add_query_args),
+    "exangle": ("realize the exangle of an extension", _add_exangle_args),
+    "quotient": ("ideal quotient of a model", _add_quotient_args),
+    "verify": ("run a theorem verifier over the grid", _add_verify_args),
+    "rigid": ("list maximal rigid sets", _add_rigid_args),
+    "mutate": ("mutate a maximal rigid set at one summand", _add_mutate_args),
+    "emit": ("emit a diagram or report", _add_emit_args),
+    "count": ("count the objects of a model", _add_model_args),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The hicat parser.
+
+    When ``argv`` starts with a command name, only that command's
+    subparser is built: parsing it needs no other, and building all ten
+    costs several times more than the root and one.  Otherwise, for
+    ``--help``, no command or an unknown one, every subparser is built.
+    """
+    parser = _Parser(prog="hicat",
+                     description="Combinatorial higher cluster category toolkit")
+    lean = bool(argv) and argv[0] in COMMANDS
+    # the root usage, which an unrecognized argument prints, lists every command either way;
+    # the full parser keeps no metavar, which would rename `command` in its choice error
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 metavar="{" + ",".join(COMMANDS) + "}" if lean else None)
+    for name in [argv[0]] if lean else COMMANDS:
+        help_line, add_args = COMMANDS[name]
+        add_args(subs.add_parser(name, help=help_line))
     return parser
 
 
@@ -135,7 +159,9 @@ def _print(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -60,21 +60,25 @@ def is_rigid(model: CategoryModel, summands) -> bool:
     return not any(rows[i] & m for i in bit_indices(m))
 
 
-def _maximal_independent(rows: tuple[int, ...]) -> list[int]:
-    """Maximal independent sets of a conflict graph, as masks in label order.
+def _maximal_independent(rows: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Maximal independent sets of a conflict graph, in label order, with their single hits.
 
     Pivoting Bron–Kerbosch (Bron–Kerbosch 1973; Tomita et al. 2006) on
     the complement masks: each step branches only on the vertices of P
     outside the neighbourhood of the pivot with most neighbours in P.
+    Down the recursion it carries the vertices with at least one and
+    with at least two conflicts in R, so each set comes as a pair
+    (mask, single hits): the outside vertices with exactly one conflict
+    inside, which ``_MutationScanner.single_hits`` would compute again.
     """
     vertices = (1 << len(rows)) - 1
     nbrs = [vertices & ~row & ~(1 << i) for i, row in enumerate(rows)]
-    found: list[int] = []
+    found: list[tuple[int, int]] = []
 
-    def expand(r: int, p: int, x: int) -> None:
+    def expand(r: int, p: int, x: int, once: int, twice: int) -> None:
         if not p:
             if not x:
-                found.append(r)
+                found.append((r, once & ~twice & ~r))
             return
         best, pivot = -1, 0
         rest = p | x
@@ -88,22 +92,23 @@ def _maximal_independent(rows: tuple[int, ...]) -> list[int]:
         branch = p & ~pivot
         while branch:
             low = branch & -branch
-            nb = nbrs[low.bit_length() - 1]
-            expand(r | low, p & nb, x & nb)
+            v = low.bit_length() - 1
+            nb, row = nbrs[v], rows[v]
+            expand(r | low, p & nb, x & nb, once | row, twice | once & row)
             p ^= low
             x |= low
             branch ^= low
 
-    expand(0, vertices, 0)
+    expand(0, vertices, 0, 0, 0)
     # maximal sets form an antichain, so label order puts first the set holding the
     # lowest vertex of their symmetric difference: the larger bit-reversed mask
-    return sorted(found, key=lambda m: int(f"{m:0{len(rows)}b}"[::-1], 2), reverse=True)
+    return sorted(found, key=lambda f: int(f"{f[0]:0{len(rows)}b}"[::-1], 2), reverse=True)
 
 
 def maximal_rigid(model: CategoryModel) -> tuple[RigidSet, ...]:
     """All inclusion-maximal rigid sets, deterministically ordered."""
     return tuple(RigidSet(model.kind, _labels(model, m))
-                 for m in _maximal_independent(model.conflict_rows))
+                 for m, _ in _maximal_independent(model.conflict_rows))
 
 
 def tilting_sets(model: CategoryModel) -> tuple[RigidSet, ...]:
@@ -127,7 +132,8 @@ class _MutationScanner:
     """The mutation engine of one model, shared by every mutation path.
 
     For one maximal rigid set, a single pass over the summands finds the
-    outside objects with exactly one conflict inside the set; the bucket
+    outside objects with exactly one conflict inside the set (the
+    enumeration hands them over with each set it finds); the bucket
     of a summand x is those of them that conflict with x, and the
     replacements of x are the members of its bucket that conflict with
     every other compatible object.  Sets, buckets and summands are masks
@@ -195,14 +201,18 @@ class _MutationScanner:
                 self._exchange[key] = None
         return self._exchange[key]
 
-    def exchange_pairs(self, x: int, bucket: int, rest: int) -> list[tuple[int, int]]:
-        """Oriented end pairs of exchange exangles with middles inside the rest."""
+    def links(self, x: int, bucket: int) -> list[tuple[tuple[int, int], int]]:
+        """Sorted (oriented end pair, middles mask) of the extensions between x and its bucket."""
         links = self._links.get((x, bucket))
         if links is None:
             links = self._links[(x, bucket)] = sorted(
                 (pair, found[1]) for y in bit_indices(bucket) for pair in ((x, y), (y, x))
                 if (found := self.exchange(*pair)) is not None)
-        return [pair for pair, middles in links if not middles & ~rest]
+        return links
+
+    def exchange_pairs(self, x: int, bucket: int, rest: int) -> list[tuple[int, int]]:
+        """Oriented end pairs of exchange exangles with middles inside the rest."""
+        return [pair for pair, middles in self.links(x, bucket) if not middles & ~rest]
 
     def exchanges(self, x: int, bucket: int, rest: int) -> tuple[Exangle, ...]:
         """The exangles of the exchange pairs, ordered by their end terms."""
@@ -265,7 +275,7 @@ def mutate(model: CategoryModel, t: RigidSet, x: IndexTuple) -> MutationResult |
 
 def mutation_graph_dot(model: CategoryModel) -> str:
     """DOT digraph of the mutation graph: nodes are maximal rigid sets."""
-    masks = _maximal_independent(model.conflict_rows)
+    sets = _maximal_independent(model.conflict_rows)
     scan = _MutationScanner(model)
     names = [",".join(str(v) for v in lbl) for lbl in model.objects]
     ids: dict[int, str] = {}
@@ -276,15 +286,14 @@ def mutation_graph_dot(model: CategoryModel) -> str:
         return ids[mask]
 
     edges = set()
-    for tmask in masks:
-        single = scan.single_hits(tmask)
+    for tmask, single in sets:
         for x in bit_indices(tmask):
             y = scan.replacement(x, scan.rows[x] & single)
             if y is not None:
                 new = tmask & ~(1 << x) | 1 << y
                 edges.add(tuple(sorted((set_id(tmask), set_id(new)))))
     lines = ["digraph {"]
-    for tmask in masks:
+    for tmask, _ in sets:
         lines.append(f'  "{set_id(tmask)}";')
     for u, v in sorted(edges):
         lines.append(f'  "{u}" -> "{v}";')
@@ -315,19 +324,28 @@ def _premise_failure(base: CategoryModel, projinj: set[IndexTuple],
     return None
 
 
-def _scan_tilting(base: CategoryModel, ap: CategoryModel, tilts: list[int],
+def _scan_tilting(base: CategoryModel, ap: CategoryModel, tilts: list[tuple[int, int]],
                   projinj: set[IndexTuple], counters: dict[str, int]):
     """Mutate every tilting set at every live summand: the first counterexample, or None.
 
-    Adds the scan counts of ``correspondence_check`` to ``counters`` as it goes.
+    ``tilts`` holds the (set, single hits) pairs of ``_maximal_independent``.
+    All that does not depend on the set is settled once per (summand,
+    bucket) key: whether each extension between them matches the
+    almost-positive one, the replacement candidates, and the middles of
+    the linked exchange exangles.  A summand with an empty bucket has
+    nothing to check; for the others a set adds only the test that the
+    middles lie in the rest and the mutation edge.  Adds the scan counts
+    of ``correspondence_check`` to ``counters`` as it goes.
     """
     scan = _MutationScanner(base)
     labels = base.objects
-    dead = _mask(base, projinj)
+    rows = scan.rows
+    live = ~_mask(base, projinj)
     # (b, a) -> whether both models realize the same extension of b by a
     pair_matches: dict[tuple[int, int], bool] = {}
-    # (x, bucket) whose oriented pairs all matched
-    linked_ok: set[tuple[int, int]] = set()
+    # x -> bucket -> (first mismatched pair or None, candidates, middles of the links)
+    settled: list[dict[int, tuple[tuple[int, int] | None, int, tuple[int, ...]]]] = [
+        {} for _ in rows]
 
     def matches(pair: tuple[int, int]) -> bool:
         if pair not in pair_matches:
@@ -338,30 +356,47 @@ def _scan_tilting(base: CategoryModel, ap: CategoryModel, tilts: list[int],
                                                   realize(ap, lb, la)) is None)
         return pair_matches[pair]
 
+    def settle(x: int, bucket: int):
+        bad = next((pair for y in bit_indices(bucket) for pair in ((x, y), (y, x))
+                    if not matches(pair)), None)
+        middles = tuple(m for _, m in scan.links(x, bucket)) if bad is None else ()
+        return bad, scan.candidates(x, bucket), middles
+
     def at(t: int, x: int):
         return _labels(base, t), labels[x]
 
+    def fail(code: str, t: int, x: int, exchanges: int, found):
+        # the live summands of t below x passed their checks; x got as far as its exchanges
+        counters["exchange_exangles"] += exchanges
+        counters["mutations_checked"] += 2 * (t & live & (1 << x) - 1).bit_count()
+        return (code, *at(t, x), found)
+
     # (new set, replacement) -> (old set, replaced summand)
     mutation_edges: dict[tuple[int, int], tuple[int, int]] = {}
-    for t in tilts:
-        single = scan.single_hits(t)
-        for x in bit_indices(t & ~dead):
-            bucket = scan.rows[x] & single
-            if (x, bucket) not in linked_ok:
-                bad = next((pair for y in bit_indices(bucket) for pair in ((x, y), (y, x))
-                            if not matches(pair)), None)
-                if bad is not None:
-                    return ("exchange-mismatch", *at(t, x), tuple(labels[i] for i in bad))
-                linked_ok.add((x, bucket))
-            rest = t & ~(1 << x)
-            counters["exchange_exangles"] += len(scan.exchange_pairs(x, bucket, rest))
-            cand = scan.candidates(x, bucket)
+    for t, single in tilts:
+        exchanges = 0
+        for x in bit_indices(t & live):
+            bucket = rows[x] & single
+            if not bucket:
+                continue
+            entry = settled[x].get(bucket)
+            if entry is None:
+                entry = settled[x][bucket] = settle(x, bucket)
+            bad, cand, middles = entry
+            if bad is not None:
+                return fail("exchange-mismatch", t, x, exchanges,
+                            tuple(labels[i] for i in bad))
+            rest = t ^ 1 << x
+            for m in middles:
+                if not m & ~rest:
+                    exchanges += 1
             if cand & (cand - 1):
-                return ("ambiguous-mutation", *at(t, x), list(_labels(base, cand)))
+                return fail("ambiguous-mutation", t, x, exchanges, list(_labels(base, cand)))
             if cand:
                 mutation_edges[(rest | cand, cand)] = (t, 1 << x)
-            # one verified pair for each of the two target models
-            counters["mutations_checked"] += 2
+        counters["exchange_exangles"] += exchanges
+        # one verified pair for each of the two target models
+        counters["mutations_checked"] += 2 * (t & live).bit_count()
     # mutating (old, x) gave (new, y); mutating (new, y) must give (old, x)
     for key, value in mutation_edges.items():
         if mutation_edges.get(value) != key:
@@ -382,11 +417,14 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
     rows.  Maximal independent sets of a graph plus isolated vertices
     are those of the graph with the isolated vertices added, so this
     proves the bijection of sets and that buckets and replacements agree.
-    One enumeration of the tilting sets then gives every count, and one
-    mutation scan on the module model checks what depends on the set:
-    exchange pairs with middles in the rest, each linked exchange exangle
-    with zero summands stripped against the almost-positive one, unique
-    replacements, and that mutation is an involution.
+    One enumeration of the tilting sets then gives every count, and hands
+    each set over with its single hits, so the mutation scan on the module
+    model reads every bucket off one mask.  The scan checks each linked
+    exchange exangle, zero summands stripped, against the almost-positive
+    one and finds the replacement candidates once per (summand, bucket)
+    key; per set it counts the exchange pairs with middles in the rest,
+    requires unique replacements, and records the mutation edges, over
+    all of which it checks that mutation is an involution.
 
     ``mutations_checked`` counts the (set, live summand) pairs whose
     checks passed, once for each of the two targets, so a scan that stops
@@ -404,7 +442,7 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
             return failure
         tilts = _maximal_independent(base.conflict_rows)
         # not all maximal rigid sets have the same size once d reaches 3
-        sizes = [t.bit_count() - len(projinj) for t in tilts]
+        sizes = [t.bit_count() - len(projinj) for t, _ in tilts]
         counters.update(tilting_sets=len(tilts), ap_maximal_rigid=len(tilts),
                         relf_maximal_rigid=len(tilts), set_size_min=min(sizes),
                         set_size_max=max(sizes), exchange_exangles=0, mutations_checked=0)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hicat.cli import main, parse_tuple
+from hicat.cli import COMMANDS, build_parser, main, parse_tuple
 
 
 def run_cli(capsys, *argv):
@@ -155,3 +155,81 @@ def test_membership_error_is_usage_error(capsys):
                            "--n", "3", "--from", "19", "--to", "13")
     assert code == 2
     assert "error" in err
+
+
+ROOT_USAGE = """\
+usage: hicat [-h]
+             {objects,hom,ext,exangle,quotient,verify,rigid,mutate,emit,count}
+             ...
+"""
+
+ROOT_HELP = ROOT_USAGE + """
+Combinatorial higher cluster category toolkit
+
+positional arguments:
+  {objects,hom,ext,exangle,quotient,verify,rigid,mutate,emit,count}
+    objects             list the objects of a model
+    hom                 hom dimension or full hom table
+    ext                 ext dimension or full ext table
+    exangle             realize the exangle of an extension
+    quotient            ideal quotient of a model
+    verify              run a theorem verifier over the grid
+    rigid               list maximal rigid sets
+    mutate              mutate a maximal rigid set at one summand
+    emit                emit a diagram or report
+    count               count the objects of a model
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+COUNT_USAGE = """\
+usage: hicat count [-h] --model
+                   {module,derived,cluster,almost-positive,relative-f} --d D
+                   --n N [--window WINDOW]
+"""
+
+COUNT_HELP = COUNT_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --model {module,derived,cluster,almost-positive,relative-f}
+  --d D
+  --n N
+  --window WINDOW       LO:HI window of first entries (derived model only)
+"""
+
+CHOICES = "'objects', 'hom', 'ext', 'exangle', 'quotient', 'verify', 'rigid', 'mutate', " \
+    "'emit', 'count'"
+KINDS = "'module', 'derived', 'cluster', 'almost-positive', 'relative-f'"
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["--help"], 0, ROOT_HELP, ""),
+    (["count", "--help"], 0, COUNT_HELP, ""),
+    ([], 2, "", ROOT_USAGE + "hicat: error: the following arguments are required: command\n"),
+    (["bogus"], 2, "", ROOT_USAGE + "hicat: error: argument command: invalid choice: "
+     f"'bogus' (choose from {CHOICES})\n"),
+    (["count", "--model", "bogus", "--d", "1", "--n", "1"], 2, "",
+     COUNT_USAGE + f"hicat count: error: argument --model: invalid choice: 'bogus' "
+     f"(choose from {KINDS})\n"),
+    # an argument the command leaves over is reported by the root parser
+    (["count", "--model", "module", "--d", "1", "--n", "2", "extra"], 2, "",
+     ROOT_USAGE + "hicat: error: unrecognized arguments: extra\n"),
+])
+def test_help_and_usage_error_texts(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("tail", [
+    ["--help"], [], ["--bogus"], ["--d", "x"], ["--model", "module", "--d", "1", "--n", "2", "extra"],
+])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_parser_matches_the_full_parser(capsys, monkeypatch, command, tail):
+    # main builds only the subparser its command names; what it prints and
+    # returns must be what the parser with all ten subparsers gives
+    monkeypatch.setenv("COLUMNS", "80")
+    got = run_cli(capsys, command, *tail)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, *tail])
+    assert got == (exc.value.code, *capsys.readouterr())

@@ -4,8 +4,10 @@ import sys
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hicat.exangles import realize
+from hicat.exangles import Exangle, realize
 from hicat.models import (
     CategoryModel,
     almost_positive_model,
@@ -16,7 +18,9 @@ from hicat.models import (
 )
 from hicat.rigidity import (
     RigidSet,
+    _maximal_independent,
     _MutationScanner,
+    _scan_tilting,
     correspondence_check,
     exchange_exangles,
     is_rigid,
@@ -292,6 +296,26 @@ def test_correspondence_detects_wrong_almost_positive_model(monkeypatch):
     assert report.counterexample[0] == "tilting-image-mismatch"
 
 
+def test_correspondence_detects_a_non_involutive_mutation(monkeypatch):
+    # on maximal independent sets the replacement rule makes mutation an
+    # involution, or the scan reports an ambiguous mutation first; so this
+    # injects a faulty rule, the lowest bucket member, which the involution
+    # check over all edges catches after the whole scan has passed
+    monkeypatch.setattr(_MutationScanner, "candidates", lambda self, x, bucket: bucket & -bucket)
+    report = correspondence_check(3, 2)
+    assert not report.ok
+    old = ((1, 3, 5, 7), (1, 3, 5, 9), (1, 3, 6, 9), (1, 3, 7, 9), (1, 4, 6, 8), (1, 4, 6, 9),
+           (1, 4, 7, 9), (1, 5, 7, 9), (2, 4, 7, 9))
+    new = ((1, 3, 5, 9), (1, 3, 6, 9), (1, 3, 7, 9), (1, 4, 6, 8), (1, 4, 6, 9), (1, 4, 7, 9),
+           (1, 5, 7, 9), (2, 4, 6, 8), (2, 4, 7, 9))
+    assert report.counterexample == ("mutation-not-involutive", (old, (1, 3, 5, 7)),
+                                     (new, (2, 4, 6, 8)))
+    assert report.counters == {
+        "tilting_sets": 12, "ap_maximal_rigid": 12, "relf_maximal_rigid": 12,
+        "exchange_exangles": 26, "mutations_checked": 90, "set_size_min": 3, "set_size_max": 4,
+    }
+
+
 def _flipping_conflict(factory, x, y):
     """The factory, with the conflict of x and y flipped through ext_dim in both orders."""
     def build(d, n):
@@ -434,3 +458,50 @@ def test_replacement_from_a_bucket_of_three(bucket_conflicts, expected):
             scan.replacement(x, bucket)
     else:
         assert table.objects[scan.replacement(x, bucket)] == expected
+
+
+def test_scan_reports_an_ambiguous_mutation(monkeypatch):
+    # the module models give no rest with three completions, and the premise
+    # certificate ties both targets to the module model's conflict rows, so
+    # correspondence_check cannot reach this code; the scan runs directly on
+    # a stand-in table: r conflicts with nothing (the projective-injective),
+    # a and b swap, and x, y1, y2, y3 conflict pairwise
+    conflicts = (("a", "b"), ("x", "y1"), ("x", "y2"), ("x", "y3"),
+                 ("y1", "y2"), ("y1", "y3"), ("y2", "y3"))
+    table = _ConflictTable("conflict-table", 1, 1, None,
+                           ("a", "b", "r", "x", "y1", "y2", "y3"),
+                           frozenset(map(frozenset, conflicts)))
+    # an exangle with no middle terms for each extension; both sides build the same
+    monkeypatch.setattr("hicat.rigidity.realize",
+                        lambda model, b, a: Exangle(model, a, b, ((),), (), (b, a)))
+    counters = {"exchange_exangles": 0, "mutations_checked": 0}
+    tilts = _maximal_independent(table.conflict_rows)
+    failure = _scan_tilting(table, table, tilts, {"r"}, counters)
+    # the first set {a, r, x} mutates at a to {b, r, x}, with the two exchanges
+    # between a and b; x has three candidates, after its six exchanges
+    assert failure == ("ambiguous-mutation", ("a", "r", "x"), "x", ["y1", "y2", "y3"])
+    assert counters == {"exchange_exangles": 8, "mutations_checked": 2}
+
+
+@st.composite
+def _conflict_tables(draw):
+    """A stand-in table on at most 12 vertices with a random symmetric conflict graph."""
+    labels = tuple(f"v{i:02d}" for i in range(draw(st.integers(1, 12))))
+    pairs = [frozenset((u, v)) for i, u in enumerate(labels) for v in labels[i + 1:]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return _ConflictTable("conflict-table", 1, 1, None, labels,
+                          frozenset(p for p, k in zip(pairs, keep) if k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_conflict_tables())
+def test_enumeration_matches_bruteforce_with_its_single_hits(table):
+    # the enumerator yields the sets in label order, each with the single-hit
+    # mask it carried down the recursion; both are checked against a fresh count
+    found = _maximal_independent(table.conflict_rows)
+    conflict = lambda x, y: bool(table.ext_dim(x, y))
+    assert [tuple(table.objects[i] for i in range(len(table.objects)) if m >> i & 1)
+            for m, _ in found] == brute_maximal_independent(table.objects, conflict)
+    scan = _MutationScanner(table)
+    for m, single in found:
+        assert single == scan.single_hits(m)
