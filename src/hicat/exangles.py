@@ -4,12 +4,14 @@ A nonzero extension of X_b by X_a is realized by a sequence
 
     X_a -> E_d -> ... -> E_1 -> X_b
 
-whose middle term E_r collects the mixed tuples that stay inside the
-model's membership family, indexed by the r-element subsets of the mixing
-positions.  Component maps drop one mixing position at a time and carry
-an alternating sign, which makes consecutive differentials compose to
-zero; both that complex condition and the rank-level exactness of the
-induced hom sequences are checked exhaustively rather than assumed.
+whose middle term E_r collects the mixed tuples whose projection is an
+object of the model, indexed by the r-element subsets of the mixing
+positions; the projection is the identity for the linear kinds and the
+reduction modulo the period for the cyclic ones.  Component maps drop
+one mixing position at a time and carry an alternating sign, which makes
+consecutive differentials compose to zero; both that complex condition
+and the rank-level exactness of the induced hom sequences are checked
+exhaustively rather than assumed.
 """
 from __future__ import annotations
 
@@ -19,15 +21,12 @@ from itertools import combinations
 from .models import (
     CLUSTER,
     CYCLIC_KINDS,
-    MODULE,
     CategoryModel,
     MorphismMatrix,
     compose_matrices,
 )
 from .tuples import (
     IndexTuple,
-    in_derset,
-    in_modset,
     intertwines,
     m_mix,
     normalize_cyclic,
@@ -73,14 +72,6 @@ def compare_exangles(left: Exangle, right: Exangle) -> str | None:
     return None
 
 
-def _membership(model: CategoryModel):
-    if model.kind == MODULE:
-        top, d = model.top, model.d
-        return lambda t: in_modset(t, top, d)
-    m = model.modulus
-    return lambda t: in_derset(t, m)
-
-
 def _drop_sign(I: frozenset[int], i: int) -> int:
     return -1 if sum(1 for j in I if j < i) % 2 else 1
 
@@ -104,7 +95,6 @@ def realize(model: CategoryModel, b: IndexTuple, a: IndexTuple) -> Exangle:
         raise NoInterleavingLift(f"the extension of {b} by {a} in {model.kind} "
                                  "has no interleaving lift")
 
-    member = _membership(model)
     if model.kind in CYCLIC_KINDS:
         project = lambda t: normalize_cyclic(t, model.modulus)
     else:
@@ -117,9 +107,9 @@ def realize(model: CategoryModel, b: IndexTuple, a: IndexTuple) -> Exangle:
         entries = []
         for combo in combinations(positions, r):
             I = frozenset(combo)
-            raw = m_mix(I, a_rep, b_rep)
-            if member(raw):
-                entries.append((I, project(raw)))
+            label = project(m_mix(I, a_rep, b_rep))
+            if label in model:
+                entries.append((I, label))
         entries.sort(key=lambda pair: pair[1])
         levels.append(entries)
     levels.append([(frozenset(), b)])

@@ -116,15 +116,15 @@ def tilting_sets(model: CategoryModel) -> tuple[RigidSet, ...]:
 
     The projective-injective objects are extension-orthogonal to
     everything, so maximality forces their inclusion; this is checked.
-    Raises ValueError for a model of another kind.
+    Raises ValueError when a set misses one, or for a model of another kind.
     """
     projinj = {z for z, _ in projinj_ideal(model).arrows}
     sets = maximal_rigid(model)
     for t in sets:
         missing = projinj - set(t.summands)
         if missing:
-            raise AssertionError(f"maximal rigid set {t.summands} misses "
-                                 f"projective-injectives {sorted(missing)}")
+            raise ValueError(f"maximal rigid set {t.summands} misses "
+                             f"projective-injectives {sorted(missing)}")
     return sets
 
 
@@ -145,8 +145,6 @@ class _MutationScanner:
         self.rows = model.conflict_rows
         # (b, a) -> (exangle, mask of its middle terms), or None without extension
         self._exchange: dict[tuple[int, int], tuple[Exangle, int] | None] = {}
-        # (x, bucket) -> sorted ((b, a), middles mask) of the extensions between them
-        self._links: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
 
     def single_hits(self, t: int) -> int:
         """Outside objects with exactly one conflict in the rigid set t.
@@ -203,22 +201,13 @@ class _MutationScanner:
 
     def links(self, x: int, bucket: int) -> list[tuple[tuple[int, int], int]]:
         """Sorted (oriented end pair, middles mask) of the extensions between x and its bucket."""
-        links = self._links.get((x, bucket))
-        if links is None:
-            links = self._links[(x, bucket)] = sorted(
-                (pair, found[1]) for y in bit_indices(bucket) for pair in ((x, y), (y, x))
-                if (found := self.exchange(*pair)) is not None)
-        return links
-
-    def exchange_pairs(self, x: int, bucket: int, rest: int) -> list[tuple[int, int]]:
-        """Oriented end pairs of exchange exangles with middles inside the rest."""
-        return [pair for pair, middles in self.links(x, bucket) if not middles & ~rest]
+        return sorted((pair, found[1]) for y in bit_indices(bucket) for pair in ((x, y), (y, x))
+                      if (found := self.exchange(*pair)) is not None)
 
     def exchanges(self, x: int, bucket: int, rest: int) -> tuple[Exangle, ...]:
-        """The exangles of the exchange pairs, ordered by their end terms."""
-        return tuple(sorted((self.exchange(b, a)[0]
-                             for b, a in self.exchange_pairs(x, bucket, rest)),
-                            key=lambda e: (e.x0, e.xlast)))
+        """The linked exangles with middles inside the rest, ordered by their end terms."""
+        return tuple(sorted((self.exchange(*pair)[0] for pair, middles in self.links(x, bucket)
+                             if not middles & ~rest), key=lambda e: (e.x0, e.xlast)))
 
 
 def _scan_at(model: CategoryModel, t: RigidSet, x: IndexTuple):
@@ -334,7 +323,9 @@ def _scan_tilting(base: CategoryModel, ap: CategoryModel, tilts: list[tuple[int,
     almost-positive one, the replacement candidates, and the middles of
     the linked exchange exangles.  A summand with an empty bucket has
     nothing to check; for the others a set adds only the test that the
-    middles lie in the rest and the mutation edge.  Adds the scan counts
+    middles lie in the rest and the mutation edge.  An edge is kept only
+    until its reverse arrives; the first edge left unmatched, in scan
+    order, shows that mutation is not an involution.  Adds the scan counts
     of ``correspondence_check`` to ``counters`` as it goes.
     """
     scan = _MutationScanner(base)
@@ -371,8 +362,9 @@ def _scan_tilting(base: CategoryModel, ap: CategoryModel, tilts: list[tuple[int,
         counters["mutations_checked"] += 2 * (t & live & (1 << x) - 1).bit_count()
         return (code, *at(t, x), found)
 
-    # (new set, replacement) -> (old set, replaced summand)
-    mutation_edges: dict[tuple[int, int], tuple[int, int]] = {}
+    # mutating (old set, x) gave (new set, y); mutating (new set, y) must give (old set, x).
+    # An edge (new set, y) -> (old set, x) stays here until that reverse edge arrives.
+    unmatched: dict[tuple[int, int], tuple[int, int]] = {}
     for t, single in tilts:
         exchanges = 0
         for x in bit_indices(t & live):
@@ -393,15 +385,18 @@ def _scan_tilting(base: CategoryModel, ap: CategoryModel, tilts: list[tuple[int,
             if cand & (cand - 1):
                 return fail("ambiguous-mutation", t, x, exchanges, list(_labels(base, cand)))
             if cand:
-                mutation_edges[(rest | cand, cand)] = (t, 1 << x)
+                edge, source = (rest | cand, cand), (t, 1 << x)
+                if unmatched.get(source) == edge:
+                    del unmatched[source]
+                else:
+                    unmatched[edge] = source
         counters["exchange_exangles"] += exchanges
         # one verified pair for each of the two target models
         counters["mutations_checked"] += 2 * (t & live).bit_count()
-    # mutating (old, x) gave (new, y); mutating (new, y) must give (old, x)
-    for key, value in mutation_edges.items():
-        if mutation_edges.get(value) != key:
-            return ("mutation-not-involutive",
-                    *(at(t, bit.bit_length() - 1) for t, bit in (value, key)))
+    if unmatched:
+        edge, source = next(iter(unmatched.items()))
+        return ("mutation-not-involutive",
+                *(at(t, bit.bit_length() - 1) for t, bit in (source, edge)))
     return None
 
 
@@ -423,8 +418,8 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
     exchange exangle, zero summands stripped, against the almost-positive
     one and finds the replacement candidates once per (summand, bucket)
     key; per set it counts the exchange pairs with middles in the rest,
-    requires unique replacements, and records the mutation edges, over
-    all of which it checks that mutation is an involution.
+    requires unique replacements, and matches each mutation edge with its
+    reverse, so that mutation is checked to be an involution.
 
     ``mutations_checked`` counts the (set, live summand) pairs whose
     checks passed, once for each of the two targets, so a scan that stops

@@ -53,9 +53,6 @@ from .tuples import (
 
 DEFAULT_GRID = (3, 4, 200)
 
-#: The theorem names that run_point and run_theorem accept.
-THEOREMS = ("equiv", "f-exangles", "main2", "sanity", "correspondence")
-
 
 def parse_grid(text: str) -> tuple[int, int, int]:
     """Parse a DMAX:NMAX:OBJMAX grid bound."""
@@ -184,11 +181,15 @@ def verify_model_sanity(model: CategoryModel) -> VerificationReport:
     composite of composable basis morphisms lands on a nonzero hom space,
     and composition is associative over all composable basis triples.
     Every extension has an interleaving lift, and its realized exangle has
-    membership-respecting middle terms and nonzero differential entries
-    only on nonzero hom spaces, is a complex and passes the hom-exactness
-    check.  The shift operations are compatible with the hom and ext
-    tables.  For the cyclic model a witness that composition is not
-    determined by hom dimensions alone is recorded when present.
+    nonzero differential entries only on nonzero hom spaces, is a complex
+    and passes the hom-exactness check.  The shift operations are
+    compatible with the hom and ext tables.  For the cyclic model a
+    witness that composition is not determined by hom dimensions alone is
+    recorded when present.
+
+    The middle terms get no membership leg: ``realize`` keeps exactly the
+    mixes whose projection is an object of the model, so such a leg would
+    read back the very predicate that chose them and could never fail.
 
     This is not a check of the hom and ext tables themselves: no leg
     looks at a missing extension, so an ext value changed from 1 to 0
@@ -230,8 +231,6 @@ def verify_model_sanity(model: CategoryModel) -> VerificationReport:
                 e = realize(model, b, a)
             except NoInterleavingLift:
                 return ("ext-without-lift", b, a)
-            if any(lbl not in model for level in e.middles for lbl in level):
-                return ("middle-membership", b, a)
             off_hom = _differential_off_hom(model, e)
             if off_hom is not None:
                 return ("differential-off-hom", b, a, *off_hom)
@@ -297,33 +296,33 @@ def sanity_reports(d: int, n: int) -> list[VerificationReport]:
     return [verify_model_sanity(m) for m in models]
 
 
+#: Each theorem's runner at one grid point: sanity gives one report per model,
+#: every other theorem one report.  The lambdas look the verifiers up when
+#: called, so a rebinding of a verifier in this module takes effect.
+THEOREMS = {
+    "equiv": lambda d, n: [verify_equiv_module_ap(d, n)],
+    "f-exangles": lambda d, n: [verify_f_exangles(d, n)],
+    "main2": lambda d, n: [verify_main2(d, n)],
+    "sanity": lambda d, n: sanity_reports(d, n),
+    "correspondence": lambda d, n: [correspondence_check(d, n)],
+}
+
+
+def _runner(theorem: str):
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem {theorem!r}, expected one of {', '.join(THEOREMS)}")
+    return THEOREMS[theorem]
+
+
 def run_point(theorem: str, d: int, n: int) -> list[VerificationReport]:
-    """Run one theorem verifier at one grid point.
-
-    Sanity gives one report per model, every other theorem one report.
-    """
-    if theorem == "equiv":
-        return [verify_equiv_module_ap(d, n)]
-    if theorem == "f-exangles":
-        return [verify_f_exangles(d, n)]
-    if theorem == "main2":
-        return [verify_main2(d, n)]
-    if theorem == "sanity":
-        return sanity_reports(d, n)
-    if theorem == "correspondence":
-        return [correspondence_check(d, n)]
-    raise _unknown_theorem(theorem)
-
-
-def _unknown_theorem(theorem: str) -> ValueError:
-    return ValueError(f"unknown theorem {theorem!r}, expected one of {', '.join(THEOREMS)}")
+    """Run one theorem verifier at one grid point."""
+    return _runner(theorem)(d, n)
 
 
 def run_theorem(theorem: str, grid: tuple[int, int, int],
                 extra_points: tuple[tuple[int, int], ...] = ()) -> list[VerificationReport]:
     """Run one theorem verifier over the whole grid; the name is checked first."""
-    if theorem not in THEOREMS:
-        raise _unknown_theorem(theorem)
+    runner = _runner(theorem)
     base_points = grid_points(*grid)
     points = list(base_points) + [p for p in extra_points if p not in base_points]
-    return [report for d, n in points for report in run_point(theorem, d, n)]
+    return [report for d, n in points for report in runner(d, n)]

@@ -26,6 +26,67 @@ from hicat.verify import (
 
 GRID = (3, 4, 200)
 
+# (d, n) -> objects, hom pairs, ext pairs and exangles compared, as reported by
+# equiv on the grid and by main2 on the grid and at (1, 6); both compare a
+# quotient with the almost-positive model, so a passing run counts its tables
+COMPARE_FIELDS = ("objects", "hom_pairs", "ext_pairs", "exangles")
+COMPARE_COUNTERS = {
+    (1, 1): (2, 4, 4, 1), (1, 2): (5, 25, 25, 5), (1, 3): (9, 81, 81, 15),
+    (1, 4): (14, 196, 196, 35), (2, 1): (2, 4, 4, 1), (2, 2): (7, 49, 49, 7),
+    (2, 3): (16, 256, 256, 28), (2, 4): (30, 900, 900, 84), (3, 1): (2, 4, 4, 1),
+    (3, 2): (9, 81, 81, 9), (3, 3): (25, 625, 625, 45), (3, 4): (55, 3025, 3025, 165),
+    (1, 6): (27, 729, 729, 126),
+}
+
+# (d, n) -> extension pairs, distinguished ones and objects, as reported by f-exangles
+F_EXANGLES_FIELDS = ("ext_pairs", "distinguished", "objects")
+F_EXANGLES_COUNTERS = {
+    (1, 1): (2, 1, 2), (1, 2): (10, 5, 5), (1, 3): (30, 15, 9), (1, 4): (70, 35, 14),
+    (2, 1): (2, 1, 2), (2, 2): (14, 7, 7), (2, 3): (56, 28, 16), (2, 4): (168, 84, 30),
+    (3, 1): (2, 1, 2), (3, 2): (18, 9, 9), (3, 3): (90, 45, 25), (3, 4): (330, 165, 55),
+    (1, 6): (252, 126, 27),
+}
+
+# (d, n) -> for each model of sanity_reports (module, cluster, almost-positive,
+# relative-f, derived on the window (1, 3)): objects, unit checks, associativity
+# triples, ext pairs and shift checks; no cluster model of the grid has a
+# noncommuting witness
+SANITY_FIELDS = ("objects", "unit_checks", "associativity_triples", "ext_pairs", "shift_checks")
+SANITY_COUNTERS = {
+    (1, 1): ((1, 2, 1, 0, 0), (2, 4, 2, 2, 4), (2, 4, 2, 1, 0), (2, 4, 2, 1, 0),
+             (3, 6, 3, 2, 4)),
+    (1, 2): ((3, 10, 12, 1, 0), (5, 20, 40, 10, 25), (5, 18, 28, 5, 0), (5, 20, 40, 5, 0),
+             (6, 22, 36, 7, 9)),
+    (1, 3): ((6, 30, 73, 5, 0), (9, 60, 348, 30, 81), (9, 50, 174, 15, 0),
+             (9, 60, 348, 15, 0), (9, 50, 175, 15, 9)),
+    (1, 4): ((10, 70, 309, 15, 0), (14, 140, 1904, 70, 196), (14, 110, 715, 35, 0),
+             (14, 140, 1904, 35, 0), (12, 90, 481, 26, 9)),
+    (2, 1): ((1, 2, 1, 0, 0), (2, 4, 2, 2, 4), (2, 4, 2, 1, 0), (2, 4, 2, 1, 0),
+             (3, 6, 3, 2, 4)),
+    (2, 2): ((4, 14, 20, 1, 0), (7, 28, 56, 14, 49), (7, 26, 44, 7, 0), (7, 28, 56, 7, 0),
+             (9, 34, 60, 11, 25)),
+    (2, 3): ((10, 56, 195, 7, 0), (16, 112, 720, 56, 256), (16, 98, 450, 28, 0),
+             (16, 112, 720, 28, 0), (18, 112, 540, 35, 64)),
+    (2, 4): ((20, 168, 1268, 28, 0), (30, 336, 5856, 168, 900), (30, 280, 2963, 84, 0),
+             (30, 336, 5856, 84, 0), (30, 280, 2928, 85, 121)),
+    (3, 1): ((1, 2, 1, 0, 0), (2, 4, 2, 2, 4), (2, 4, 2, 1, 0), (2, 4, 2, 1, 0),
+             (3, 6, 3, 2, 4)),
+    (3, 2): ((5, 18, 28, 1, 0), (9, 36, 72, 18, 81), (9, 34, 60, 9, 0), (9, 36, 72, 9, 0),
+             (12, 46, 84, 15, 49)),
+    (3, 3): ((15, 90, 381, 9, 0), (25, 180, 1220, 90, 625), (25, 162, 854, 45, 0),
+             (25, 180, 1220, 45, 0), (30, 198, 1098, 63, 225)),
+    (3, 4): ((35, 330, 3412, 45, 0), (55, 660, 13200, 330, 3025), (55, 570, 7835, 165, 0),
+             (55, 660, 13200, 165, 0), (60, 630, 9000, 196, 676)),
+}
+
+
+def counters_by_point(reports):
+    return {(r.d, r.n): r.counters for r in reports}
+
+
+def pinned(fields, table):
+    return {point: dict(zip(fields, values)) for point, values in table.items()}
+
 
 @contextmanager
 def criterion(number, description):
@@ -78,17 +139,22 @@ def test_criterion_2_module_quotient_equivalence():
         assert len(reports) == 12
         for report in reports:
             assert report.ok, report.summary()
+        expected = pinned(COMPARE_FIELDS, COMPARE_COUNTERS)
+        del expected[(1, 6)]
+        assert counters_by_point(reports) == expected
         assert time.perf_counter() - start < 60.0
 
 
 def test_criterion_3_relative_structure_and_cyclic_quotient():
     with criterion(3, "restricted exangles characterized and cyclic quotient matches"):
         start = time.perf_counter()
-        for theorem in ("f-exangles", "main2"):
+        for theorem, fields, table in (("f-exangles", F_EXANGLES_FIELDS, F_EXANGLES_COUNTERS),
+                                       ("main2", COMPARE_FIELDS, COMPARE_COUNTERS)):
             reports = run_theorem(theorem, GRID, extra_points=((1, 6),))
             assert len(reports) == 13
             for report in reports:
                 assert report.ok, report.summary()
+            assert counters_by_point(reports) == pinned(fields, table), theorem
         # at (d, n) = (1, 6): the hom space O_15 -> O_26 is nonzero, while the
         # space O_15 -> O_48 vanishes, so every composite routed through O_48
         # is zero; composition genuinely depends on the middle object, as the
@@ -105,9 +171,15 @@ def test_criterion_3_relative_structure_and_cyclic_quotient():
 
 def test_criterion_4_sanity_zero_failures():
     with criterion(4, "associativity, complexes and hom-exactness on every model"):
-        for d, n in grid_points(*GRID):
-            for report in sanity_reports(d, n):
+        points = grid_points(*GRID)
+        assert sorted(points) == sorted(SANITY_COUNTERS)
+        for d, n in points:
+            reports = sanity_reports(d, n)
+            for report in reports:
                 assert report.ok, report.summary()
+            expected = [dict(zip(SANITY_FIELDS, values)) for values in SANITY_COUNTERS[(d, n)]]
+            expected[1]["noncommuting_witnesses"] = 0
+            assert [r.counters for r in reports] == expected, (d, n)
 
 
 def test_criterion_5_count_coincidence():

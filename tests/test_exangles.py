@@ -19,16 +19,22 @@ from hicat.models import (
     module_model,
     relative_f_model,
 )
-from hicat.tuples import in_derset, in_modset, m_mix, normalize_cyclic
+from hicat.tuples import (
+    in_derset,
+    in_modset,
+    intertwines,
+    m_mix,
+    normalize_cyclic,
+    rotate_window_rep,
+)
 
 
-def oracle_middles(a, b, member, d):
-    """Independent middle-term oracle: enumerate all subsets and filter."""
+def oracle_middles(a, b, member, d, project=lambda t: t):
+    """Independent middle-term oracle: enumerate all subsets, filter, then project."""
     levels = []
     for r in range(d, 0, -1):
-        keep = sorted(m_mix(I, a, b) for I in combinations(range(d + 1), r)
-                      if member(m_mix(I, a, b)))
-        levels.append(tuple(keep))
+        mixes = (m_mix(I, a, b) for I in combinations(range(d + 1), r))
+        levels.append(tuple(sorted(project(t) for t in mixes if member(t))))
     return tuple(levels)
 
 
@@ -77,6 +83,35 @@ def test_cluster_realize_both_orientations():
     assert is_complex(e) and is_complex(e2)
     # the empty-middle side pairs ends related by the shift
     assert normalize_cyclic((1, 3), 5) == tuple(v - 1 for v in (2, 4))
+
+
+def _family_rule(model):
+    """The tuple-family membership and projection that realize once filtered by."""
+    if model.kind == "module":
+        return lambda t: in_modset(t, model.top, model.d), lambda t: t
+    m = model.modulus
+    if model.kind in ("cluster", "relative-f"):
+        return lambda t: in_derset(t, m), lambda t: normalize_cyclic(t, m)
+    return lambda t: in_derset(t, m), lambda t: t
+
+
+@pytest.mark.parametrize("d,n", [(1, 4), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("build", [
+    module_model, cluster_model, almost_positive_model, relative_f_model,
+    lambda d, n: derived_model(d, n, (1, 3)), derived_model,
+], ids=["module", "cluster", "almost-positive", "relative-f", "derived-1-3", "derived"])
+def test_middles_by_object_match_the_family_rule(build, d, n):
+    # realize keeps a mix when its projection is an object of the model; the
+    # tuple families give the same middles for every extension pair
+    model = build(d, n)
+    member, project = _family_rule(model)
+    pairs = [(b, a) for b in model.objects for a in model.objects if model.ext_dim(b, a)]
+    assert pairs
+    for b, a in pairs:
+        lift = b
+        if model.kind == "cluster" and not intertwines(a, b):
+            lift = rotate_window_rep(b, model.modulus)
+        assert realize(model, b, a).middles == oracle_middles(a, lift, member, d, project)
 
 
 def test_cluster_middles_are_objects():

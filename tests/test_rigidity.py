@@ -11,11 +11,13 @@ from hicat.exangles import Exangle, realize
 from hicat.models import (
     CategoryModel,
     almost_positive_model,
+    bit_indices,
     cluster_model,
     derived_model,
     module_model,
     relative_f_model,
 )
+from hicat.quotients import projinj_ideal
 from hicat.rigidity import (
     RigidSet,
     _maximal_independent,
@@ -314,6 +316,61 @@ def test_correspondence_detects_a_non_involutive_mutation(monkeypatch):
         "tilting_sets": 12, "ap_maximal_rigid": 12, "relf_maximal_rigid": 12,
         "exchange_exangles": 26, "mutations_checked": 90, "set_size_min": 3, "set_size_max": 4,
     }
+
+
+def _lowest_member(bucket):
+    return bucket & -bucket
+
+
+def _highest_member(bucket):
+    return 1 << bucket.bit_length() - 1
+
+
+def _first_edge_without_reverse(d, n, rule):
+    """The involution counterexample of a replacement rule, from a store of every edge.
+
+    The reference for the scan: it mutates every tilting set of the module
+    model at every live summand with a nonempty bucket, keeps each edge
+    (new set, replacement) -> (old set, replaced summand) to the end, and
+    reports the first edge, in scan order, whose reverse is not stored.
+    """
+    base = module_model(d, n + 1)
+    rows = base.conflict_rows
+    live = ~sum(1 << base.index[z] for z, _ in projinj_ideal(base).arrows)
+    edges = {}
+    for t, single in _maximal_independent(rows):
+        for x in bit_indices(t & live):
+            bucket = rows[x] & single
+            if bucket:
+                y = rule(bucket)
+                edges[(t ^ 1 << x | y, y)] = (t, 1 << x)
+    at = lambda t, bit: (tuple(base.objects[i] for i in bit_indices(t)),
+                         base.objects[bit.bit_length() - 1])
+    for key, value in edges.items():
+        if edges.get(value) != key:
+            return ("mutation-not-involutive", at(*value), at(*key))
+    return None
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (3, 3)])
+@pytest.mark.parametrize("rule", [_lowest_member, _highest_member], ids=["lowest", "highest"])
+def test_a_faulty_replacement_rule_gives_the_edge_store_counterexample(monkeypatch, rule, d, n):
+    # the scan keeps an edge only until its reverse arrives; it must report the
+    # same first counterexample as a store of every edge, after a whole scan
+    healthy = correspondence_check(d, n)
+    expected = _first_edge_without_reverse(d, n, rule)
+    assert expected is not None
+    monkeypatch.setattr(_MutationScanner, "candidates", lambda self, x, bucket: rule(bucket))
+    report = correspondence_check(d, n)
+    assert report.counterexample == expected
+    assert report.counters == healthy.counters
+
+
+def test_tilting_sets_rejects_a_set_without_the_projective_injectives():
+    # with (1, 3, 7) made to conflict with (2, 4, 6), maximal rigid sets without it exist
+    model = _flipping_conflict(module_model, (1, 3, 7), (2, 4, 6))(2, 3)
+    with pytest.raises(ValueError, match=r"misses projective-injectives \[\(1, 3, 7\)\]"):
+        tilting_sets(model)
 
 
 def _flipping_conflict(factory, x, y):

@@ -166,9 +166,9 @@ def _sanity(objects, unit, triples, ext, shift):
 # One corrupted value per case, and the report it gives: the first
 # counterexample and every counter, including the partial counts of the
 # phase that failed and the zeros of the phases after it.  No single
-# value reaches "middle-membership" (realize draws middles from the
-# model's own family) or "shift-hom-invariance" (a changed cyclic hom
-# breaks the unit law, associativity or exactness first).
+# value reaches "shift-hom-invariance" (a changed cyclic hom breaks the
+# unit law, associativity or exactness first).  Sanity has no check of
+# the middle terms' membership: realize keeps only objects of the model.
 FAULTS = [
     ("sanity-cluster", cluster_model, 1, 4, "hom_dim", ((3, 5), (3, 5)), 0,
      ("missing-identity", (3, 5)), _sanity(14, 0, 0, 0, 0)),
