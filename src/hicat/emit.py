@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .exangles import Exangle
-from .models import CategoryModel
+from .models import CategoryModel, bit_indices
 from .quotients import QuotientModel
 from .report import VerificationReport
 from .rigidity import mutation_graph_dot
@@ -53,27 +53,24 @@ def render_label(t: IndexTuple) -> str:
 def irreducible_arrows(model) -> tuple[tuple[IndexTuple, IndexTuple], ...]:
     """Nonzero homs between distinct objects that are not nonzero composites
     of two nonzero non-identity basis morphisms."""
-    objs = model.objects
+    objs, hom = model.objects, model.hom_rows
     edges = []
-    for x in objs:
-        for y in objs:
-            if x == y or model.hom_dim(x, y) == 0:
-                continue
-            reducible = any(
-                z not in (x, y)
-                and model.hom_dim(x, z) and model.hom_dim(z, y)
-                and model.compose_scalar(x, z, y)
-                for z in objs)
-            if not reducible:
+    for i, x in enumerate(objs):
+        for j in bit_indices(hom.out[i] & ~(1 << i)):
+            y = objs[j]
+            middle = hom.out[i] & hom.into[j] & ~(1 << i | 1 << j)
+            if not any(model.compose_scalar(x, objs[k], y) for k in bit_indices(middle)):
                 edges.append((x, y))
-    return tuple(sorted(edges))
+    return tuple(edges)
 
 
 def category_arrows(model, policy: str) -> tuple[tuple[IndexTuple, IndexTuple], ...]:
+    """The arrows of a category diagram, in label order (rows and their bits are)."""
     if policy == "irreducible-only":
         return irreducible_arrows(model)
-    return tuple(sorted((x, y) for x in model.objects for y in model.objects
-                        if x != y and model.hom_dim(x, y)))
+    objs = model.objects
+    return tuple((x, objs[j]) for i, (x, row) in enumerate(zip(objs, model.hom_rows.out))
+                 for j in bit_indices(row & ~(1 << i)))
 
 
 def _dot_graph(nodes, edges) -> str:
@@ -108,14 +105,17 @@ def model_descriptor(model) -> dict:
     return desc
 
 
+def _table(objects, rows) -> dict:
+    return {node_id(x): [node_id(objects[j]) for j in bit_indices(row)]
+            for x, row in zip(objects, rows)}
+
+
 def hom_table(model) -> dict:
-    return {node_id(x): [node_id(y) for y in model.objects if model.hom_dim(x, y)]
-            for x in model.objects}
+    return _table(model.objects, model.hom_rows.out)
 
 
 def ext_table(model) -> dict:
-    return {node_id(b): [node_id(a) for a in model.objects if model.ext_dim(b, a)]
-            for b in model.objects}
+    return _table(model.objects, model.ext_rows.out)
 
 
 def quiver_to_dict(q: Quiver) -> dict:

@@ -5,6 +5,15 @@ Each model is a finite set of tuple-labelled indecomposable objects with
 on basis morphisms.  All nonzero hom spaces are one-dimensional, so a
 morphism between direct sums is an integer matrix over the canonical
 basis morphisms.
+
+Every hom and ext rule is an interleaving of gapped tuples, so each kind
+writes it once, as boxes: for a fixed label, each coordinate of the other
+label must lie in an open interval set by the fixed one (one box, or two
+for the cyclic hom and the cluster ext).  The rule has two readers.  A
+single pair is tested against the boxes.  A whole table is read a row at
+a time, by ANDing per-coordinate prefix masks ("the objects whose
+coordinate i is below v"), so a table costs O(N d) big-integer
+operations; once it is built, the pair answers read its bits.
 """
 from __future__ import annotations
 
@@ -16,7 +25,6 @@ from .tuples import (
     gen_derset_window,
     gen_modset,
     gen_nonconsec,
-    intertwines,
     normalize_cyclic,
 )
 
@@ -32,18 +40,38 @@ KINDS = (MODULE, DERIVED, CLUSTER, ALMOST_POSITIVE, RELATIVE_F)
 CYCLIC_KINDS = (CLUSTER, RELATIVE_F)
 
 
-def _minus_one(a: IndexTuple) -> IndexTuple:
-    return tuple(v - 1 for v in a)
+#: The two label slots of a rule: the first argument of hom_dim or ext_dim,
+#: whose table row holds the answers, and the second.
+FIRST, SECOND = 0, 1
+
+#: A strict inequality (p, i, q, k, c) between two labels L_FIRST, L_SECOND:
+#: L_p[i] < L_q[k] + c, with p != q.  A box is a tuple of them, and a rule
+#: is a tuple of boxes; a pair is in the rule when it meets every
+#: inequality of some box.
+Box = tuple[tuple[int, int, int, int, int], ...]
 
 
-def _chain_hom(src: IndexTuple, tgt: IndexTuple) -> bool:
-    # b_0 - 1 < a_0 < b_1 - 1 < a_1 < ... < b_d - 1 < a_d for src = B, tgt = A
-    return intertwines(_minus_one(src), tgt)
+def _interleaving(lower: int, d: int, shift: int = 0) -> Box:
+    """The chain u_0 < v_0 < u_1 < v_1 < ... < u_d < v_d, u the lower slot.
+
+    The entries of the first label are read shifted by ``shift``.
+    """
+    upper = 1 - lower
+    c = shift if upper == FIRST else -shift  # the upper label's shift minus the lower's
+    return (tuple((lower, i, upper, i, c) for i in range(d + 1))
+            + tuple((upper, i, lower, i + 1, -c) for i in range(d)))
 
 
-def _chain_hom_bounded(src: IndexTuple, tgt: IndexTuple, m: int) -> bool:
-    # the linear chain plus the wrap bound a_d < b_0 + m - 1
-    return _chain_hom(src, tgt) and tgt[-1] < src[0] + m - 1
+def _holds(rule: tuple[Box, ...], first: IndexTuple, second: IndexTuple) -> bool:
+    """Whether the pair meets every inequality of some box of the rule."""
+    labels = (first, second)
+    for box in rule:
+        for p, i, q, k, c in box:
+            if not labels[p][i] < labels[q][k] + c:
+                break
+        else:
+            return True
+    return False
 
 
 def bit_indices(mask: int):
@@ -130,34 +158,98 @@ class CategoryModel:
         return {}
 
     @cached_property
-    def _hom_cache(self) -> dict:
-        return {}
-
-    @cached_property
     def _rotations(self) -> dict:
         return {}
 
-    def _bit_rows(self, dim) -> BitRows:
-        """The table of a 0/1 dimension method, from one call per ordered pair."""
-        objects = self.objects
-        out = [0] * len(objects)
-        into = [0] * len(objects)
-        for i, x in enumerate(objects):
-            for j, y in enumerate(objects):
-                if dim(x, y):
-                    out[i] |= 1 << j
-                    into[j] |= 1 << i
-        return BitRows(tuple(out), tuple(into))
+    @cached_property
+    def _hom_rule(self) -> tuple[Box, ...]:
+        """hom(x, y) = 1 when x - 1 and y interleave, in the kind's way."""
+        d, m = self.d, self.modulus
+        chain = _interleaving(FIRST, d, shift=-1)  # x_0 - 1 < y_0 < ... < x_d - 1 < y_d
+        if self.kind == MODULE:
+            return (chain,)
+        bounded = chain + ((SECOND, d, FIRST, 0, m - 1),)  # and y_d < x_0 + m - 1
+        if self.kind in CYCLIC_KINDS:
+            # normalize_cyclic(x - 1) interleaves y in either order; when
+            # x_0 = 1 it moves x_0 - 1 to m, which the bound y_d < m stands for
+            return (bounded, _interleaving(SECOND, d, shift=-1))
+        return (bounded,)
+
+    @cached_property
+    def _ext_rule(self) -> tuple[Box, ...]:
+        """ext(b, a) = 1 when a and b interleave, in the kind's way."""
+        d = self.d
+        chain = _interleaving(SECOND, d)  # a_0 < b_0 < ... < a_d < b_d
+        if self.kind == DERIVED:
+            return (chain + ((FIRST, d, SECOND, 0, self.modulus),),)  # and b_d < a_0 + m
+        if self.kind == CLUSTER:
+            return (chain, _interleaving(FIRST, d))
+        return (chain,)
+
+    def _prefix_masks(self) -> tuple[int, list[list[int]], list[list[int]]]:
+        """(base, below, above) over the object order, for building one table.
+
+        below[t][v - base] holds the objects whose coordinate t is < v and
+        above[t][v - base] those whose coordinate t is > v.  No offset of a
+        rule exceeds the modulus m, so the lists run from m below the
+        smallest entry to m above the largest.
+        """
+        objects, span = self.objects, self.modulus
+        base = min((x[0] for x in objects), default=0) - span
+        size = max((x[-1] for x in objects), default=0) + span + 2 - base
+        full = (1 << len(objects)) - 1
+        below, above = [], []
+        for t in range(self.d + 1):
+            at = [0] * size
+            for j, x in enumerate(objects):
+                at[x[t] - base] |= 1 << j
+            lt = [0]
+            for mask in at:
+                lt.append(lt[-1] | mask)
+            below.append(lt)
+            above.append([full ^ lt[v + 1] for v in range(size)])
+        return base, below, above
+
+    def _table(self, rule: tuple[Box, ...]) -> BitRows:
+        # the masks are not kept: once built, the table answers every pair
+        masks = self._prefix_masks()
+        return BitRows(self._read_rows(rule, FIRST, masks), self._read_rows(rule, SECOND, masks))
+
+    def _read_rows(self, rule: tuple[Box, ...], fixed: int, masks) -> tuple[int, ...]:
+        """Row r holds the labels whose pair with objects[r] in slot ``fixed`` is in the rule."""
+        base, below, above = masks
+        boxes = []
+        for box in rule:
+            # each inequality bounds one coordinate of the other label by
+            # one coordinate of the fixed label plus an offset
+            bounds = []
+            for p, i, q, k, c in box:
+                if p == fixed:  # fixed[i] < other[k] + c: other[k] > fixed[i] - c
+                    bounds.append((above[k], i, -c - base))
+                else:  # other[i] < fixed[k] + c
+                    bounds.append((below[i], k, c - base))
+            boxes.append(bounds)
+        full = (1 << len(self.objects)) - 1
+        rows = []
+        for x in self.objects:
+            row = 0
+            for bounds in boxes:
+                mask = full
+                for masks, s, offset in bounds:
+                    mask &= masks[x[s] + offset]
+                row |= mask
+            rows.append(row)
+        return tuple(rows)
 
     @cached_property
     def hom_rows(self) -> BitRows:
         """The dense hom table: out[i] holds the targets of nonzero homs from objects[i]."""
-        return self._bit_rows(self.hom_dim)
+        return self._table(self._hom_rule)
 
     @cached_property
     def ext_rows(self) -> BitRows:
         """The dense ext table: out[i] holds the a with ext_dim(objects[i], a) = 1."""
-        return self._bit_rows(self.ext_dim)
+        return self._table(self._ext_rule)
 
     @cached_property
     def conflict_rows(self) -> tuple[int, ...]:
@@ -172,40 +264,25 @@ class CategoryModel:
         if a not in self.index:
             raise ValueError(f"{a} is not an object of {self.kind}(d={self.d}, n={self.n})")
 
+    def _dim(self, table: str, rule: str, x: IndexTuple, y: IndexTuple) -> int:
+        """One pair of a table: its bit once the table is built, else the rule."""
+        self._require(x)
+        self._require(y)
+        rows = self.__dict__.get(table)
+        if rows is None:
+            return 1 if _holds(getattr(self, rule), x, y) else 0
+        return rows.out[self.index[x]] >> self.index[y] & 1
+
     def hom_dim(self, src: IndexTuple, tgt: IndexTuple) -> int:
         """Dimension (0 or 1) of the space of morphisms src -> tgt."""
-        cached = self._hom_cache.get((src, tgt))
-        if cached is None:
-            # only pairs of objects enter the cache, so a hit needs no check
-            self._require(src)
-            self._require(tgt)
-            if self.kind in CYCLIC_KINDS:
-                # cyclic intertwining of the shifted source with the target;
-                # on canonical representatives this is plain interleaving in
-                # one order or the other (the shift scan adds nothing)
-                shifted = normalize_cyclic(_minus_one(src), self.modulus)
-                cached = intertwines(shifted, tgt) or intertwines(tgt, shifted)
-            elif self.kind == MODULE:
-                cached = _chain_hom(src, tgt)
-            else:
-                cached = _chain_hom_bounded(src, tgt, self.modulus)
-            self._hom_cache[(src, tgt)] = cached
-        return 1 if cached else 0
+        return self._dim("hom_rows", "_hom_rule", src, tgt)
 
     def ext_dim(self, b: IndexTuple, a: IndexTuple) -> int:
         """Dimension (0 or 1) of the extensions of the object b by the object a.
 
         A nonzero value is realized by a d-exangle running from a to b.
         """
-        self._require(b)
-        self._require(a)
-        if self.kind in (MODULE, ALMOST_POSITIVE, RELATIVE_F):
-            ok = intertwines(a, b)
-        elif self.kind == DERIVED:
-            ok = intertwines(a, b) and b[-1] < a[0] + self.modulus
-        else:
-            ok = intertwines(a, b) or intertwines(b, a)
-        return 1 if ok else 0
+        return self._dim("ext_rows", "_ext_rule", b, a)
 
     def compose_scalar(self, x: IndexTuple, y: IndexTuple, z: IndexTuple) -> int:
         """Scalar (0 or 1) of the composite of basis morphisms x -> y -> z."""

@@ -20,8 +20,10 @@ from .models import (
     MODULE,
     RELATIVE_F,
     BasisMorphism,
+    BitRows,
     CategoryModel,
     MorphismMatrix,
+    bit_indices,
 )
 from .tuples import IndexTuple
 
@@ -97,6 +99,21 @@ class QuotientModel:
         dead = set(self.zero_objects)
         return tuple(a for a in self.base.objects if a not in dead)
 
+    @cached_property
+    def hom_rows(self) -> BitRows:
+        """The base hom table with the killed basis morphisms cleared."""
+        index, rows = self.base.index, self.base.hom_rows
+        out, into = list(rows.out), list(rows.into)
+        for src, tgt in self.killed:
+            i, j = index[src], index[tgt]
+            out[i] &= ~(1 << j)
+            into[j] &= ~(1 << i)
+        return BitRows(tuple(out), tuple(into))
+
+    @property
+    def ext_rows(self) -> BitRows:
+        return self.base.ext_rows
+
     def hom_dim(self, src: IndexTuple, tgt: IndexTuple) -> int:
         if self.base.hom_dim(src, tgt) == 0 or (src, tgt) in self.killed:
             return 0
@@ -121,12 +138,12 @@ def quotient(model: CategoryModel, ideal: IdealSpec) -> QuotientModel:
     """Build the quotient of a model by a factoring-through ideal."""
     if ideal.base is not model and ideal.base != model:
         raise ValueError("ideal was built over a different base model")
+    objects = model.objects
     killed = set()
-    for src in model.objects:
-        for tgt in model.objects:
-            if model.hom_dim(src, tgt) and \
-                    factors_through(model, BasisMorphism(src, tgt), ideal):
-                killed.add((src, tgt))
+    for src, row in zip(objects, model.hom_rows.out):
+        for j in bit_indices(row):
+            if factors_through(model, BasisMorphism(src, objects[j]), ideal):
+                killed.add((src, objects[j]))
     zero = tuple(a for a in model.objects if (a, a) in killed)
     return QuotientModel(base=model, ideal=ideal,
                          killed=frozenset(killed), zero_objects=zero)

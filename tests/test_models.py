@@ -1,8 +1,10 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hicat.models import (
+    DERIVED,
+    KINDS,
     BasisMorphism,
     almost_positive_model,
     basis_morphism,
@@ -181,22 +183,38 @@ def test_hom_rows_are_the_hom_table(model):
             assert model.conflict_rows[i] >> j & 1 == model.ext_dim(x, y) | model.ext_dim(y, x)
 
 
-@pytest.mark.parametrize("method", ["hom_dim", "ext_dim"])
-def test_hom_rows_follow_an_overridden_hom_dim(method):
-    m = module_model(2, 2)
-    key = ((1, 3, 5), (1, 3, 6)) if method == "hom_dim" else ((2, 4, 6), (1, 3, 5))
-    rows = method.replace("_dim", "_rows")
-    right = getattr(type(m), method)
+@st.composite
+def _models(draw):
+    """A model of any kind with d <= 4, n <= 5 and at most 400 objects;
+    a derived model on a random window of up to four layers, or the default."""
+    kind = draw(st.sampled_from(KINDS))
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    window = None
+    if kind == DERIVED and draw(st.booleans()):
+        m = n + 2 * d + 1
+        lo = draw(st.integers(-m, 2 * m))
+        window = (lo, lo + draw(st.integers(0, 3)))
+    model = make_model(kind, d, n, window)
+    assume(len(model.objects) <= 400)
+    return model
 
-    class Cleared(type(m)):
-        pass
 
-    setattr(Cleared, method, lambda self, *args: 0 if args == key else right(self, *args))
-    cleared = getattr(Cleared(m.kind, m.d, m.n, m.window, m.objects), rows)
-    i, j = (m.index[x] for x in key)
-    assert getattr(m, rows).out[i] >> j & 1 == 1
-    assert cleared.out[i] >> j & 1 == cleared.into[j] >> i & 1 == 0
-    assert cleared.out[i] | 1 << j == getattr(m, rows).out[i]
+@settings(max_examples=40, deadline=None)
+@given(_models())
+def test_rows_and_pairs_follow_the_reference_rules(model):
+    # every bit of both tables is the old per-pair rule, and a pair answer is
+    # the same from the rule (no table built) and from the table's bit
+    from pair_rules import reference_ext, reference_hom
+    fresh = make_model(model.kind, model.d, model.n, model.window)
+    hom, ext = model.hom_rows, model.ext_rows
+    for i, x in enumerate(model.objects):
+        for j, y in enumerate(model.objects):
+            want_hom, want_ext = reference_hom(model, x, y), reference_ext(model, x, y)
+            assert hom.out[i] >> j & 1 == hom.into[j] >> i & 1 == want_hom
+            assert ext.out[i] >> j & 1 == ext.into[j] >> i & 1 == want_ext
+            assert fresh.hom_dim(x, y) == model.hom_dim(x, y) == want_hom
+            assert fresh.ext_dim(x, y) == model.ext_dim(x, y) == want_ext
+    assert "hom_rows" not in vars(fresh) and "ext_rows" not in vars(fresh)
 
 
 def _chain_position_oracle(x, y, z, m):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from hicat.exangles import Exangle, realize
 from hicat.models import (
+    BitRows,
     CategoryModel,
     almost_positive_model,
     bit_indices,
@@ -31,6 +33,8 @@ from hicat.rigidity import (
     mutation_graph_dot,
     tilting_sets,
 )
+
+from pair_rules import with_bit
 
 
 def brute_maximal_independent(objects, conflict):
@@ -374,14 +378,20 @@ def test_tilting_sets_rejects_a_set_without_the_projective_injectives():
 
 
 def _flipping_conflict(factory, x, y):
-    """The factory, with the conflict of x and y flipped through ext_dim in both orders."""
+    """The factory, with the conflict of x and y flipped through ext_dim in both
+    orders, and in the ext table."""
     def build(d, n):
         model = factory(d, n)
         flipped = 1 - (model.ext_dim(x, y) | model.ext_dim(y, x))
+        i, j = model.index[x], model.index[y]
 
         class Flipped(CategoryModel):
             def ext_dim(self, b, a):
                 return flipped if {b, a} == {x, y} else super().ext_dim(b, a)
+
+            @cached_property
+            def ext_rows(self):
+                return with_bit(with_bit(super().ext_rows, i, j, flipped), j, i, flipped)
 
         return Flipped(model.kind, model.d, model.n, model.window, model.objects)
     return build
@@ -493,6 +503,12 @@ class _ConflictTable(CategoryModel):
 
     def ext_dim(self, b, a):
         return 1 if frozenset((b, a)) in self.pairs else 0
+
+    @cached_property
+    def ext_rows(self):
+        rows = tuple(sum(1 << j for j, a in enumerate(self.objects) if self.ext_dim(b, a))
+                     for b in self.objects)
+        return BitRows(rows, rows)  # a symmetric table: each row is its column
 
 
 @pytest.mark.parametrize("bucket_conflicts,expected", [

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,8 @@ from hicat.verify import (
     verify_main2,
     verify_model_sanity,
 )
+
+from pair_rules import with_bit
 
 
 def test_verify_equiv_small_points():
@@ -148,13 +151,24 @@ def test_run_verification_script_from_any_directory(tmp_path):
 
 
 def _corrupted(model, method, key, value):
-    """The model as a CategoryModel subclass whose method answers value at key."""
+    """The model as a CategoryModel subclass whose method answers value at key.
+
+    A changed hom or ext value is put into the model's table as well, so
+    that the pair answer and the rows that whole-table readers walk agree.
+    """
     right = getattr(CategoryModel, method)
 
     class Corrupted(CategoryModel):
         pass
 
     setattr(Corrupted, method, lambda self, *args: value if args == key else right(self, *args))
+    if method in ("hom_dim", "ext_dim"):
+        table = method.replace("_dim", "_rows")
+        rows = getattr(CategoryModel, table).func
+        i, j = (model.index[x] for x in key)
+        corrupted_rows = cached_property(lambda self: with_bit(rows(self), i, j, value))
+        setattr(Corrupted, table, corrupted_rows)
+        corrupted_rows.__set_name__(Corrupted, table)
     return Corrupted(model.kind, model.d, model.n, model.window, model.objects)
 
 
