@@ -235,8 +235,8 @@ class CategoryModel:
             row = 0
             for bounds in boxes:
                 mask = full
-                for masks, s, offset in bounds:
-                    mask &= masks[x[s] + offset]
+                for prefix, s, offset in bounds:
+                    mask &= prefix[x[s] + offset]
                 row |= mask
             rows.append(row)
         return tuple(rows)
@@ -265,7 +265,12 @@ class CategoryModel:
             raise ValueError(f"{a} is not an object of {self.kind}(d={self.d}, n={self.n})")
 
     def _dim(self, table: str, rule: str, x: IndexTuple, y: IndexTuple) -> int:
-        """One pair of a table: its bit once the table is built, else the rule."""
+        """One pair of a table: its bit once the table is built, else the rule.
+
+        Both readers give the same answer; the bit is the cheaper one, and
+        the grid workloads ask about pairs of models whose tables they have
+        built (BENCH_13.json, pair_answers).  A pair never builds a table.
+        """
         self._require(x)
         self._require(y)
         rows = self.__dict__.get(table)

@@ -287,9 +287,12 @@ def verify_model_sanity(model: CategoryModel) -> VerificationReport:
 def _shift_hom_failure(model: CategoryModel, counters: dict[str, int]):
     """The first pair (x, y) whose hom differs from that of its cluster shift, or None.
 
-    The shift is a permutation of the object index, computed once per
-    object; row x of the hom table, moved by it, must be the row of the
-    shift of x.  Pairs are counted in the order of product(objects, repeat=2).
+    The shift is computed once per object, as a map of the object index.
+    When it is a permutation, row x of the hom table, moved by it, must be
+    the row of the shift of x, and only a row that differs is searched for
+    its first failing pair; a shift that is not one (a broken shift) has
+    every pair tested.  Pairs are counted in the order of
+    product(objects, repeat=2).
     """
     objects, index, out = model.objects, model.index, model.hom_rows.out
     perm = []
@@ -297,16 +300,20 @@ def _shift_hom_failure(model: CategoryModel, counters: dict[str, int]):
         sx = shift_cluster(x, model.modulus)
         model._require(sx)
         perm.append(index[sx])
+    bijective = len(set(perm)) == len(perm)
     for i, x in enumerate(objects):
         row, image = out[i], out[perm[i]]
-        moved = 0
-        for j in bit_indices(row):
-            moved |= 1 << perm[j]
-        if moved != image:
-            j = next(j for j in range(len(objects)) if row >> j & 1 != image >> perm[j] & 1)
-            counters["shift_checks"] += j + 1
-            return ("shift-hom-invariance", x, objects[j])
-        counters["shift_checks"] += len(objects)
+        if bijective:
+            moved = 0
+            for j in bit_indices(row):
+                moved |= 1 << perm[j]
+            if moved == image:
+                counters["shift_checks"] += len(objects)
+                continue
+        for j in range(len(objects)):
+            counters["shift_checks"] += 1
+            if row >> j & 1 != image >> perm[j] & 1:
+                return ("shift-hom-invariance", x, objects[j])
     return None
 
 

@@ -17,7 +17,7 @@ from hicat.models import (
 )
 from hicat.quotients import injproj_ideal, projinj_ideal, quotient
 from hicat.report import VerificationReport
-from hicat.tuples import normalize_cyclic
+from hicat.tuples import normalize_cyclic, shift_cluster
 from hicat.verify import (
     THEOREMS,
     compare_to_model,
@@ -240,3 +240,20 @@ def test_sanity_detects_a_shift_that_breaks_cluster_homs(monkeypatch):
     assert not report.ok
     assert report.counterexample == ("shift-hom-invariance", (1, 3), (1, 4))
     assert report.counters == _sanity(14, 140, 1904, 70, 2)
+
+
+@pytest.mark.parametrize("collapsed,onto,pair,checks", [
+    ((1, 4), (1, 3), ((1, 4), (1, 3)), 15),
+    ((2, 7), (1, 3), ((1, 3), (2, 7)), 8),
+])
+def test_sanity_detects_a_shift_that_is_not_a_permutation(monkeypatch, collapsed, onto,
+                                                          pair, checks):
+    # the shift sends two objects to one image, so moving whole rows by it
+    # says nothing; the first pair whose hom differs from that of its shift
+    # is reported, with the pairs counted up to it
+    monkeypatch.setattr("hicat.verify.shift_cluster",
+                        lambda x, m: shift_cluster(onto if x == collapsed else x, m))
+    report = verify_model_sanity(cluster_model(1, 4))
+    assert not report.ok
+    assert report.counterexample == ("shift-hom-invariance", *pair)
+    assert report.counters == _sanity(14, 140, 1904, 70, checks)
