@@ -47,7 +47,6 @@ class Exangle:
     xlast: IndexTuple
     middles: tuple[tuple[IndexTuple, ...], ...]
     differentials: tuple[MorphismMatrix, ...]
-    extension_marker: tuple[IndexTuple, IndexTuple]
 
     @property
     def terms(self) -> tuple[tuple[IndexTuple, ...], ...]:
@@ -132,8 +131,7 @@ def realize(model: CategoryModel, b: IndexTuple, a: IndexTuple) -> Exangle:
 
     return Exangle(model=model, x0=a, xlast=b,
                    middles=tuple(tuple(lbl for _, lbl in lvl) for lvl in levels[1:-1]),
-                   differentials=tuple(diffs),
-                   extension_marker=(b, a))
+                   differentials=tuple(diffs))
 
 
 def is_complex(e: Exangle) -> bool:

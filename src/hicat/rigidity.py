@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exangles import Exangle, compare_exangles, realize
+from .exangles import Exangle, realize
 from .models import (
     CategoryModel,
     almost_positive_model,
@@ -24,7 +24,7 @@ from .models import (
     module_model,
     relative_f_model,
 )
-from .quotients import projinj_ideal, strip_zero_summands
+from .quotients import compare_to_model, projinj_ideal, quotient
 from .report import VerificationReport, run_check
 from .tuples import IndexTuple
 
@@ -145,6 +145,9 @@ class _MutationScanner:
         self.rows = model.conflict_rows
         # (b, a) -> (exangle, mask of its middle terms), or None without extension
         self._exchange: dict[tuple[int, int], tuple[Exangle, int] | None] = {}
+        # x -> bucket -> step(x, bucket)
+        self._steps: list[dict[int, tuple[int, tuple[tuple[tuple[int, int], int], ...]]]] = [
+            {} for _ in self.rows]
 
     def single_hits(self, t: int) -> int:
         """Outside objects with exactly one conflict in the rigid set t.
@@ -177,8 +180,25 @@ class _MutationScanner:
                 found |= 1 << y
         return found
 
+    def step(self, x: int, bucket: int) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
+        """The candidates of summand x and its links, settled once per (x, bucket).
+
+        The links are the sorted (oriented end pair, middles mask) of the
+        extensions between x and the members of its bucket.
+        """
+        steps = self._steps[x]
+        found = steps.get(bucket)
+        if found is None:
+            links = sorted((pair, e[1]) for y in bit_indices(bucket) for pair in ((x, y), (y, x))
+                           if (e := self.exchange(*pair)) is not None)
+            found = steps[bucket] = (self.candidates(x, bucket), tuple(links))
+        return found
+
     def replacement(self, x: int, bucket: int) -> int | None:
-        """The unique replacement of summand x, or None; raises when ambiguous."""
+        """The unique replacement of summand x, or None; raises when ambiguous.
+
+        It reads ``candidates``, not ``step``: a replacement alone needs no exangle.
+        """
         found = list(bit_indices(self.candidates(x, bucket)))
         if len(found) > 1:
             labels = self.model.objects
@@ -199,22 +219,19 @@ class _MutationScanner:
                 self._exchange[key] = None
         return self._exchange[key]
 
-    def links(self, x: int, bucket: int) -> list[tuple[tuple[int, int], int]]:
-        """Sorted (oriented end pair, middles mask) of the extensions between x and its bucket."""
-        return sorted((pair, found[1]) for y in bit_indices(bucket) for pair in ((x, y), (y, x))
-                      if (found := self.exchange(*pair)) is not None)
-
     def exchanges(self, x: int, bucket: int, rest: int) -> tuple[Exangle, ...]:
         """The linked exangles with middles inside the rest, ordered by their end terms."""
-        return tuple(sorted((self.exchange(*pair)[0] for pair, middles in self.links(x, bucket)
+        return tuple(sorted((self.exchange(*pair)[0] for pair, middles in self.step(x, bucket)[1]
                              if not middles & ~rest), key=lambda e: (e.x0, e.xlast)))
 
 
 def _scan_at(model: CategoryModel, t: RigidSet, x: IndexTuple):
     """A scanner of the model, with t, x and the replacement pool of x as bits.
 
-    Raises ValueError unless t is a maximal rigid set with summand x.
+    Raises ValueError unless t is a maximal rigid set of distinct summands with summand x.
     """
+    if len(set(t.summands)) != len(t.summands):
+        raise ValueError(f"repeated summands in the rigid set {t.summands}")
     if x not in t.summands:
         raise ValueError(f"{x} is not a summand of the rigid set")
     if not is_rigid(model, t.summands):
@@ -291,76 +308,50 @@ def mutation_graph_dot(model: CategoryModel) -> str:
 
 
 def _premise_failure(base: CategoryModel, projinj: set[IndexTuple],
-                     targets: tuple[CategoryModel, ...]):
+                     ap: CategoryModel, relf: CategoryModel):
     """The first failure of the correspondence premise, or None.
 
     The premise: the projective-injectives of the module model conflict
-    with nothing, and each target model has exactly the other module
-    objects, with the module model's conflict rows on them.
+    with nothing; the quotient by them is the almost-positive model, by
+    the comparer of ``equiv``; and the restricted cyclic model has the
+    almost-positive model's objects and conflict rows.
     """
-    base_rows = {x: _labels(base, row) for x, row in zip(base.objects, base.conflict_rows)}
+    labels, rows = base.objects, base.conflict_rows
     for z in sorted(projinj):
-        if base_rows[z]:
-            return ("projinj-conflict", z, base_rows[z][0])
-    live = tuple(x for x in base.objects if x not in projinj)
-    for model in targets:
-        if model.objects != live:
-            return ("tilting-image-mismatch", model.kind, min(set(model.objects) ^ set(live)))
-        for x, row in zip(live, model.conflict_rows):
-            got = _labels(model, row)
-            if got != base_rows[x]:
-                return ("conflict-mismatch", model.kind, x, min(set(got) ^ set(base_rows[x])))
+        row = rows[base.index[z]]
+        if row:
+            return ("projinj-conflict", z, labels[(row & -row).bit_length() - 1])
+    failure = compare_to_model(quotient(base, projinj_ideal(base)), ap, {})
+    if failure is not None:
+        return failure
+    if relf.objects != ap.objects:
+        return ("tilting-image-mismatch", relf.kind, min(set(relf.objects) ^ set(ap.objects)))
+    for x, got, want in zip(ap.objects, relf.conflict_rows, ap.conflict_rows):
+        if got != want:
+            diff = got ^ want
+            return ("conflict-mismatch", relf.kind, x, ap.objects[(diff & -diff).bit_length() - 1])
     return None
 
 
-def _scan_tilting(base: CategoryModel, ap: CategoryModel, tilts: list[tuple[int, int]],
+def _scan_tilting(base: CategoryModel, tilts: list[tuple[int, int]],
                   projinj: set[IndexTuple], counters: dict[str, int]):
     """Mutate every tilting set at every live summand: the first counterexample, or None.
 
     ``tilts`` holds the (set, single hits) pairs of ``_maximal_independent``.
-    All that does not depend on the set is settled once per (summand,
-    bucket) key: whether each extension between them matches the
-    almost-positive one, the replacement candidates, and the middles of
-    the linked exchange exangles.  A summand with an empty bucket has
-    nothing to check; for the others a set adds only the test that the
+    A summand with an empty bucket has nothing to check; for the others
+    the scanner's ``step`` gives the replacement candidates and the middles
+    of the linked exchange exangles, and a set adds only the test that the
     middles lie in the rest and the mutation edge.  An edge is kept only
     until its reverse arrives; the first edge left unmatched, in scan
     order, shows that mutation is not an involution.  Adds the scan counts
     of ``correspondence_check`` to ``counters`` as it goes.
     """
     scan = _MutationScanner(base)
-    labels = base.objects
     rows = scan.rows
     live = ~_mask(base, projinj)
-    # (b, a) -> whether both models realize the same extension of b by a
-    pair_matches: dict[tuple[int, int], bool] = {}
-    # x -> bucket -> (first mismatched pair or None, candidates, middles of the links)
-    settled: list[dict[int, tuple[tuple[int, int] | None, int, tuple[int, ...]]]] = [
-        {} for _ in rows]
-
-    def matches(pair: tuple[int, int]) -> bool:
-        if pair not in pair_matches:
-            found = scan.exchange(*pair)
-            lb, la = (labels[i] for i in pair)
-            pair_matches[pair] = (found is None) != bool(ap.ext_dim(lb, la)) and (
-                found is None or compare_exangles(strip_zero_summands(found[0], projinj),
-                                                  realize(ap, lb, la)) is None)
-        return pair_matches[pair]
-
-    def settle(x: int, bucket: int):
-        bad = next((pair for y in bit_indices(bucket) for pair in ((x, y), (y, x))
-                    if not matches(pair)), None)
-        middles = tuple(m for _, m in scan.links(x, bucket)) if bad is None else ()
-        return bad, scan.candidates(x, bucket), middles
 
     def at(t: int, x: int):
-        return _labels(base, t), labels[x]
-
-    def fail(code: str, t: int, x: int, exchanges: int, found):
-        # the live summands of t below x passed their checks; x got as far as its exchanges
-        counters["exchange_exangles"] += exchanges
-        counters["mutations_checked"] += 2 * (t & live & (1 << x) - 1).bit_count()
-        return (code, *at(t, x), found)
+        return _labels(base, t), base.objects[x]
 
     # mutating (old set, x) gave (new set, y); mutating (new set, y) must give (old set, x).
     # An edge (new set, y) -> (old set, x) stays here until that reverse edge arrives.
@@ -371,19 +362,16 @@ def _scan_tilting(base: CategoryModel, ap: CategoryModel, tilts: list[tuple[int,
             bucket = rows[x] & single
             if not bucket:
                 continue
-            entry = settled[x].get(bucket)
-            if entry is None:
-                entry = settled[x][bucket] = settle(x, bucket)
-            bad, cand, middles = entry
-            if bad is not None:
-                return fail("exchange-mismatch", t, x, exchanges,
-                            tuple(labels[i] for i in bad))
+            cand, links = scan.step(x, bucket)
             rest = t ^ 1 << x
-            for m in middles:
-                if not m & ~rest:
+            for _, middles in links:
+                if not middles & ~rest:
                     exchanges += 1
             if cand & (cand - 1):
-                return fail("ambiguous-mutation", t, x, exchanges, list(_labels(base, cand)))
+                # the live summands of t below x passed; x got as far as its exchanges
+                counters["exchange_exangles"] += exchanges
+                counters["mutations_checked"] += 2 * (t & live & (1 << x) - 1).bit_count()
+                return ("ambiguous-mutation", *at(t, x), list(_labels(base, cand)))
             if cand:
                 edge, source = (rest | cand, cand), (t, 1 << x)
                 if unmatched.get(source) == edge:
@@ -407,19 +395,20 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
     module model of A^d_{n+1} onto the maximal rigid sets of the
     almost-positive and the restricted cyclic model, and mutation goes
     along.  The premise is checked first, as a certificate: the
-    projective-injectives conflict with nothing, and both targets have
-    exactly the other module objects, with the module model's conflict
-    rows.  Maximal independent sets of a graph plus isolated vertices
-    are those of the graph with the isolated vertices added, so this
-    proves the bijection of sets and that buckets and replacements agree.
-    One enumeration of the tilting sets then gives every count, and hands
-    each set over with its single hits, so the mutation scan on the module
-    model reads every bucket off one mask.  The scan checks each linked
-    exchange exangle, zero summands stripped, against the almost-positive
-    one and finds the replacement candidates once per (summand, bucket)
-    key; per set it counts the exchange pairs with middles in the rest,
-    requires unique replacements, and matches each mutation edge with its
-    reverse, so that mutation is checked to be an involution.
+    projective-injectives conflict with nothing; the quotient by them is
+    the almost-positive model, objects, hom and ext tables and exangles
+    with zero summands stripped alike (``compare_to_model``, as in
+    ``equiv``); and the restricted cyclic model has the same objects and
+    conflict rows.  Maximal independent sets of a graph plus isolated
+    vertices are those of the graph with the isolated vertices added, so
+    this proves the bijection of sets, that buckets and replacements
+    agree, and that the exchange exangles match.  One enumeration of the
+    tilting sets then gives every count, and hands each set over with its
+    single hits, so the mutation scan on the module model reads every
+    bucket off one mask.  Per set the scan counts the exchange pairs with
+    middles in the rest, requires unique replacements, and matches each
+    mutation edge with its reverse, so that mutation is checked to be an
+    involution.
 
     ``mutations_checked`` counts the (set, live summand) pairs whose
     checks passed, once for each of the two targets, so a scan that stops
@@ -432,7 +421,7 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
         ap = almost_positive_model(d, n)
         relf = relative_f_model(d, n)
         projinj = {z for z, _ in projinj_ideal(base).arrows}
-        failure = _premise_failure(base, projinj, (ap, relf))
+        failure = _premise_failure(base, projinj, ap, relf)
         if failure is not None:
             return failure
         tilts = _maximal_independent(base.conflict_rows)
@@ -441,5 +430,5 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
         counters.update(tilting_sets=len(tilts), ap_maximal_rigid=len(tilts),
                         relf_maximal_rigid=len(tilts), set_size_min=min(sizes),
                         set_size_max=max(sizes), exchange_exangles=0, mutations_checked=0)
-        return _scan_tilting(base, ap, tilts, projinj, counters)
+        return _scan_tilting(base, tilts, projinj, counters)
     return run_check("correspondence", d, n, check)

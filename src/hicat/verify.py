@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb
-from typing import Any
 
 from .exangles import (
     Exangle,
     NoInterleavingLift,
-    compare_exangles,
     hom_exactness_report,
     is_complex,
     realize,
@@ -36,7 +34,7 @@ from .models import (
 )
 from .quotients import (
     IdealSpec,
-    QuotientModel,
+    compare_to_model,
     factors_through,
     injproj_ideal,
     projinj_ideal,
@@ -73,60 +71,6 @@ def grid_points(dmax: int, nmax: int, objmax: int) -> tuple[tuple[int, int], ...
             if comb(n + d + 1, d + 1) <= objmax:
                 points.append((d, n))
     return tuple(points)
-
-
-def _squeeze(row: int, drop: tuple[int, ...]) -> int:
-    """The row with the bit positions in drop deleted and the gaps closed; drop descends."""
-    for i in drop:
-        row = row >> (i + 1) << i | row & ((1 << i) - 1)
-    return row
-
-
-def compare_to_model(q: QuotientModel, target: CategoryModel,
-                     counters: dict[str, int]) -> Any | None:
-    """A quotient model against a target model, under the identity on labels.
-
-    Checks that the nonzero objects of the quotient are the objects of the
-    target, that the hom and ext tables agree, and that the realized
-    exangles agree termwise once the quotient has deleted its zero-object
-    middle summands.  The tables are compared a row at a time, with the
-    quotient's zero objects squeezed out of its rows; pairs are counted,
-    and the first counterexample placed, in the order of
-    product(objects, repeat=2).  Returns the first counterexample, or None.
-    """
-    counters.update(objects=len(target.objects), hom_pairs=0, ext_pairs=0, exangles=0)
-    if q.nonzero_objects != target.objects:
-        return ("object-sets", q.nonzero_objects, target.objects)
-    objects, size = target.objects, len(target.objects)
-    dead = set(q.zero_objects)
-    drop = tuple(i for i in reversed(range(len(q.objects))) if q.objects[i] in dead)
-    q_rows = [(h, e) for x, h, e in zip(q.objects, q.hom_rows.out, q.ext_rows.out)
-              if x not in dead]
-    t_rows = zip(target.hom_rows.out, target.ext_rows.out)
-    for b, (q_hom, q_ext), (hom, ext) in zip(objects, q_rows, t_rows):
-        hom_diff = _squeeze(q_hom, drop) ^ hom
-        bad = hom_diff | (_squeeze(q_ext, drop) ^ ext)
-        first = (bad & -bad).bit_length() - 1 if bad else size
-        for j in bit_indices(ext & ((1 << first) - 1)):
-            counters["exangles"] += 1
-            a = objects[j]
-            mismatch = compare_exangles(q.exangle(b, a), realize(target, b, a))
-            if mismatch is not None:
-                counters["hom_pairs"] += j + 1
-                counters["ext_pairs"] += j + 1
-                return ("exangle", b, a, mismatch)
-        if not bad:
-            counters["hom_pairs"] += size
-            counters["ext_pairs"] += size
-            continue
-        a, want = objects[first], hom >> first & 1
-        counters["hom_pairs"] += first + 1
-        if hom_diff >> first & 1:
-            counters["ext_pairs"] += first
-            return ("hom", b, a, 1 - want, want)
-        counters["ext_pairs"] += first + 1
-        return ("ext", b, a)
-    return None
 
 
 def verify_equiv_module_ap(d: int, n: int) -> VerificationReport:

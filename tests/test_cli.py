@@ -108,6 +108,10 @@ def test_mutate_command(capsys):
     payload = json.loads(out)
     assert payload["summands"] == [[1, 3], [3, 5]]
     assert payload["replaced_by"] == [3, 5]
+    code, _, err = run_cli(capsys, "mutate", "--model", "almost-positive",
+                           "--d", "1", "--n", "2", "--summands", "13;13;14",
+                           "--at", "14")
+    assert code == 2 and "repeated summands" in err
 
 
 def test_emit_to_file(tmp_path, capsys):

@@ -137,8 +137,7 @@ def test_corrupted_signs_break_complex():
         differentials=tuple(
             MorphismMatrix(d.source, d.target,
                            tuple(tuple(abs(v) for v in row) for row in d.entries))
-            for d in e.differentials),
-        extension_marker=e.extension_marker)
+            for d in e.differentials))
     assert not is_complex(corrupted)
 
 
@@ -337,4 +336,4 @@ def test_exangle_shape():
     assert len(e.differentials) == 4
     assert e.differentials[0].source == (a,)
     assert e.differentials[-1].target == (b,)
-    assert e.extension_marker == (b, a)
+    assert (e.x0, e.xlast) == (a, b)

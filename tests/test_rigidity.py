@@ -205,6 +205,14 @@ def test_mutate_examples():
         mutate(ap, t, (3, 5))
 
 
+def test_repeated_summands_are_rejected():
+    ap = almost_positive_model(1, 2)
+    t = RigidSet(ap.kind, ((1, 3), (1, 3), (1, 4)))
+    for call in (mutate, exchange_exangles):
+        with pytest.raises(ValueError, match="repeated summands"):
+            call(ap, t, (1, 4))
+
+
 @pytest.mark.parametrize("model", [
     almost_positive_model(1, 3), almost_positive_model(2, 2), cluster_model(1, 3),
 ])
@@ -276,22 +284,14 @@ def test_correspondence_reach(d, n, count):
 
 
 def test_correspondence_detects_unstripped_exangles(monkeypatch):
-    # without deleting the projective-injective middles the module-model
-    # exchange exangles no longer match the almost-positive ones
-    monkeypatch.setattr("hicat.rigidity.strip_zero_summands", lambda e, dead: e)
+    # without deleting the projective-injective middles the quotient's
+    # exangles no longer match the almost-positive ones; the premise fails
+    # before the scan, so the report has no counters
+    monkeypatch.setattr("hicat.quotients.strip_zero_summands", lambda e, dead: e)
     report = correspondence_check(2, 2)
     assert not report.ok
-    assert report.counterexample[0] == "exchange-mismatch"
-
-
-def test_correspondence_counts_only_verified_summands(monkeypatch):
-    # the unstripped scan stops at the third live summand of the first
-    # set, so it has verified two (set, summand) pairs, not all 21
-    monkeypatch.setattr("hicat.rigidity.strip_zero_summands", lambda e, dead: e)
-    report = correspondence_check(2, 2)
-    assert not report.ok
-    assert report.counters["mutations_checked"] == 2 * 2
-    assert report.counters["exchange_exangles"] == 1
+    assert report.counterexample[:3] == ("exangle", (2, 4, 7), (1, 3, 5))
+    assert report.counters == {}
 
 
 def test_correspondence_detects_wrong_almost_positive_model(monkeypatch):
@@ -299,7 +299,7 @@ def test_correspondence_detects_wrong_almost_positive_model(monkeypatch):
     monkeypatch.setattr("hicat.rigidity.almost_positive_model", shifted)
     report = correspondence_check(2, 2)
     assert not report.ok
-    assert report.counterexample[0] == "tilting-image-mismatch"
+    assert report.counterexample[0] == "object-sets"
 
 
 def test_correspondence_detects_a_non_involutive_mutation(monkeypatch):
@@ -405,7 +405,12 @@ def test_correspondence_certificate_detects_a_flipped_conflict(monkeypatch, fact
     monkeypatch.setattr(f"hicat.rigidity.{factory.__name__}", flipped)
     report = correspondence_check(2, 2)
     assert not report.ok
-    assert report.counterexample == ("conflict-mismatch", kind, (1, 3, 5), (2, 4, 6))
+    if kind == "relative-f":
+        # the restricted cyclic model is held to the almost-positive conflict rows
+        assert report.counterexample == ("conflict-mismatch", kind, (1, 3, 5), (2, 4, 6))
+    else:
+        # the almost-positive model is held to the quotient by compare_to_model
+        assert report.counterexample == ("ext", (2, 4, 6), (1, 3, 5))
 
 
 def test_correspondence_certificate_detects_a_conflicting_projinj(monkeypatch):
@@ -467,6 +472,19 @@ def test_mutation_graph_dot():
     assert mutation_graph_dot(ap) == text
 
 
+def test_mutation_graph_realizes_no_exangle(monkeypatch):
+    # the graph needs only the replacements; realizing the exchange exangles
+    # of every (summand, bucket) key made it about four times slower
+    ap = almost_positive_model(2, 3)
+    text = mutation_graph_dot(ap)
+
+    def no_realize(model, b, a):
+        raise AssertionError(f"mutation_graph_dot realized the extension of {b} by {a}")
+
+    monkeypatch.setattr("hicat.rigidity.realize", no_realize)
+    assert mutation_graph_dot(ap) == text
+
+
 def test_mutation_graph_follows_maximal_rigid_and_mutate():
     # the nodes come in the order of maximal_rigid, here over sets of two sizes,
     # and the edges are exactly the mutations that mutate finds
@@ -490,7 +508,7 @@ def test_exchange_realizes_extension_ends():
         for x in t.summands:
             for e in exchange_exangles(ap, t, x):
                 assert x in (e.x0, e.xlast)
-                b, a = e.extension_marker
+                b, a = e.xlast, e.x0
                 assert ap.ext_dim(b, a) == 1
                 fresh = realize(ap, b, a)
                 assert fresh.middles == e.middles
@@ -544,12 +562,12 @@ def test_scan_reports_an_ambiguous_mutation(monkeypatch):
     table = _ConflictTable("conflict-table", 1, 1, None,
                            ("a", "b", "r", "x", "y1", "y2", "y3"),
                            frozenset(map(frozenset, conflicts)))
-    # an exangle with no middle terms for each extension; both sides build the same
+    # an exangle with no middle terms for each extension
     monkeypatch.setattr("hicat.rigidity.realize",
-                        lambda model, b, a: Exangle(model, a, b, ((),), (), (b, a)))
+                        lambda model, b, a: Exangle(model, a, b, ((),), ()))
     counters = {"exchange_exangles": 0, "mutations_checked": 0}
     tilts = _maximal_independent(table.conflict_rows)
-    failure = _scan_tilting(table, table, tilts, {"r"}, counters)
+    failure = _scan_tilting(table, tilts, {"r"}, counters)
     # the first set {a, r, x} mutates at a to {b, r, x}, with the two exchanges
     # between a and b; x has three candidates, after its six exchanges
     assert failure == ("ambiguous-mutation", ("a", "r", "x"), "x", ["y1", "y2", "y3"])

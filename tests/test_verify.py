@@ -232,6 +232,16 @@ def test_a_corrupted_value_gives_its_pinned_report(monkeypatch, name, factory, d
     assert report.counters == counters
 
 
+def test_correspondence_fails_on_a_hom_fault_of_the_almost_positive_model(monkeypatch):
+    # the correspondence premise holds the whole quotient, hom table included,
+    # to the almost-positive model with the comparer of equiv
+    monkeypatch.setattr("hicat.rigidity.almost_positive_model", lambda *args: _corrupted(
+        almost_positive_model(*args), "hom_dim", ((2, 6), (1, 5)), 1))
+    [report] = run_point("correspondence", 1, 3)
+    assert report.counterexample == ("hom", (2, 6), (1, 5), 0, 1)
+    assert report.counters == {}
+
+
 def test_sanity_detects_a_shift_that_breaks_cluster_homs(monkeypatch):
     # a reflection in place of the rotation reverses the cyclic homs
     monkeypatch.setattr("hicat.verify.shift_cluster",
