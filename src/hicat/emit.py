@@ -174,21 +174,19 @@ def emit_string(obj, spec: EmitSpec) -> str:
             return _tikz_graph(obj.vertices, [(s, t) for s, t, _ in obj.arrows])
         return _json_dump(quiver_to_dict(obj))
     if spec.content == "category":
-        if not isinstance(obj, (CategoryModel, QuotientModel)):
+        if not isinstance(obj, CategoryModel):
             raise ValueError("category content needs a model")
         if spec.fmt == "json":
-            payload = model_descriptor(obj.base if isinstance(obj, QuotientModel) else obj)
+            payload = model_descriptor(obj)
             payload["hom"] = hom_table(obj)
             payload["ext"] = ext_table(obj)
             if isinstance(obj, QuotientModel):
                 payload.update(quotient_to_dict(obj))
             return _json_dump(payload)
-        nodes = obj.nonzero_objects if isinstance(obj, QuotientModel) else obj.objects
-        live = set(nodes)
-        edges = [(s, t) for s, t in category_arrows(obj, spec.arrows) if s in live and t in live]
+        edges = category_arrows(obj, spec.arrows)
         if spec.fmt == "dot":
-            return _dot_graph(nodes, edges)
-        return _tikz_graph(nodes, edges)
+            return _dot_graph(obj.objects, edges)
+        return _tikz_graph(obj.objects, edges)
     if spec.content == "mutation-graph":
         if not isinstance(obj, CategoryModel):
             raise ValueError("mutation-graph content needs a model")

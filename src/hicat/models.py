@@ -338,6 +338,8 @@ def derived_model(d: int, n: int, window: tuple[int, int] | None = None) -> Cate
     if window is None:
         window = (1, m)
     lo, hi = window
+    if lo > hi:
+        raise ValueError(f"window {lo}:{hi} is empty, need LO <= HI")
     return CategoryModel(DERIVED, d, n, (lo, hi), gen_derset_window(m, d, lo, hi))
 
 

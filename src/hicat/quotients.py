@@ -9,6 +9,12 @@ arrows.  Since all hom spaces are at most one-dimensional and
 composition scalars are 0/1, a single admissible arrow suffices to
 witness membership in the ideal; closure under composition is verified
 by tests rather than assumed.
+
+A quotient is a model: its objects are the base objects whose identity
+survives, and its hom and ext tables are the base tables on them, with
+the killed basis morphisms cleared.  So ``realize``, the verifiers and
+the emitters read a quotient like any model, and ``compare_to_model``
+holds it to a target model the same way on both sides.
 """
 from __future__ import annotations
 
@@ -16,14 +22,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
-from .exangles import Exangle, compare_exangles, realize
+from .exangles import compare_exangles, realize
 from .models import (
     MODULE,
     RELATIVE_F,
     BasisMorphism,
     BitRows,
     CategoryModel,
-    MorphismMatrix,
     bit_indices,
 )
 from .tuples import IndexTuple
@@ -78,27 +83,35 @@ def factors_through(model: CategoryModel, f: BasisMorphism, ideal: IdealSpec) ->
     return False
 
 
-@dataclass(frozen=True)
-class QuotientModel:
-    """An ideal quotient of a base model.
+def _squeeze(row: int, drop: tuple[int, ...]) -> int:
+    """The row with the bit positions in drop deleted and the gaps closed; drop descends."""
+    for i in drop:
+        row = row >> (i + 1) << i | row & ((1 << i) - 1)
+    return row
 
-    The hom table keeps exactly the basis morphisms outside the ideal;
-    extensions and realized exangles are inherited from the base, with
-    middle summands that became zero objects deleted.
+
+@dataclass(frozen=True)
+class QuotientModel(CategoryModel):
+    """An ideal quotient of a base model, itself a model.
+
+    Its objects are the base objects whose identity survives.  Its hom
+    table is the base table with the killed basis morphisms cleared, its
+    ext table the base table, both with the zero objects squeezed out;
+    every pair is read from these tables, and a composite is the base
+    one wherever its hom space survives.  So ``realize`` keeps the mixes
+    that are nonzero objects of the quotient, as in any model.
     """
     base: CategoryModel
-    ideal: IdealSpec
     killed: frozenset[tuple[IndexTuple, IndexTuple]]
     zero_objects: tuple[IndexTuple, ...]
 
-    @property
-    def objects(self) -> tuple[IndexTuple, ...]:
-        return self.base.objects
-
-    @cached_property
-    def nonzero_objects(self) -> tuple[IndexTuple, ...]:
-        dead = set(self.zero_objects)
-        return tuple(a for a in self.base.objects if a not in dead)
+    def _restrict(self, out: list[int], into: list[int]) -> BitRows:
+        """A base table on the quotient's objects: zero-object rows and bits deleted."""
+        index = self.base.index
+        keep = [index[x] for x in self.objects]
+        drop = tuple(index[z] for z in reversed(self.zero_objects))
+        return BitRows(tuple(_squeeze(out[i], drop) for i in keep),
+                       tuple(_squeeze(into[i], drop) for i in keep))
 
     @cached_property
     def hom_rows(self) -> BitRows:
@@ -109,30 +122,24 @@ class QuotientModel:
             i, j = index[src], index[tgt]
             out[i] &= ~(1 << j)
             into[j] &= ~(1 << i)
-        return BitRows(tuple(out), tuple(into))
+        return self._restrict(out, into)
 
-    @property
+    @cached_property
     def ext_rows(self) -> BitRows:
-        return self.base.ext_rows
+        """The base ext table on the quotient's objects."""
+        rows = self.base.ext_rows
+        return self._restrict(rows.out, rows.into)
 
-    def hom_dim(self, src: IndexTuple, tgt: IndexTuple) -> int:
-        if self.base.hom_dim(src, tgt) == 0 or (src, tgt) in self.killed:
-            return 0
-        return 1
-
-    def ext_dim(self, b: IndexTuple, a: IndexTuple) -> int:
-        return self.base.ext_dim(b, a)
+    def _dim(self, table: str, rule: str, x: IndexTuple, y: IndexTuple) -> int:
+        # a quotient has no interval rule: a pair always reads its table
+        self._require(x)
+        self._require(y)
+        return getattr(self, table).out[self.index[x]] >> self.index[y] & 1
 
     def compose_scalar(self, x: IndexTuple, y: IndexTuple, z: IndexTuple) -> int:
         if self.hom_dim(x, y) == 0 or self.hom_dim(y, z) == 0:
             raise ValueError(f"no surviving basis morphisms along {x} -> {y} -> {z}")
-        if self.base.compose_scalar(x, y, z) == 0 or (x, z) in self.killed:
-            return 0
-        return 1
-
-    def exangle(self, b: IndexTuple, a: IndexTuple) -> Exangle:
-        """Image of the base exangle with zero-object middle summands deleted."""
-        return strip_zero_summands(realize(self.base, b, a), set(self.zero_objects))
+        return self.base.compose_scalar(x, y, z) & self.hom_dim(x, z)
 
 
 def quotient(model: CategoryModel, ideal: IdealSpec) -> QuotientModel:
@@ -145,65 +152,35 @@ def quotient(model: CategoryModel, ideal: IdealSpec) -> QuotientModel:
         for j in bit_indices(row):
             if factors_through(model, BasisMorphism(src, objects[j]), ideal):
                 killed.add((src, objects[j]))
-    zero = tuple(a for a in model.objects if (a, a) in killed)
-    return QuotientModel(base=model, ideal=ideal,
-                         killed=frozenset(killed), zero_objects=zero)
+    zero = tuple(a for a in objects if (a, a) in killed)
+    return QuotientModel(model.kind, model.d, model.n, model.window,
+                         tuple(a for a in objects if (a, a) not in killed),
+                         base=model, killed=frozenset(killed), zero_objects=zero)
 
 
-def strip_zero_summands(e: Exangle, dead: set[IndexTuple]) -> Exangle:
-    """Delete middle summands in the dead set, restricting the matrices."""
-    keep_per_level = [[j for j, lbl in enumerate(level) if lbl not in dead]
-                      for level in e.middles]
-    new_middles = tuple(tuple(level[j] for j in keep)
-                        for level, keep in zip(e.middles, keep_per_level))
-    col_keep = [list(range(1))] + keep_per_level  # X_a column always survives
-    row_keep = keep_per_level + [list(range(1))]  # X_b row always survives
-    new_diffs = []
-    for diff, rows, cols in zip(e.differentials, row_keep, col_keep):
-        entries = tuple(tuple(diff.entries[i][j] for j in cols) for i in rows)
-        new_diffs.append(MorphismMatrix(tuple(diff.source[j] for j in cols),
-                                        tuple(diff.target[i] for i in rows),
-                                        entries))
-    return Exangle(model=e.model, x0=e.x0, xlast=e.xlast,
-                   middles=new_middles, differentials=tuple(new_diffs))
-
-
-def _squeeze(row: int, drop: tuple[int, ...]) -> int:
-    """The row with the bit positions in drop deleted and the gaps closed; drop descends."""
-    for i in drop:
-        row = row >> (i + 1) << i | row & ((1 << i) - 1)
-    return row
-
-
-def compare_to_model(q: QuotientModel, target: CategoryModel,
+def compare_to_model(q: CategoryModel, target: CategoryModel,
                      counters: dict[str, int]) -> Any | None:
     """A quotient model against a target model, under the identity on labels.
 
-    Checks that the nonzero objects of the quotient are the objects of the
-    target, that the hom and ext tables agree, and that the realized
-    exangles agree termwise once the quotient has deleted its zero-object
-    middle summands.  The tables are compared a row at a time, with the
-    quotient's zero objects squeezed out of its rows; pairs are counted,
-    and the first counterexample placed, in the order of
-    product(objects, repeat=2).  Returns the first counterexample, or None.
+    Checks that the two models have the same objects, that the hom and
+    ext tables agree, and that the realized exangles agree termwise.  The
+    tables are compared a row at a time; pairs are counted, and the first
+    counterexample placed, in the order of product(objects, repeat=2).
+    Returns the first counterexample, or None.
     """
     counters.update(objects=len(target.objects), hom_pairs=0, ext_pairs=0, exangles=0)
-    if q.nonzero_objects != target.objects:
-        return ("object-sets", q.nonzero_objects, target.objects)
+    if q.objects != target.objects:
+        return ("object-sets", q.objects, target.objects)
     objects, size = target.objects, len(target.objects)
-    dead = set(q.zero_objects)
-    drop = tuple(i for i in reversed(range(len(q.objects))) if q.objects[i] in dead)
-    q_rows = [(h, e) for x, h, e in zip(q.objects, q.hom_rows.out, q.ext_rows.out)
-              if x not in dead]
-    t_rows = zip(target.hom_rows.out, target.ext_rows.out)
-    for b, (q_hom, q_ext), (hom, ext) in zip(objects, q_rows, t_rows):
-        hom_diff = _squeeze(q_hom, drop) ^ hom
-        bad = hom_diff | (_squeeze(q_ext, drop) ^ ext)
+    rows = zip(objects, q.hom_rows.out, q.ext_rows.out, target.hom_rows.out, target.ext_rows.out)
+    for b, q_hom, q_ext, hom, ext in rows:
+        hom_diff = q_hom ^ hom
+        bad = hom_diff | (q_ext ^ ext)
         first = (bad & -bad).bit_length() - 1 if bad else size
         for j in bit_indices(ext & ((1 << first) - 1)):
             counters["exangles"] += 1
             a = objects[j]
-            mismatch = compare_exangles(q.exangle(b, a), realize(target, b, a))
+            mismatch = compare_exangles(realize(q, b, a), realize(target, b, a))
             if mismatch is not None:
                 counters["hom_pairs"] += j + 1
                 counters["ext_pairs"] += j + 1

@@ -397,9 +397,8 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
     along.  The premise is checked first, as a certificate: the
     projective-injectives conflict with nothing; the quotient by them is
     the almost-positive model, objects, hom and ext tables and exangles
-    with zero summands stripped alike (``compare_to_model``, as in
-    ``equiv``); and the restricted cyclic model has the same objects and
-    conflict rows.  Maximal independent sets of a graph plus isolated
+    alike (``compare_to_model``, as in ``equiv``); and the restricted
+    cyclic model has the same objects and conflict rows.  Maximal independent sets of a graph plus isolated
     vertices are those of the graph with the isolated vertices added, so
     this proves the bijection of sets, that buckets and replacements
     agree, and that the exchange exangles match.  One enumeration of the

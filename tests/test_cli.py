@@ -161,6 +161,14 @@ def test_membership_error_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", [["count"], ["hom"], ["rigid", "--count"]])
+def test_reversed_window_is_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--model", "derived", "--d", "1",
+                             "--n", "2", "--window", "3:1")
+    assert (code, out) == (2, "")
+    assert "window 3:1 is empty" in err
+
+
 ROOT_USAGE = """\
 usage: hicat [-h]
              {objects,hom,ext,exangle,quotient,verify,rigid,mutate,emit,count}

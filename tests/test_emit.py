@@ -13,6 +13,7 @@ from hicat.emit import (
 )
 from hicat.exangles import realize
 from hicat.models import almost_positive_model, cluster_model, module_model
+from hicat.quotients import projinj_ideal, quotient
 from hicat.tuples import build_quiver
 from hicat.verify import verify_equiv_module_ap
 
@@ -137,6 +138,36 @@ def test_json_emissions():
     assert d["A"] == [1, 3, 5] and d["B"] == [2, 4, 6]
     assert d["middles"] == [[[1, 3, 6]], [[1, 4, 6]]]
     assert len(d["differentials"]) == 3
+
+
+# the module quotient at d=1, n=3: the projective-injective (1, 5) is a zero
+# object, so it is neither a node nor an end of an arrow
+MODULE_13_QUOTIENT_DOT = """\
+digraph {
+  "1,3" [label="13"];
+  "1,4" [label="14"];
+  "2,4" [label="24"];
+  "2,5" [label="25"];
+  "3,5" [label="35"];
+  "1,3" -> "1,4";
+  "1,4" -> "2,4";
+  "2,4" -> "2,5";
+  "2,5" -> "3,5";
+}
+"""
+
+
+def test_quotient_category_emission():
+    base = module_model(1, 3)
+    q = quotient(base, projinj_ideal(base))
+    assert emit_string(q, EmitSpec(fmt="dot", content="category")) == MODULE_13_QUOTIENT_DOT
+    payload = json.loads(emit_string(q, EmitSpec(fmt="json", content="category")))
+    # the tables are the quotient's, over its objects; objects lists the base's
+    live = ["1,3", "1,4", "2,4", "2,5", "3,5"]
+    assert list(payload["hom"]) == list(payload["ext"]) == live
+    assert payload["hom"]["1,4"] == ["1,4", "2,4"]
+    assert payload["objects"] == [list(x) for x in base.objects]
+    assert payload["zero_objects"] == [[1, 5]]
 
 
 def test_tikz_smoke():

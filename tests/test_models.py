@@ -40,6 +40,9 @@ def test_bad_params():
         make_model("nonsense", 1, 1)
     with pytest.raises(ValueError):
         make_model("cluster", 1, 2, window=(1, 2))
+    with pytest.raises(ValueError, match="window 3:1 is empty"):
+        derived_model(1, 2, (3, 1))
+    assert derived_model(1, 2, (3, 3)).objects == gen_derset_window(5, 1, 3, 3) == ((3, 5), (3, 6))
 
 
 def test_hom_examples():

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hicat.exangles import realize
 from hicat.models import (
     BasisMorphism,
     basis_morphism,
@@ -14,6 +17,7 @@ from hicat.quotients import (
     projinj_ideal,
     quotient,
 )
+from hicat.verify import grid_points
 
 
 def _identity_objects(ideal):
@@ -75,14 +79,51 @@ def test_identity_arrow_ideal_is_the_object_ideal(d, n, make, ideal_of):
     assert killed
 
 
+def _closure(model, ideal):
+    """The ideal as a set of basis morphisms, by fixpoint: its arrows closed
+    under nonzero pre- and post-composition with basis morphisms."""
+    closed = set(ideal.arrows)
+    todo = list(closed)
+    while todo:
+        x, y = todo.pop()
+        grown = [(x, z) for z in model.objects
+                 if model.hom_dim(y, z) and model.compose_scalar(x, y, z)]
+        grown += [(w, y) for w in model.objects
+                  if model.hom_dim(w, x) and model.compose_scalar(w, x, y)]
+        for arrow in grown:
+            if arrow not in closed:
+                closed.add(arrow)
+                todo.append(arrow)
+    return closed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([
+    (module_model, projinj_ideal),
+    (relative_f_model, injproj_ideal),
+    (cluster_model, _shifted_projective_ideal),
+]), st.sampled_from(grid_points(7, 10, 60)))
+def test_one_admissible_arrow_decides_membership(case, point):
+    # factors_through tests one admissible arrow per morphism; the ideal
+    # closed under composition must hold exactly the morphisms it accepts
+    make, ideal_of = case
+    model = make(*point)
+    ideal = ideal_of(model)
+    closed = _closure(model, ideal)
+    homs = {(s, t) for s in model.objects for t in model.objects if model.hom_dim(s, t)}
+    assert closed <= homs
+    for s, t in homs:
+        assert factors_through(model, BasisMorphism(s, t), ideal) == ((s, t) in closed)
+
+
 def test_quotient_module_examples():
     m = module_model(1, 3)
     q = quotient(m, projinj_ideal(m))
     assert q.zero_objects == ((1, 5),)
-    assert len(q.nonzero_objects) == 5
+    assert len(q.objects) == 5
     m2 = module_model(2, 4)
     q2 = quotient(m2, projinj_ideal(m2))
-    assert len(q2.nonzero_objects) == 16
+    assert len(q2.objects) == 16
 
 
 def test_quotient_zero_objects_are_exactly_the_class():
@@ -150,10 +191,10 @@ def test_quotient_exangle_strips_zero_summands():
     m = module_model(2, 3)
     q = quotient(m, projinj_ideal(m))
     dead = set(q.zero_objects)
-    for b in q.nonzero_objects:
-        for a in q.nonzero_objects:
+    for b in q.objects:
+        for a in q.objects:
             if m.ext_dim(b, a):
-                e = q.exangle(b, a)
+                e = realize(q, b, a)
                 for level in e.middles:
                     assert not (set(level) & dead)
                 for diff in e.differentials:

@@ -19,7 +19,7 @@ from hicat.models import (
     module_model,
     relative_f_model,
 )
-from hicat.quotients import projinj_ideal
+from hicat.quotients import QuotientModel, projinj_ideal
 from hicat.rigidity import (
     RigidSet,
     _maximal_independent,
@@ -284,10 +284,11 @@ def test_correspondence_reach(d, n, count):
 
 
 def test_correspondence_detects_unstripped_exangles(monkeypatch):
-    # without deleting the projective-injective middles the quotient's
-    # exangles no longer match the almost-positive ones; the premise fails
-    # before the scan, so the report has no counters
-    monkeypatch.setattr("hicat.quotients.strip_zero_summands", lambda e, dead: e)
+    # when membership in the quotient reads the base's objects, realize
+    # keeps the projective-injective middles, and the quotient's exangles
+    # no longer match the almost-positive ones; the premise fails before
+    # the scan, so the report has no counters
+    monkeypatch.setattr(QuotientModel, "__contains__", lambda self, a: a in self.base)
     report = correspondence_check(2, 2)
     assert not report.ok
     assert report.counterexample[:3] == ("exangle", (2, 4, 7), (1, 3, 5))

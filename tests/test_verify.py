@@ -141,6 +141,20 @@ def test_compare_to_model_detects_wrong_model(d, n):
         assert compare_to_model(q, almost_positive_model(d, n + 1), {})[0] == "object-sets"
 
 
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 2), (2, 3), (3, 2)])
+def test_a_quotient_is_a_model(d, n):
+    # both quotients pass sanity as models in their own right, and count
+    # what the almost-positive model they equal counts
+    base = module_model(d, n + 1)
+    relf = relative_f_model(d, n)
+    want = verify_model_sanity(almost_positive_model(d, n))
+    assert want.ok
+    for q in (quotient(base, projinj_ideal(base)), quotient(relf, injproj_ideal(relf))):
+        report = verify_model_sanity(q)
+        assert report.ok, report.summary()
+        assert report.counters == want.counters
+
+
 def test_run_verification_script_from_any_directory(tmp_path):
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
