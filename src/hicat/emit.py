@@ -52,15 +52,19 @@ def render_label(t: IndexTuple) -> str:
 
 def irreducible_arrows(model) -> tuple[tuple[IndexTuple, IndexTuple], ...]:
     """Nonzero homs between distinct objects that are not nonzero composites
-    of two nonzero non-identity basis morphisms."""
-    objs, hom = model.objects, model.hom_rows
+    of two nonzero non-identity basis morphisms.
+
+    The composites from x are read a row at a time: the row of (x, k), for
+    each k != x with a hom x -> k, without k itself.
+    """
+    objs, out = model.objects, model.hom_rows.out
     edges = []
     for i, x in enumerate(objs):
-        for j in bit_indices(hom.out[i] & ~(1 << i)):
-            y = objs[j]
-            middle = hom.out[i] & hom.into[j] & ~(1 << i | 1 << j)
-            if not any(model.compose_scalar(x, objs[k], y) for k in bit_indices(middle)):
-                edges.append((x, y))
+        arrows = out[i] & ~(1 << i)
+        composites = 0
+        for k in bit_indices(arrows):
+            composites |= model.compose_row(i, k) & ~(1 << k)
+        edges.extend((x, objs[j]) for j in bit_indices(arrows & ~composites))
     return tuple(edges)
 
 

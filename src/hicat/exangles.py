@@ -16,19 +16,21 @@ exhaustively rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
+from operator import itemgetter
 
 from .models import (
     CLUSTER,
     CYCLIC_KINDS,
     CategoryModel,
     MorphismMatrix,
+    bit_indices,
     compose_matrices,
 )
 from .tuples import (
     IndexTuple,
     intertwines,
-    m_mix,
     normalize_cyclic,
     rotate_window_rep,
 )
@@ -71,19 +73,41 @@ def compare_exangles(left: Exangle, right: Exangle) -> str | None:
     return None
 
 
-def _drop_sign(I: frozenset[int], i: int) -> int:
-    return -1 if sum(1 for j in I if j < i) % 2 else 1
-
-
 class NoInterleavingLift(ValueError):
     """An extension pair whose end labels interleave in no lift."""
 
 
-def realize(model: CategoryModel, b: IndexTuple, a: IndexTuple) -> Exangle:
-    """Realize the extension of X_b by X_a as a d-exangle from a to b."""
+@cache
+def _cube(d: int):
+    """The subsets of the mixing positions 0..d, as bitmasks, built once per d.
+
+    Returns (levels, faces).  levels lists, for r = d down to 1, the
+    r-element subsets I in the order of ``combinations``, each with the
+    getter that picks the mix from a + b: a_t at the positions t in I,
+    b_t elsewhere.  faces[I] maps each face J = I minus one position i to
+    the sign of dropping i, -1 when an odd number of positions of I lie
+    below i.
+    """
+    width = d + 1
+    levels = [[(sum(1 << t for t in combo),
+                itemgetter(*(t if t in combo else t + width for t in range(width))))
+               for combo in combinations(range(width), r)]
+              for r in range(d, 0, -1)]
+    faces = {}
+    for I in range(1 << width):
+        faces[I] = {I ^ 1 << i: -1 if (I & (1 << i) - 1).bit_count() % 2 else 1
+                    for i in range(width) if I >> i & 1}
+    return levels, faces
+
+
+def _kept_mixes(model: CategoryModel, b: IndexTuple, a: IndexTuple):
+    """The terms of the exangle from a to b, each a sorted list of (label, subset).
+
+    The middle terms keep the mixes whose projection is an object of the
+    model; the ends are (a, all positions) and (b, no position).
+    """
     if model.ext_dim(b, a) != 1:
         raise ValueError(f"no extension of {b} by {a} in {model.kind}")
-    d = model.d
     a_rep = a
     b_rep = b
     if model.kind == CLUSTER and not intertwines(a, b):
@@ -93,44 +117,38 @@ def realize(model: CategoryModel, b: IndexTuple, a: IndexTuple) -> Exangle:
     if not intertwines(a_rep, b_rep):
         raise NoInterleavingLift(f"the extension of {b} by {a} in {model.kind} "
                                  "has no interleaving lift")
-
-    if model.kind in CYCLIC_KINDS:
-        project = lambda t: normalize_cyclic(t, model.modulus)
-    else:
-        project = lambda t: t
-
-    positions = range(d + 1)
-    levels: list[list[tuple[frozenset[int], IndexTuple]]] = []
-    levels.append([(frozenset(positions), a)])
-    for r in range(d, 0, -1):
-        entries = []
-        for combo in combinations(positions, r):
-            I = frozenset(combo)
-            label = project(m_mix(I, a_rep, b_rep))
+    cube, _ = _cube(model.d)
+    ab, m = a_rep + b_rep, model.modulus
+    cyclic = model.kind in CYCLIC_KINDS
+    terms = [[(a, (1 << model.d + 1) - 1)]]
+    for subsets in cube:
+        kept = []
+        for I, pick in subsets:
+            label = normalize_cyclic(pick(ab), m) if cyclic else pick(ab)
             if label in model:
-                entries.append((I, label))
-        entries.sort(key=lambda pair: pair[1])
-        levels.append(entries)
-    levels.append([(frozenset(), b)])
+                kept.append((label, I))
+        kept.sort()
+        terms.append(kept)
+    terms.append([(b, 0)])
+    return terms
 
+
+def middle_terms(model: CategoryModel, b: IndexTuple, a: IndexTuple):
+    """The middle terms E_d, ..., E_1 that ``realize`` gives, without its differentials."""
+    return tuple(tuple(label for label, _ in term) for term in _kept_mixes(model, b, a)[1:-1])
+
+
+def realize(model: CategoryModel, b: IndexTuple, a: IndexTuple) -> Exangle:
+    """Realize the extension of X_b by X_a as a d-exangle from a to b."""
+    terms = _kept_mixes(model, b, a)
+    _, faces = _cube(model.d)
     diffs = []
-    for upper, lower in zip(levels, levels[1:]):
-        rows = []
-        for J, _ in lower:
-            row = []
-            for I, _ in upper:
-                extra = I - J
-                if J < I and len(extra) == 1:
-                    row.append(_drop_sign(I, next(iter(extra))))
-                else:
-                    row.append(0)
-            rows.append(tuple(row))
-        diffs.append(MorphismMatrix(tuple(lbl for _, lbl in upper),
-                                    tuple(lbl for _, lbl in lower),
-                                    tuple(rows)))
-
+    for upper, lower in zip(terms, terms[1:]):
+        rows = tuple(tuple(faces[I].get(J, 0) for _, I in upper) for _, J in lower)
+        diffs.append(MorphismMatrix(tuple(label for label, _ in upper),
+                                    tuple(label for label, _ in lower), rows))
     return Exangle(model=model, x0=a, xlast=b,
-                   middles=tuple(tuple(lbl for _, lbl in lvl) for lvl in levels[1:-1]),
+                   middles=tuple(tuple(label for label, _ in term) for term in terms[1:-1]),
                    differentials=tuple(diffs))
 
 
@@ -180,38 +198,57 @@ class ExactnessReport:
     failures: tuple[tuple[IndexTuple, str, int], ...]
 
 
-def _hom_ranks(model: CategoryModel, e: Exangle, t: IndexTuple, covariant: bool,
-               live: list[list[int]], memo: dict) -> list[int]:
-    """Differential ranks of Hom(t, e), or of Hom(e, t), on the live summands.
+def _classes(universe: int, splitters) -> list[tuple[int, int]]:
+    """The classes of the objects in universe that lie in the same splitters.
 
-    live[p] lists the summands of term p with a nonzero hom t -> x
-    (covariant) or x -> t (contravariant); memo maps a matrix, as its
-    tuple of rows, to its rank.
+    Each class comes with its view: bit s is set when it lies in splitter
+    s.  A splitter of 0 is a placeholder that keeps the numbering.
     """
-    ranks = []
-    for diff, cols, rows in zip(e.differentials, live, live[1:]):
-        if not cols or not rows:
-            ranks.append(0)
+    classes, common = [(universe, 0)], 0
+    for s, mask in enumerate(splitters):
+        part = universe & mask
+        if not part:
             continue
-        matrix = []
-        for i in rows:
-            y = diff.target[i]
-            entries = diff.entries[i]
-            row = []
-            for j in cols:
-                v = entries[j]
-                if v:
-                    x = diff.source[j]
-                    v *= (model.compose_scalar(t, x, y) if covariant
-                          else model.compose_scalar(x, y, t))
-                row.append(v)
-            matrix.append(tuple(row))
-        key = tuple(matrix)
-        rank = memo.get(key)
-        if rank is None:
-            rank = memo[key] = _rank(key)
-        ranks.append(rank)
-    return ranks
+        if part == universe:
+            common |= 1 << s
+            continue
+        refined = []
+        for c, view in classes:
+            inside = c & mask
+            if not inside:
+                refined.append((c, view))
+            elif inside == c:
+                refined.append((c, view | 1 << s))
+            else:
+                refined += ((inside, view | 1 << s), (c ^ inside, view))
+        classes = refined
+    return [(c, view | common) for c, view in classes]
+
+
+def _failing_positions(e: Exangle, entries, derived: int, view: int) -> tuple[int, ...]:
+    """The interior positions where the hom complex of one view is not exact.
+
+    Bit k of the view is set when the test object sees summand k, in the
+    order of the terms, and bit (number of summands + q) when entry q of
+    ``entries`` survives; an entry in ``derived`` survives when the test
+    object sees both its ends.
+    """
+    offsets, live, seen = [], [], 0
+    for term in e.terms:
+        offsets.append(seen)
+        live.append([k for k in range(len(term)) if view >> seen + k & 1])
+        seen += len(term)
+    kept: list[dict[tuple[int, int], int]] = [{} for _ in e.differentials]
+    for q, (p, r, c, _, _) in enumerate(entries):
+        if derived >> q & 1:
+            survives = view >> offsets[p] + c & view >> offsets[p + 1] + r & 1
+        else:
+            survives = view >> seen + q & 1
+        if survives:
+            kept[p][r, c] = e.differentials[p].entries[r][c]
+    ranks = [_rank([[level.get((r, c), 0) for c in cols] for r in rows])
+             for level, cols, rows in zip(kept, live, live[1:])]
+    return tuple(p for p in range(1, len(live) - 1) if ranks[p - 1] + ranks[p] != len(live[p]))
 
 
 def hom_exactness_report(model: CategoryModel, e: Exangle) -> ExactnessReport:
@@ -222,38 +259,62 @@ def hom_exactness_report(model: CategoryModel, e: Exangle) -> ExactnessReport:
     Hom(X_a, t) must satisfy rank(incoming) + rank(outgoing) = dimension
     at each middle position p.  Each term keeps the summands x with a
     nonzero hom t -> x (covariant) or x -> t (contravariant), read from
-    the bit-row of t in the model's hom table, and each differential
-    x -> y gives one matrix over them, rows at its target, scaled by the
-    composite t -> x -> y or x -> y -> t.  The contravariant map runs the
-    other way and is the transpose of that matrix, with the same rank, so
-    in either orientation the ranks at p are those of the differentials
-    p - 1 and p.  When the row of t misses every interior summand, all
-    interior dimensions are 0, so are the ranks of all differentials, and
-    the identity holds without a matrix.  Failures are (t, "covariant" |
-    "contravariant", p), covariant first for each t.
+    the model's hom table, and each differential x -> y gives one matrix
+    over them, rows at its target, whose entry at x -> y survives when
+    the composite t -> x -> y (covariant) or x -> y -> t (contravariant)
+    is nonzero.  The contravariant map runs the other way and is the
+    transpose of that matrix, with the same rank, so in either
+    orientation the ranks at p are those of the differentials p - 1 and p.
+
+    The matrices depend on t only through its view: which summands it
+    sees and which entries survive.  Those are masks over t: a column of
+    the hom table per summand, and per entry the covariant column
+    ``compose_column(x, y)`` or the contravariant row ``compose_row(x, y)``.
+    So the test objects split into classes that agree on every mask, and
+    the failing positions are computed once per view, and kept per model
+    for exangles with the same differentials.  An entry whose mask is the
+    t that see both its ends splits no class further.  A t that sees no
+    interior summand has all interior dimensions 0, so are the ranks of
+    all differentials, and the identity holds without a matrix.  Failures
+    are (t, "covariant" | "contravariant", p), in object order, covariant
+    first for each t.
     """
-    index, hom = model.index, model.hom_rows
-    for term in e.terms:
-        for x in term:
-            if x not in index:
-                model._require(x)
-    terms = [[index[x] for x in term] for term in e.terms]
-    interior = 0
-    for term in terms[1:-1]:
-        for i in term:
-            interior |= 1 << i
-    memo: dict = {}
-    failures: list[tuple[IndexTuple, str, int]] = []
-    for ti, t in enumerate(model.objects):
-        for orientation, row in (("covariant", hom.out[ti]), ("contravariant", hom.into[ti])):
-            if not row & interior:
-                continue
-            live = [[k for k, i in enumerate(term) if row >> i & 1] for term in terms]
-            ranks = _hom_ranks(model, e, t, orientation == "covariant", live, memo)
-            for p in range(1, len(terms) - 1):
-                if ranks[p - 1] + ranks[p] != len(live[p]):
-                    failures.append((t, orientation, p))
+    terms = [model._indices(term) for term in e.terms]
+    summands = [x for term in terms for x in term]
+    entries = [(p, r, c, sources[c], targets[r])
+               for p, (diff, sources, targets) in enumerate(zip(e.differentials, terms, terms[1:]))
+               for r, row in enumerate(diff.entries) for c, v in enumerate(row) if v]
+    shape = tuple(diff.entries for diff in e.differentials)
+    hom = model.hom_rows
+    failing: dict[int, list[tuple[str, int]]] = {}
+    for orientation, sees in (("covariant", hom.into), ("contravariant", hom.out)):
+        universe = 0
+        for term in terms[1:-1]:
+            for x in term:
+                universe |= sees[x]
+        if not universe:
+            continue
+        splitters = [sees[x] for x in summands]
+        derived = 0
+        for q, (_, _, _, x, y) in enumerate(entries):
+            mask = (model.compose_column(x, y) if orientation == "covariant"
+                    else model.compose_row(x, y))
+            if mask == sees[x] & sees[y]:
+                derived |= 1 << q
+                mask = 0
+            splitters.append(mask)
+        views = model._exactness_views.setdefault((shape, derived), {})
+        for cls, view in _classes(universe, splitters):
+            bad = views.get(view)
+            if bad is None:
+                bad = views[view] = _failing_positions(e, entries, derived, view)
+            if bad:
+                for u in bit_indices(cls):
+                    failing.setdefault(u, []).extend((orientation, p) for p in bad)
+    objects = model.objects
+    failures = tuple((objects[u], orientation, p)
+                     for u in sorted(failing) for orientation, p in failing[u])
     return ExactnessReport(ok=not failures,
-                           objects_checked=len(model.objects),
-                           positions_checked=2 * len(model.objects) * (len(terms) - 2),
-                           failures=tuple(failures))
+                           objects_checked=len(objects),
+                           positions_checked=2 * len(objects) * (len(terms) - 2),
+                           failures=failures)

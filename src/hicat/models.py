@@ -14,6 +14,11 @@ single pair is tested against the boxes.  A whole table is read a row at
 a time, by ANDing per-coordinate prefix masks ("the objects whose
 coordinate i is below v"), so a table costs O(N d) big-integer
 operations; once it is built, the pair answers read its bits.
+
+Composition is one table keyed by object index, read a row at a time:
+``compose_row(i, j)`` is the mask of the z with a nonzero composite
+objects[i] -> objects[j] -> z.  The linear kinds AND two hom rows; the
+cyclic kinds read a box rule from per-shift prefix masks.
 """
 from __future__ import annotations
 
@@ -25,7 +30,6 @@ from .tuples import (
     gen_derset_window,
     gen_modset,
     gen_nonconsec,
-    normalize_cyclic,
 )
 
 MODULE = "module"
@@ -82,26 +86,28 @@ def bit_indices(mask: int):
         mask ^= low
 
 
-def _cyclic_compose(xs: tuple[IndexTuple, ...], ys: tuple[IndexTuple, ...],
-                    zs: tuple[IndexTuple, ...], m: int) -> bool:
-    """Composition criterion in the cyclic models.
+def _prefix_masks(labels, width: int, span: int) -> tuple[int, list[list[int]], list[list[int]]]:
+    """(base, below, above) over a list of labels of the given width.
 
-    Scans the m rotated coordinate systems on [1, m], given as each
-    tuple's m normalized rotations; the composite of the basis morphisms
-    X -> Y -> Z is nonzero exactly when some rotation puts the three
-    tuples in chain position
-
-        x_i <= y_i,  y_i <= z_i,  z_i < x_{i+1} - 1,  z_d < x_0 + m - 1.
+    below[t][v - base] holds the labels whose coordinate t is < v and
+    above[t][v - base] those whose coordinate t is > v.  No offset of a
+    rule exceeds span, so the lists run from span below the smallest
+    entry to span above the largest.
     """
-    d = len(xs[0]) - 1
-    for a, b, c in zip(xs, ys, zs):
-        if not all(a[i] <= b[i] and b[i] <= c[i] for i in range(d + 1)):
-            continue
-        if not all(c[i] < a[i + 1] - 1 for i in range(d)):
-            continue
-        if c[d] < a[0] + m - 1:
-            return True
-    return False
+    base = min((x[0] for x in labels), default=0) - span
+    size = max((x[-1] for x in labels), default=0) + span + 2 - base
+    full = (1 << len(labels)) - 1
+    below, above = [], []
+    for t in range(width):
+        at = [0] * size
+        for j, x in enumerate(labels):
+            at[x[t] - base] |= 1 << j
+        lt = [0]
+        for mask in at:
+            lt.append(lt[-1] | mask)
+        below.append(lt)
+        above.append([full ^ lt[v + 1] for v in range(size)])
+    return base, below, above
 
 
 @dataclass(frozen=True)
@@ -154,14 +160,6 @@ class CategoryModel:
         return {x: i for i, x in enumerate(self.objects)}
 
     @cached_property
-    def _compose_cache(self) -> dict:
-        return {}
-
-    @cached_property
-    def _rotations(self) -> dict:
-        return {}
-
-    @cached_property
     def _hom_rule(self) -> tuple[Box, ...]:
         """hom(x, y) = 1 when x - 1 and y interleave, in the kind's way."""
         d, m = self.d, self.modulus
@@ -186,33 +184,9 @@ class CategoryModel:
             return (chain, _interleaving(FIRST, d))
         return (chain,)
 
-    def _prefix_masks(self) -> tuple[int, list[list[int]], list[list[int]]]:
-        """(base, below, above) over the object order, for building one table.
-
-        below[t][v - base] holds the objects whose coordinate t is < v and
-        above[t][v - base] those whose coordinate t is > v.  No offset of a
-        rule exceeds the modulus m, so the lists run from m below the
-        smallest entry to m above the largest.
-        """
-        objects, span = self.objects, self.modulus
-        base = min((x[0] for x in objects), default=0) - span
-        size = max((x[-1] for x in objects), default=0) + span + 2 - base
-        full = (1 << len(objects)) - 1
-        below, above = [], []
-        for t in range(self.d + 1):
-            at = [0] * size
-            for j, x in enumerate(objects):
-                at[x[t] - base] |= 1 << j
-            lt = [0]
-            for mask in at:
-                lt.append(lt[-1] | mask)
-            below.append(lt)
-            above.append([full ^ lt[v + 1] for v in range(size)])
-        return base, below, above
-
     def _table(self, rule: tuple[Box, ...]) -> BitRows:
         # the masks are not kept: once built, the table answers every pair
-        masks = self._prefix_masks()
+        masks = _prefix_masks(self.objects, self.d + 1, self.modulus)
         return BitRows(self._read_rows(rule, FIRST, masks), self._read_rows(rule, SECOND, masks))
 
     def _read_rows(self, rule: tuple[Box, ...], fixed: int, masks) -> tuple[int, ...]:
@@ -264,6 +238,14 @@ class CategoryModel:
         if a not in self.index:
             raise ValueError(f"{a} is not an object of {self.kind}(d={self.d}, n={self.n})")
 
+    def _indices(self, labels) -> list[int]:
+        """The index of each label; a label that is not an object raises ValueError."""
+        index = self.index
+        for a in labels:
+            if a not in index:
+                self._require(a)
+        return [index[a] for a in labels]
+
     def _dim(self, table: str, rule: str, x: IndexTuple, y: IndexTuple) -> int:
         """One pair of a table: its bit once the table is built, else the rule.
 
@@ -289,32 +271,113 @@ class CategoryModel:
         """
         return self._dim("ext_rows", "_ext_rule", b, a)
 
-    def compose_scalar(self, x: IndexTuple, y: IndexTuple, z: IndexTuple) -> int:
-        """Scalar (0 or 1) of the composite of basis morphisms x -> y -> z."""
-        key = (x, y, z)
-        cached = self._compose_cache.get(key)
-        if cached is None:
-            # only composable triples enter the cache, so a hit needs no check
-            if self.hom_dim(x, y) == 0 or self.hom_dim(y, z) == 0:
-                raise ValueError(f"no basis morphisms along {x} -> {y} -> {z}")
-            if self.kind in CYCLIC_KINDS:
-                cached = _cyclic_compose(self._rotated(x), self._rotated(y),
-                                         self._rotated(z), self.modulus)
-            else:
-                # in the linear kinds a composite is nonzero exactly when
-                # the hom space it lands in is
-                cached = self.hom_dim(x, z) == 1
-            self._compose_cache[key] = cached
-        return 1 if cached else 0
+    @cached_property
+    def _compose_rows(self) -> dict[tuple[int, int], int]:
+        """The composition rows read so far, keyed by index pair."""
+        return {}
 
-    def _rotated(self, x: IndexTuple) -> tuple[IndexTuple, ...]:
-        """The m normalized rotations x + k, k = 0 .. m - 1, computed once per tuple."""
-        rotations = self._rotations.get(x)
-        if rotations is None:
-            m = self.modulus
-            rotations = self._rotations[x] = tuple(
-                normalize_cyclic(tuple(v + k for v in x), m) for k in range(m))
-        return rotations
+    @cached_property
+    def _compose_cols(self) -> dict[tuple[int, int], int]:
+        """The composition columns read so far, keyed by index pair."""
+        return {}
+
+    @cached_property
+    def _exactness_views(self) -> dict:
+        """The failing positions of each view of an exangle shape (``hom_exactness_report``)."""
+        return {}
+
+    @cached_property
+    def _shift_masks(self) -> tuple[tuple[tuple[int, ...], ...], list, list]:
+        """(shifts, coords, masks) for the cyclic composition rule.
+
+        Shift k adds k to every entry and reduces into [1, m]; shifts[i]
+        lists the shifts that bring an entry of objects[i] to 1, coords[k][i]
+        is objects[i] under shift k, and masks[k] are the prefix masks of
+        the objects under it.
+        """
+        objects, m = self.objects, self.modulus
+        coords = [[tuple(sorted((v + k - 1) % m + 1 for v in x)) for x in objects]
+                  for k in range(m)]
+        masks = [_prefix_masks(rotated, self.d + 1, m) for rotated in coords]
+        return tuple(tuple((1 - v) % m for v in x) for x in objects), coords, masks
+
+    def _cyclic_row(self, i: int, j: int) -> int:
+        """The z in chain position with objects[i] -> objects[j] in some rotation.
+
+        The criterion (Oppermann–Thomas 2012): in some rotated coordinate
+        system on [1, m] the three tuples satisfy
+
+            x_t <= y_t <= z_t,  z_t < x_{t+1} - 1,  z_d < x_0 + m - 1.
+
+        Every inequality is invariant under translation, and all entries lie
+        in [x_0, z_d], so a rotation that works can be moved on until it
+        brings x_0 to 1: one rotation per entry of x suffices.  With x_0 = 1
+        the rule is a box on the coordinates of z, z_t in [y_t, x_{t+1} - 2]
+        and z_d in [y_d, m - 1], read from the prefix masks of the shift.
+        """
+        shifts, coords, masks = self._shift_masks
+        m, d = self.modulus, self.d
+        row = 0
+        for k in shifts[i]:
+            x, y = coords[k][i], coords[k][j]
+            base, below, _ = masks[k]
+            box = -1
+            for t in range(d + 1):
+                lo, hi = y[t], (x[t + 1] - 1 if t < d else m)  # lo <= z_t < hi
+                if x[t] > lo or lo >= hi:
+                    break
+                box &= below[t][hi - base] ^ below[t][lo - base]
+            else:
+                row |= box
+        return row
+
+    def compose_row(self, i: int, j: int) -> int:
+        """The z with a nonzero composite objects[i] -> objects[j] -> z, as a mask.
+
+        The one composition table, read a row at a time by index; it is
+        defined for the composable pairs, those with a nonzero hom
+        objects[i] -> objects[j], and lies in the hom row of objects[j].
+        In the linear kinds a composite is nonzero exactly when the hom
+        space it lands in is, so the row is the AND of two hom rows.  In
+        the cyclic kinds it is not (``find_noncommuting_witness``): the row
+        is the chain-position rule, ANDed with the hom row of objects[j]
+        only, so that a composite off the hom row of objects[i] shows.
+        """
+        out = self.hom_rows.out
+        if self.kind not in CYCLIC_KINDS:
+            return out[i] & out[j]
+        rows = self._compose_rows
+        row = rows.get((i, j))
+        if row is None:
+            row = rows[i, j] = self._cyclic_row(i, j) & out[j]
+        return row
+
+    def compose_column(self, j: int, k: int) -> int:
+        """The t with a nonzero composite t -> objects[j] -> objects[k], as a mask.
+
+        It is read off the rows of the t with a nonzero hom to objects[j],
+        and kept once read.
+        """
+        cols = self._compose_cols
+        col = cols.get((j, k))
+        if col is None:
+            col = 0
+            for t in bit_indices(self.hom_rows.into[j]):
+                col |= (self.compose_row(t, j) >> k & 1) << t
+            cols[j, k] = col
+        return col
+
+    def compose_scalar(self, x: IndexTuple, y: IndexTuple, z: IndexTuple) -> int:
+        """Scalar (0 or 1) of the composite of basis morphisms x -> y -> z.
+
+        The label-level edge of ``compose_row``: the labels are checked, and
+        a triple with a zero hom space along it raises ValueError.
+        """
+        i, j, k = self._indices((x, y, z))
+        out = self.hom_rows.out
+        if not (out[i] >> j & 1 and out[j] >> k & 1):
+            raise ValueError(f"no basis morphisms along {x} -> {y} -> {z}")
+        return self.compose_row(i, j) >> k & 1
 
     def classify(self, a: IndexTuple) -> ObjectClass:
         """Projectivity and shift flags for one object."""
@@ -460,19 +523,31 @@ def identity_matrix(labels: tuple[IndexTuple, ...]) -> MorphismMatrix:
 
 
 def compose_matrices(model: CategoryModel, g: MorphismMatrix, f: MorphismMatrix) -> MorphismMatrix:
-    """Matrix composite with the model's composition scalars as structure constants."""
+    """Matrix composite with the model's composition rows as structure constants.
+
+    A nonzero coefficient along a zero hom space raises ValueError.
+    """
     if f.target != g.source:
         raise ValueError("shape mismatch: target of the first factor must equal "
                          "source of the second")
-    entries = []
-    for i, u in enumerate(g.target):
-        row = []
-        for k, s in enumerate(f.source):
-            total = 0
-            for j, y in enumerate(f.target):
-                coeff = g.entries[i][j] * f.entries[j][k]
-                if coeff != 0:
-                    total += coeff * model.compose_scalar(s, y, u)
-            row.append(total)
-        entries.append(tuple(row))
-    return MorphismMatrix(f.source, g.target, tuple(entries))
+    sources, middles, targets = (model._indices(labels)
+                                 for labels in (f.source, f.target, g.target))
+    out = model.hom_rows.out
+    columns = []
+    for k, s in enumerate(sources):
+        column = [0] * len(targets)
+        for j, y in enumerate(middles):
+            v = f.entries[j][k]
+            if not v:
+                continue
+            row = model.compose_row(s, y) if out[s] >> y & 1 else None
+            for i, u in enumerate(targets):
+                w = g.entries[i][j]
+                if w:
+                    if row is None or not out[y] >> u & 1:
+                        raise ValueError(f"no basis morphisms along {f.source[k]} -> "
+                                         f"{f.target[j]} -> {g.target[i]}")
+                    column[i] += v * w * (row >> u & 1)
+        columns.append(column)
+    entries = tuple(tuple(column[i] for column in columns) for i in range(len(targets)))
+    return MorphismMatrix(f.source, g.target, entries)

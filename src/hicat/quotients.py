@@ -75,12 +75,23 @@ def factors_through(model: CategoryModel, f: BasisMorphism, ideal: IdealSpec) ->
     arrow (z, z) the unit law makes this the object rule: basis morphisms
     source -> z -> target with nonzero composite.
     """
-    src, tgt = f.source, f.target
+    s, t = model._indices((f.source, f.target))
+    return bool(_ideal_row(model, s, ideal) >> t & 1)
+
+
+def _ideal_row(model: CategoryModel, s: int, ideal: IdealSpec) -> int:
+    """The targets t of the basis morphisms from objects[s] that lie in the ideal.
+
+    For each arrow z1 -> z2 with nonzero homs s -> z1 -> z2 and a nonzero
+    composite, those t are the row of nonzero composites s -> z2 -> t.
+    """
+    index, out = model.index, model.hom_rows.out
+    row, reach = 0, out[s]
     for z1, z2 in ideal.arrows:
-        if model.hom_dim(src, z1) and model.hom_dim(z2, tgt) \
-                and model.compose_scalar(src, z1, z2) and model.compose_scalar(src, z2, tgt):
-            return True
-    return False
+        i, j = index[z1], index[z2]
+        if reach >> i & reach >> j & 1 and model.compose_row(s, i) >> j & 1:
+            row |= model.compose_row(s, j)
+    return row & reach
 
 
 def _squeeze(row: int, drop: tuple[int, ...]) -> int:
@@ -105,11 +116,16 @@ class QuotientModel(CategoryModel):
     killed: frozenset[tuple[IndexTuple, IndexTuple]]
     zero_objects: tuple[IndexTuple, ...]
 
-    def _restrict(self, out: list[int], into: list[int]) -> BitRows:
-        """A base table on the quotient's objects: zero-object rows and bits deleted."""
+    @cached_property
+    def _kept(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(keep, drop): the base indices of the objects, and of the zero objects descending."""
         index = self.base.index
-        keep = [index[x] for x in self.objects]
-        drop = tuple(index[z] for z in reversed(self.zero_objects))
+        return (tuple(index[x] for x in self.objects),
+                tuple(index[z] for z in reversed(self.zero_objects)))
+
+    def _restrict(self, out, into) -> BitRows:
+        """A base table on the quotient's objects: zero-object rows and bits deleted."""
+        keep, drop = self._kept
         return BitRows(tuple(_squeeze(out[i], drop) for i in keep),
                        tuple(_squeeze(into[i], drop) for i in keep))
 
@@ -136,10 +152,16 @@ class QuotientModel(CategoryModel):
         self._require(y)
         return getattr(self, table).out[self.index[x]] >> self.index[y] & 1
 
-    def compose_scalar(self, x: IndexTuple, y: IndexTuple, z: IndexTuple) -> int:
-        if self.hom_dim(x, y) == 0 or self.hom_dim(y, z) == 0:
-            raise ValueError(f"no surviving basis morphisms along {x} -> {y} -> {z}")
-        return self.base.compose_scalar(x, y, z) & self.hom_dim(x, z)
+    def compose_row(self, i: int, j: int) -> int:
+        """The base row, restricted, where both hom spaces of the composite survive."""
+        rows = self._compose_rows
+        row = rows.get((i, j))
+        if row is None:
+            keep, drop = self._kept
+            out = self.hom_rows.out
+            row = rows[i, j] = _squeeze(self.base.compose_row(keep[i], keep[j]), drop) \
+                & out[i] & out[j]
+        return row
 
 
 def quotient(model: CategoryModel, ideal: IdealSpec) -> QuotientModel:
@@ -148,10 +170,9 @@ def quotient(model: CategoryModel, ideal: IdealSpec) -> QuotientModel:
         raise ValueError("ideal was built over a different base model")
     objects = model.objects
     killed = set()
-    for src, row in zip(objects, model.hom_rows.out):
-        for j in bit_indices(row):
-            if factors_through(model, BasisMorphism(src, objects[j]), ideal):
-                killed.add((src, objects[j]))
+    for s, src in enumerate(objects):
+        for j in bit_indices(_ideal_row(model, s, ideal)):
+            killed.add((src, objects[j]))
     zero = tuple(a for a in objects if (a, a) in killed)
     return QuotientModel(model.kind, model.d, model.n, model.window,
                          tuple(a for a in objects if (a, a) not in killed),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exangles import Exangle, realize
+from .exangles import Exangle, middle_terms, realize
 from .models import (
     CategoryModel,
     almost_positive_model,
@@ -143,8 +143,8 @@ class _MutationScanner:
     def __init__(self, model: CategoryModel):
         self.model = model
         self.rows = model.conflict_rows
-        # (b, a) -> (exangle, mask of its middle terms), or None without extension
-        self._exchange: dict[tuple[int, int], tuple[Exangle, int] | None] = {}
+        # (b, a) -> mask of the middle terms of its exangle, or None without extension
+        self._exchange: dict[tuple[int, int], int | None] = {}
         # x -> bucket -> step(x, bucket)
         self._steps: list[dict[int, tuple[int, tuple[tuple[tuple[int, int], int], ...]]]] = [
             {} for _ in self.rows]
@@ -189,8 +189,8 @@ class _MutationScanner:
         steps = self._steps[x]
         found = steps.get(bucket)
         if found is None:
-            links = sorted((pair, e[1]) for y in bit_indices(bucket) for pair in ((x, y), (y, x))
-                           if (e := self.exchange(*pair)) is not None)
+            links = sorted((pair, middles) for y in bit_indices(bucket) for pair in ((x, y), (y, x))
+                           if (middles := self.exchange(*pair)) is not None)
             found = steps[bucket] = (self.candidates(x, bucket), tuple(links))
         return found
 
@@ -206,22 +206,27 @@ class _MutationScanner:
                              f"{[labels[y] for y in found]}")
         return found[0] if found else None
 
-    def exchange(self, b: int, a: int) -> tuple[Exangle, int] | None:
-        """The exangle realizing an extension of b by a, with its middles mask."""
+    def exchange(self, b: int, a: int) -> int | None:
+        """The mask of the middle terms of the exangle realizing an extension of b by a.
+
+        Only the kept mixes are computed: the scan needs the mask, and
+        ``exchanges`` realizes the exangles it returns.
+        """
         key = (b, a)
         if key not in self._exchange:
             model = self.model
             if model.ext_rows.out[b] >> a & 1:
-                e = realize(model, model.objects[b], model.objects[a])
-                middles = {lbl for level in e.middles for lbl in level}
-                self._exchange[key] = (e, _mask(model, middles))
+                middles = middle_terms(model, model.objects[b], model.objects[a])
+                self._exchange[key] = _mask(model, {lbl for level in middles for lbl in level})
             else:
                 self._exchange[key] = None
         return self._exchange[key]
 
     def exchanges(self, x: int, bucket: int, rest: int) -> tuple[Exangle, ...]:
         """The linked exangles with middles inside the rest, ordered by their end terms."""
-        return tuple(sorted((self.exchange(*pair)[0] for pair, middles in self.step(x, bucket)[1]
+        objects = self.model.objects
+        return tuple(sorted((realize(self.model, objects[b], objects[a])
+                             for (b, a), middles in self.step(x, bucket)[1]
                              if not middles & ~rest), key=lambda e: (e.x0, e.xlast)))
 
 

@@ -10,7 +10,6 @@ compatibilities.
 """
 from __future__ import annotations
 
-from itertools import product
 from math import comb
 
 from .exangles import (
@@ -43,7 +42,6 @@ from .quotients import (
 from .report import VerificationReport, run_check
 from .rigidity import correspondence_check
 from .tuples import (
-    IndexTuple,
     normalize_cyclic,
     shift_cluster,
     shift_derived,
@@ -127,11 +125,6 @@ def _ext_pairs(model: CategoryModel):
             yield b, objects[j]
 
 
-def _hom_successors(model: CategoryModel) -> dict[IndexTuple, list[IndexTuple]]:
-    objects, out = model.objects, model.hom_rows.out
-    return {x: [objects[j] for j in bit_indices(out[i])] for i, x in enumerate(objects)}
-
-
 def _differential_off_hom(model: CategoryModel, e: Exangle):
     """The first nonzero differential entry x -> y whose hom space is zero, or None."""
     index, out = model.index, model.hom_rows.out
@@ -156,6 +149,15 @@ def verify_model_sanity(model: CategoryModel) -> VerificationReport:
     witness that composition is not determined by hom dimensions alone is
     recorded when present.
 
+    Composition is read a row at a time from ``compose_row``, so each law
+    is a mask identity: for a hom x -> y, the unit law asks that y lie in
+    the rows of (x, x) and (x, y), and the composites stay on the hom row
+    of x; for composable w -> x -> y, associativity asks that the z with
+    nonzero (w -> x -> y) -> z, the row of (w, y) when w -> x -> y is
+    nonzero, be those with nonzero w -> (x -> y -> z), the rows of (x, y)
+    and (w, x) ANDed.  The counters count pairs and quadruples as a
+    loop over them would, up to the first failure.
+
     The middle terms get no membership leg: ``realize`` keeps exactly the
     mixes whose projection is an object of the model, so such a leg would
     read back the very predicate that chose them and could never fail.
@@ -167,33 +169,38 @@ def verify_model_sanity(model: CategoryModel) -> VerificationReport:
     needs an independent hom and ext oracle.
     """
     def check(counters):
-        counters.update(objects=len(model.objects), unit_checks=0,
+        objects, out = model.objects, model.hom_rows.out
+        row = model.compose_row
+        counters.update(objects=len(objects), unit_checks=0,
                         associativity_triples=0, ext_pairs=0, shift_checks=0)
-        succ = _hom_successors(model)
-        for x in model.objects:
-            if model.hom_dim(x, x) != 1:
+        for i, x in enumerate(objects):
+            if not out[i] >> i & 1:
                 return ("missing-identity", x)
-        for x in model.objects:
-            for y in succ[x]:
+        for i, x in enumerate(objects):
+            units = row(i, i)
+            for j in bit_indices(out[i]):
                 counters["unit_checks"] += 2
-                if model.compose_scalar(x, x, y) != 1 or model.compose_scalar(x, y, y) != 1:
-                    return ("unit-law", x, y)
-        for x in model.objects:
-            reach = set(succ[x])
-            for y in succ[x]:
-                for z in succ[y]:
-                    if z not in reach and model.compose_scalar(x, y, z):
-                        return ("composite-off-hom", x, y, z)
-        for w in model.objects:
-            for x in succ[w]:
-                for y in succ[x]:
-                    wx_y = model.compose_scalar(w, x, y)
-                    for z in succ[y]:
-                        counters["associativity_triples"] += 1
-                        left = wx_y and model.compose_scalar(w, y, z)
-                        right = model.compose_scalar(x, y, z) and model.compose_scalar(w, x, z)
-                        if bool(left) != bool(right):
-                            return ("associativity", w, x, y, z)
+                if not units >> j & row(i, j) >> j & 1:
+                    return ("unit-law", x, objects[j])
+        for i, x in enumerate(objects):
+            reach = out[i]
+            for j in bit_indices(reach):
+                off = row(i, j) & ~reach
+                if off:
+                    z = (off & -off).bit_length() - 1
+                    return ("composite-off-hom", x, objects[j], objects[z])
+        for w in range(len(objects)):
+            for x in bit_indices(out[w]):
+                wx = row(w, x)
+                for y in bit_indices(out[x]):
+                    zs = out[y]
+                    left = row(w, y) if wx >> y & 1 else 0
+                    bad = left ^ row(x, y) & wx
+                    if bad:
+                        z = (bad & -bad).bit_length() - 1
+                        counters["associativity_triples"] += (zs & (2 << z) - 1).bit_count()
+                        return ("associativity", *(objects[v] for v in (w, x, y, z)))
+                    counters["associativity_triples"] += zs.bit_count()
         for b, a in _ext_pairs(model):
             counters["ext_pairs"] += 1
             try:
@@ -209,73 +216,74 @@ def verify_model_sanity(model: CategoryModel) -> VerificationReport:
             if not report.ok:
                 return ("hom-exactness", b, a, report.failures[:3])
         if model.kind == CLUSTER:
-            if (failure := _shift_hom_failure(model, counters)) is not None:
+            shift = model._indices([shift_cluster(x, model.modulus) for x in objects])
+            if (failure := _shift_failure(model, shift, "shift-hom-invariance", counters)):
                 return failure
             witness = find_noncommuting_witness(model)
             counters["noncommuting_witnesses"] = 1 if witness else 0
             if witness:
                 counters["witness_recorded"] = 1
         if model.kind == DERIVED:
-            for x, y in product(model.objects, repeat=2):
-                sx = shift_derived(x, model.n, model.d)
-                sy = shift_derived(y, model.n, model.d)
-                if sx in model and sy in model:
-                    counters["shift_checks"] += 1
-                    if model.hom_dim(x, y) != model.hom_dim(sx, sy) or \
-                            model.ext_dim(x, y) != model.ext_dim(sx, sy):
-                        return ("shift-invariance", x, y)
+            index = model.index
+            shift = [index.get(shift_derived(x, model.n, model.d)) for x in objects]
+            if (failure := _shift_failure(model, shift, "shift-invariance", counters)):
+                return failure
         return None
     return run_check(f"sanity-{model.kind}", model.d, model.n, check)
 
 
-def _shift_hom_failure(model: CategoryModel, counters: dict[str, int]):
-    """The first pair (x, y) whose hom differs from that of its cluster shift, or None.
+def _shift_failure(model: CategoryModel, shift: list[int | None], name: str,
+                   counters: dict[str, int]):
+    """The first pair (x, y) whose hom or ext differs from that of its shift, or None.
 
-    The shift is computed once per object, as a map of the object index.
-    When it is a permutation, row x of the hom table, moved by it, must be
-    the row of the shift of x, and only a row that differs is searched for
-    its first failing pair; a shift that is not one (a broken shift) has
-    every pair tested.  Pairs are counted in the order of
-    product(objects, repeat=2).
+    ``shift`` maps an object index to the index of its shift, or to None
+    where the shift leaves the model; a pair is checked when both its
+    objects have a shift.  Where the map is one to one, row x of the hom
+    and ext tables, restricted to the checked objects and moved by it,
+    must be the row of the shift of x restricted to their images, and
+    only a row that differs is searched for its first failing pair; a map
+    that is not one to one (a broken shift) has every pair tested.  Pairs
+    are counted in the order of product(objects, repeat=2).
     """
-    objects, index, out = model.objects, model.index, model.hom_rows.out
-    perm = []
-    for x in objects:
-        sx = shift_cluster(x, model.modulus)
-        model._require(sx)
-        perm.append(index[sx])
-    bijective = len(set(perm)) == len(perm)
-    for i, x in enumerate(objects):
-        row, image = out[i], out[perm[i]]
-        if bijective:
-            moved = 0
-            for j in bit_indices(row):
-                moved |= 1 << perm[j]
-            if moved == image:
-                counters["shift_checks"] += len(objects)
+    objects, hom, ext = model.objects, model.hom_rows.out, model.ext_rows.out
+    domain = images = 0
+    for j, s in enumerate(shift):
+        if s is not None:
+            domain |= 1 << j
+            images |= 1 << s
+    checked = domain.bit_count()
+    injective = images.bit_count() == checked
+    for i, s in enumerate(shift):
+        if s is None:
+            continue
+        if injective:
+            moved = []
+            for table in (hom, ext):
+                mask = 0
+                for j in bit_indices(table[i] & domain):
+                    mask |= 1 << shift[j]
+                moved.append(mask)
+            if moved == [hom[s] & images, ext[s] & images]:
+                counters["shift_checks"] += checked
                 continue
-        for j in range(len(objects)):
+        for j in bit_indices(domain):
             counters["shift_checks"] += 1
-            if row >> j & 1 != image >> perm[j] & 1:
-                return ("shift-hom-invariance", x, objects[j])
+            sj = shift[j]
+            if hom[i] >> j & 1 != hom[s] >> sj & 1 or ext[i] >> j & 1 != ext[s] >> sj & 1:
+                return (name, objects[i], objects[j])
     return None
 
 
 def find_noncommuting_witness(model: CategoryModel):
     """A triple x -> y -> z of nonzero basis morphisms with zero composite
     while the hom space x -> z is nonzero, or None when no such triple exists."""
-    succ = _hom_successors(model)
-    index, out = model.index, model.hom_rows.out
-    for x in model.objects:
-        reach = out[index[x]]
-        for y in succ[x]:
-            if y == x:
-                continue
-            for z in succ[y]:
-                if z == y:
-                    continue
-                if reach >> index[z] & 1 and model.compose_scalar(x, y, z) == 0:
-                    return (x, y, z)
+    objects, out = model.objects, model.hom_rows.out
+    for i, x in enumerate(objects):
+        reach = out[i]
+        for j in bit_indices(reach & ~(1 << i)):
+            missing = reach & out[j] & ~(1 << j) & ~model.compose_row(i, j)
+            if missing:
+                return (x, objects[j], objects[(missing & -missing).bit_length() - 1])
     return None
 
 

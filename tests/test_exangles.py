@@ -6,8 +6,10 @@ import pytest
 
 from hicat.exangles import (
     Exangle,
+    compare_exangles,
     hom_exactness_report,
     is_complex,
+    middle_terms,
     realize,
 )
 from hicat.models import (
@@ -125,6 +127,67 @@ def test_cluster_middles_are_objects():
                         assert lbl in c
 
 
+def _reference_realize(model, b, a):
+    """realize as it was once written: frozenset subsets, m_mix and a sign per entry."""
+    a_rep, b_rep = a, b
+    if model.kind == "cluster" and not intertwines(a, b):
+        b_rep = rotate_window_rep(b, model.modulus)
+    cyclic = model.kind in ("cluster", "relative-f")
+    positions = range(model.d + 1)
+    levels = [[(frozenset(positions), a)]]
+    for r in range(model.d, 0, -1):
+        entries = []
+        for combo in combinations(positions, r):
+            label = m_mix(frozenset(combo), a_rep, b_rep)
+            if cyclic:
+                label = normalize_cyclic(label, model.modulus)
+            if label in model:
+                entries.append((frozenset(combo), label))
+        levels.append(sorted(entries, key=lambda pair: pair[1]))
+    levels.append([(frozenset(), b)])
+    diffs = []
+    for upper, lower in zip(levels, levels[1:]):
+        rows = []
+        for J, _ in lower:
+            row = []
+            for I, _ in upper:
+                extra = I - J
+                if J < I and len(extra) == 1:
+                    i = next(iter(extra))
+                    row.append(-1 if sum(1 for j in I if j < i) % 2 else 1)
+                else:
+                    row.append(0)
+            rows.append(tuple(row))
+        diffs.append(MorphismMatrix(tuple(lbl for _, lbl in upper),
+                                    tuple(lbl for _, lbl in lower), tuple(rows)))
+    return Exangle(model, a, b, tuple(tuple(lbl for _, lbl in lvl) for lvl in levels[1:-1]),
+                   tuple(diffs))
+
+
+@pytest.mark.parametrize("build,d,n", [
+    (module_model, 3, 3), (derived_model, 2, 4), (cluster_model, 3, 3),
+    (almost_positive_model, 2, 4), (relative_f_model, 3, 3), (cluster_model, 1, 6),
+])
+def test_realize_matches_the_subset_reference(build, d, n):
+    # realize reads the subsets, faces and signs of one cube pattern per d
+    model = build(d, n)
+    pairs = [(b, a) for b in model.objects for a in model.objects if model.ext_dim(b, a)]
+    assert pairs
+    for b, a in pairs:
+        assert compare_exangles(realize(model, b, a), _reference_realize(model, b, a)) is None
+        assert middle_terms(model, b, a) == realize(model, b, a).middles
+
+
+def test_exangles_compose_nothing_until_checked():
+    # realizing reads pairs and membership only: no hom table, no composition row;
+    # the complex condition reads composition rows, still no column
+    model = cluster_model(2, 3)
+    e = realize(model, (1, 3, 6), (2, 5, 8))
+    assert not {"hom_rows", "_compose_rows", "_compose_cols"} & set(vars(model))
+    assert is_complex(e)
+    assert model._compose_rows and not vars(model).get("_compose_cols")
+
+
 def test_corrupted_signs_break_complex():
     # two parallel routes through a two-summand middle must carry opposite
     # signs; forcing both positive breaks the complex condition
@@ -218,6 +281,9 @@ def reference_failures(model, e):
 @pytest.mark.parametrize("model,b,a,pos,i,j", [
     (module_model(2, 3), (2, 4, 6), (1, 3, 5), 1, 0, 0),
     (cluster_model(2, 3), (1, 3, 6), (2, 5, 8), 1, 1, 0),
+    # composition in the cyclic kinds is not read off the hom table: at (1, 6)
+    # some composite between nonzero homs is zero
+    (relative_f_model(1, 6), (2, 4), (1, 3), 0, 0, 0),
 ])
 def test_exactness_failures_match_reference(model, b, a, pos, i, j):
     e = realize(model, b, a)
@@ -239,10 +305,11 @@ def test_exactness_failures_match_reference(model, b, a, pos, i, j):
 class _ZeroComposite(CategoryModel):
     """A model whose composite (1,3,5) -> (1,3,6) -> (1,3,7) is zero."""
 
-    def compose_scalar(self, x, y, z):
-        if (x, y, z) == ((1, 3, 5), (1, 3, 6), (1, 3, 7)):
-            return 0
-        return super().compose_scalar(x, y, z)
+    def compose_row(self, i, j):
+        row = super().compose_row(i, j)
+        if (self.objects[i], self.objects[j]) == ((1, 3, 5), (1, 3, 6)):
+            row &= ~(1 << self.index[(1, 3, 7)])
+        return row
 
 
 def test_composition_scalars_enter_the_exactness_ranks():

@@ -8,6 +8,7 @@ from hicat.models import (
     BasisMorphism,
     almost_positive_model,
     basis_morphism,
+    bit_indices,
     cluster_model,
     compose,
     compose_matrices,
@@ -220,16 +221,23 @@ def test_rows_and_pairs_follow_the_reference_rules(model):
     assert "hom_rows" not in vars(fresh) and "ext_rows" not in vars(fresh)
 
 
-def _chain_position_oracle(x, y, z, m):
-    """The cyclic composition rule, normalizing every rotation afresh."""
+def _chain_position(a, b, c, m):
+    """Chain position of three tuples in one coordinate system on [1, m]."""
+    d = len(a) - 1
+    return all(a[i] <= b[i] <= c[i] for i in range(d + 1)) \
+        and all(c[i] < a[i + 1] - 1 for i in range(d)) and c[d] < a[0] + m - 1
+
+
+def _rotations(x, m):
+    """The m rotations x + k, k = 0 .. m - 1, each normalized afresh."""
     from hicat.tuples import normalize_cyclic
-    d = len(x) - 1
-    for k in range(m):
-        a, b, c = (normalize_cyclic(tuple(v + k for v in t), m) for t in (x, y, z))
-        if all(a[i] <= b[i] <= c[i] for i in range(d + 1)) \
-                and all(c[i] < a[i + 1] - 1 for i in range(d)) and c[d] < a[0] + m - 1:
-            return 1
-    return 0
+    return [normalize_cyclic(tuple(v + k for v in x), m) for k in range(m)]
+
+
+def _chain_position_oracle(x, y, z, m):
+    """The cyclic composition rule, scanning every rotation."""
+    rotated = zip(*(_rotations(t, m) for t in (x, y, z)))
+    return 1 if any(_chain_position(a, b, c, m) for a, b, c in rotated) else 0
 
 
 @pytest.mark.parametrize("model", [cluster_model(1, 4), cluster_model(2, 2),
@@ -240,6 +248,29 @@ def test_cyclic_composition_from_rotation_table(model):
     assert composable
     for x, y, z in composable:
         assert model.compose_scalar(x, y, z) == _chain_position_oracle(x, y, z, model.modulus)
+
+
+@pytest.mark.parametrize("factory", [cluster_model, relative_f_model])
+def test_cyclic_composition_rows_match_the_chain_position_rule(factory):
+    # every composable row of the box rule, which tries one rotation per
+    # entry of x, against all m rotations of the chain-position rule; the
+    # rotations that fail x <= y already fail every z and are dropped first
+    rows = 0
+    for d in range(1, 4):
+        for n in range(1, 7):
+            model = factory(d, n)
+            m, out = model.modulus, model.hom_rows.out
+            rotated = [_rotations(x, m) for x in model.objects]
+            for i in range(len(model.objects)):
+                for j in bit_indices(out[i]):
+                    ks = [k for k in range(m)
+                          if all(a <= b for a, b in zip(rotated[i][k], rotated[j][k]))]
+                    want = sum(1 << z for z in bit_indices(out[j])
+                               if any(_chain_position(rotated[i][k], rotated[j][k],
+                                                      rotated[z][k], m) for k in ks))
+                    assert model.compose_row(i, j) == want, (model.objects[i], model.objects[j])
+                    rows += 1
+    assert rows == 6092
 
 
 def test_compose_scalar_checks_every_uncached_triple():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hicat.exangles import Exangle, realize
+from hicat.exangles import realize
 from hicat.models import (
     BitRows,
     CategoryModel,
@@ -563,9 +563,8 @@ def test_scan_reports_an_ambiguous_mutation(monkeypatch):
     table = _ConflictTable("conflict-table", 1, 1, None,
                            ("a", "b", "r", "x", "y1", "y2", "y3"),
                            frozenset(map(frozenset, conflicts)))
-    # an exangle with no middle terms for each extension
-    monkeypatch.setattr("hicat.rigidity.realize",
-                        lambda model, b, a: Exangle(model, a, b, ((),), ()))
+    # an empty middle term for each extension: the scan reads only the middles
+    monkeypatch.setattr("hicat.rigidity.middle_terms", lambda model, b, a: ((),))
     counters = {"exchange_exangles": 0, "mutations_checked": 0}
     tilts = _maximal_independent(table.conflict_rows)
     failure = _scan_tilting(table, tilts, {"r"}, counters)

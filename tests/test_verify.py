@@ -169,13 +169,24 @@ def _corrupted(model, method, key, value):
 
     A changed hom or ext value is put into the model's table as well, so
     that the pair answer and the rows that whole-table readers walk agree.
+    For "compose_row" the key is a triple of labels (x, y, z), and the row
+    of (x, y) gets value at z.
     """
     right = getattr(CategoryModel, method)
 
     class Corrupted(CategoryModel):
         pass
 
-    setattr(Corrupted, method, lambda self, *args: value if args == key else right(self, *args))
+    if method == "compose_row":
+        i, j, k = (model.index[x] for x in key)
+
+        def compose_row(self, a, b):
+            row = right(self, a, b)
+            return row & ~(1 << k) | value << k if (a, b) == (i, j) else row
+
+        Corrupted.compose_row = compose_row
+    else:
+        setattr(Corrupted, method, lambda self, *args: value if args == key else right(self, *args))
     if method in ("hom_dim", "ext_dim"):
         table = method.replace("_dim", "_rows")
         rows = getattr(CategoryModel, table).func
@@ -200,7 +211,7 @@ def _sanity(objects, unit, triples, ext, shift):
 FAULTS = [
     ("sanity-cluster", cluster_model, 1, 4, "hom_dim", ((3, 5), (3, 5)), 0,
      ("missing-identity", (3, 5)), _sanity(14, 0, 0, 0, 0)),
-    ("sanity-cluster", cluster_model, 1, 4, "compose_scalar", ((2, 4), (2, 5), (2, 5)), 0,
+    ("sanity-cluster", cluster_model, 1, 4, "compose_row", ((2, 4), (2, 5), (2, 5)), 0,
      ("unit-law", (2, 4), (2, 5)), _sanity(14, 44, 0, 0, 0)),
     ("sanity-cluster", cluster_model, 1, 4, "hom_dim", ((1, 3), (1, 5)), 0,
      ("composite-off-hom", (1, 3), (1, 4), (1, 5)), _sanity(14, 138, 0, 0, 0)),
@@ -209,7 +220,7 @@ FAULTS = [
      _sanity(4, 12, 13, 1, 0)),
     ("sanity-module", module_model, 2, 2, "ext_dim", ((1, 3, 5), (1, 3, 6)), 1,
      ("ext-without-lift", (1, 3, 5), (1, 3, 6)), _sanity(4, 14, 20, 1, 0)),
-    ("sanity-cluster", cluster_model, 1, 4, "compose_scalar", ((2, 5), (2, 6), (2, 7)), 0,
+    ("sanity-cluster", cluster_model, 1, 4, "compose_row", ((2, 5), (2, 6), (2, 7)), 0,
      ("associativity", (2, 4), (2, 5), (2, 6), (2, 7)), _sanity(14, 140, 572, 0, 0)),
     ("sanity-derived", derived_model, 1, 2, "hom_dim", ((2, 4), (3, 5)), 1,
      ("not-a-complex", (3, 5), (2, 4)), _sanity(6, 24, 47, 5, 0)),
