@@ -1,7 +1,9 @@
 """Deterministic diagram and report emitters: DOT, TikZ, and JSON.
 
-Node identifiers are always the comma-joined tuple entries; display
-labels drop the commas while every entry is a single digit.  Output is
+DOT node identifiers are the comma-joined tuple entries.  TikZ reads a
+parenthesized name with a comma as a coordinate, so TikZ node names are
+the entries joined by "-" after the letter n.  Display labels drop the
+separators while every entry is a single digit.  Output is
 byte-deterministic for fixed inputs: nodes are emitted in lexicographic
 order and edges in sorted order.
 """
@@ -91,12 +93,13 @@ def _tikz_graph(nodes, edges) -> str:
     nodes = sorted(nodes)
     # simple deterministic layout: column by lexicographic index, row by first entry
     coords = {t: (i, t[0] if t else 0) for i, t in enumerate(nodes)}
+    names = {t: "n" + "-".join(str(v) for v in t) for t in nodes}  # no comma, one to one
     lines = ["\\begin{tikzpicture}"]
     for t in nodes:
         x, y = coords[t]
-        lines.append(f"  \\node ({node_id(t)}) at ({x},{y}) {{{render_label(t)}}};")
+        lines.append(f"  \\node ({names[t]}) at ({x},{y}) {{{render_label(t)}}};")
     for src, tgt in sorted(edges):
-        lines.append(f"  \\draw[->] ({node_id(src)}) -- ({node_id(tgt)});")
+        lines.append(f"  \\draw[->] ({names[src]}) -- ({names[tgt]});")
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"
 

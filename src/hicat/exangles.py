@@ -4,10 +4,11 @@ A nonzero extension of X_b by X_a is realized by a sequence
 
     X_a -> E_d -> ... -> E_1 -> X_b
 
-whose middle term E_r collects the mixed tuples whose projection is an
-object of the model, indexed by the r-element subsets of the mixing
-positions; the projection is the identity for the linear kinds and the
-reduction modulo the period for the cyclic ones.  Component maps drop
+whose middle term E_r collects the mixed tuples that are objects of the
+model, indexed by the r-element subsets of the mixing positions.  The
+mixes of an interleaved pair are increasing; only the cluster lift, which
+unwraps b_0 to b_0 + m, leaves an entry past the modulus, and that entry
+is reduced back to the front.  Component maps drop
 one mixing position at a time and carry an alternating sign, which makes
 consecutive differentials compose to zero; both that complex condition
 and the rank-level exactness of the induced hom sequences are checked
@@ -22,7 +23,6 @@ from operator import itemgetter
 
 from .models import (
     CLUSTER,
-    CYCLIC_KINDS,
     CategoryModel,
     MorphismMatrix,
     bit_indices,
@@ -31,7 +31,6 @@ from .models import (
 from .tuples import (
     IndexTuple,
     intertwines,
-    normalize_cyclic,
     rotate_window_rep,
 )
 
@@ -103,28 +102,28 @@ def _cube(d: int):
 def _kept_mixes(model: CategoryModel, b: IndexTuple, a: IndexTuple):
     """The terms of the exangle from a to b, each a sorted list of (label, subset).
 
-    The middle terms keep the mixes whose projection is an object of the
-    model; the ends are (a, all positions) and (b, no position).
+    The middle terms keep the mixes that are objects of the model; the ends
+    are (a, all positions) and (b, no position).
     """
     if model.ext_dim(b, a) != 1:
         raise ValueError(f"no extension of {b} by {a} in {model.kind}")
-    a_rep = a
-    b_rep = b
-    if model.kind == CLUSTER and not intertwines(a, b):
-        # the symmetric cyclic extension seen from the other side: unwrap b
-        # past the modulus so the interleaving becomes linear
-        b_rep = rotate_window_rep(b, model.modulus)
-    if not intertwines(a_rep, b_rep):
+    m = model.modulus
+    lifted = model.kind == CLUSTER and not intertwines(a, b)
+    # the symmetric cyclic extension seen from the other side: unwrap b
+    # past the modulus so the interleaving becomes linear
+    b_rep = rotate_window_rep(b, m) if lifted else b
+    if not intertwines(a, b_rep):
         raise NoInterleavingLift(f"the extension of {b} by {a} in {model.kind} "
                                  "has no interleaving lift")
     cube, _ = _cube(model.d)
-    ab, m = a_rep + b_rep, model.modulus
-    cyclic = model.kind in CYCLIC_KINDS
+    ab = a + b_rep
     terms = [[(a, (1 << model.d + 1) - 1)]]
     for subsets in cube:
         kept = []
         for I, pick in subsets:
-            label = normalize_cyclic(pick(ab), m) if cyclic else pick(ab)
+            label = pick(ab)
+            if lifted and label[-1] > m:  # the unwrapped b_0 + m, back to the front
+                label = (label[-1] - m,) + label[:-1]
             if label in model:
                 kept.append((label, I))
         kept.sort()

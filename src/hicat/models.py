@@ -9,11 +9,12 @@ basis morphisms.
 Every hom and ext rule is an interleaving of gapped tuples, so each kind
 writes it once, as boxes: for a fixed label, each coordinate of the other
 label must lie in an open interval set by the fixed one (one box, or two
-for the cyclic hom and the cluster ext).  The rule has two readers.  A
-single pair is tested against the boxes.  A whole table is read a row at
-a time, by ANDing per-coordinate prefix masks ("the objects whose
+for the cyclic hom and the cluster ext).  The rule has two readers, one
+per question.  A single pair (``hom_dim``, ``ext_dim``) is tested against
+the boxes and never builds a table.  A loop reads the whole table, built
+a row at a time by ANDing per-coordinate prefix masks ("the objects whose
 coordinate i is below v"), so a table costs O(N d) big-integer
-operations; once it is built, the pair answers read its bits.
+operations.
 
 Composition is one table keyed by object index, read a row at a time:
 ``compose_row(i, j)`` is the mask of the z with a nonzero composite
@@ -185,7 +186,7 @@ class CategoryModel:
         return (chain,)
 
     def _table(self, rule: tuple[Box, ...]) -> BitRows:
-        # the masks are not kept: once built, the table answers every pair
+        # the masks are not kept: once built, the table serves every loop
         masks = _prefix_masks(self.objects, self.d + 1, self.modulus)
         return BitRows(self._read_rows(rule, FIRST, masks), self._read_rows(rule, SECOND, masks))
 
@@ -247,18 +248,10 @@ class CategoryModel:
         return [index[a] for a in labels]
 
     def _dim(self, table: str, rule: str, x: IndexTuple, y: IndexTuple) -> int:
-        """One pair of a table: its bit once the table is built, else the rule.
-
-        Both readers give the same answer; the bit is the cheaper one, and
-        the grid workloads ask about pairs of models whose tables they have
-        built (BENCH_13.json, pair_answers).  A pair never builds a table.
-        """
+        """One pair, read by its rule; a pair never builds a table, loops read the tables."""
         self._require(x)
         self._require(y)
-        rows = self.__dict__.get(table)
-        if rows is None:
-            return 1 if _holds(getattr(self, rule), x, y) else 0
-        return rows.out[self.index[x]] >> self.index[y] & 1
+        return 1 if _holds(getattr(self, rule), x, y) else 0
 
     def hom_dim(self, src: IndexTuple, tgt: IndexTuple) -> int:
         """Dimension (0 or 1) of the space of morphisms src -> tgt."""

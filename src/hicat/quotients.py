@@ -61,10 +61,11 @@ def injproj_ideal(model: CategoryModel) -> IdealSpec:
     """The ideal generated by the arrows from shifted projectives to projective images."""
     if model.kind != RELATIVE_F:
         raise ValueError(f"arrow ideal needs the restricted cyclic model, got {model.kind}")
-    sources = [a for a in model.objects if model.classify(a).shifted_projective]
-    targets = [a for a in model.objects if model.classify(a).projective_image]
-    return IdealSpec(model, tuple((z1, z2) for z1 in sources for z2 in targets
-                                  if model.hom_dim(z1, z2) == 1))
+    objects, out = model.objects, model.hom_rows.out
+    targets = [j for j, a in enumerate(objects) if model.classify(a).projective_image]
+    return IdealSpec(model, tuple((z1, objects[j]) for i, z1 in enumerate(objects)
+                                  if model.classify(z1).shifted_projective
+                                  for j in targets if out[i] >> j & 1))
 
 
 def factors_through(model: CategoryModel, f: BasisMorphism, ideal: IdealSpec) -> bool:

@@ -72,6 +72,15 @@ def test_quotient_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["zero_objects"] == [[1, 5]]
+    code, out, _ = run_cli(capsys, "quotient", "--model", "relative-f",
+                           "--d", "1", "--n", "3")
+    assert code == 0
+    payload = json.loads(out)
+    # the killed morphisms factor through an arrow from a shifted projective
+    # (a_1 = 6) to a projective image (a_0 = 1); no identity is killed
+    assert payload["kind"] == "relative-f" and payload["zero_objects"] == []
+    assert payload["killed"] == [[[3, 5], [1, 3]], [[3, 6], [1, 3]], [[3, 6], [1, 4]],
+                                 [[4, 6], [1, 4]], [[4, 6], [2, 4]]]
     code, _, _ = run_cli(capsys, "quotient", "--model", "cluster",
                          "--d", "1", "--n", "3")
     assert code == 2
@@ -112,6 +121,11 @@ def test_mutate_command(capsys):
                            "--d", "1", "--n", "2", "--summands", "13;13;14",
                            "--at", "14")
     assert code == 2 and "repeated summands" in err
+    # no object replaces (1, 3, 6): the answer is JSON null
+    code, out, _ = run_cli(capsys, "mutate", "--model", "almost-positive",
+                           "--d", "2", "--n", "2", "--summands", "135;136;146",
+                           "--at", "136")
+    assert code == 0 and json.loads(out) is None
 
 
 def test_emit_to_file(tmp_path, capsys):
@@ -128,6 +142,31 @@ def test_emit_category_stdout(capsys):
                            "--arrows", "irreducible-only")
     assert code == 0
     assert out.count("->") == 12
+    code, out, _ = run_cli(capsys, "emit", "--content", "category", "--format", "tikz",
+                           "--model", "module", "--d", "2", "--n", "3",
+                           "--arrows", "irreducible-only")
+    assert code == 0
+    assert out.count("\\draw[->]") == 12 and "(n1-3-5) -- (n1-3-6)" in out
+
+
+@pytest.mark.parametrize("fmt", ["dot", "tikz", "json"])
+def test_emit_exangle(capsys, fmt):
+    argv = ("emit", "--content", "exangle", "--model", "module", "--d", "2", "--n", "3",
+            "--from", "246", "--to", "135", "--format", fmt)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # 135 -> 136 -> 146 -> 246, one summand per term
+    if fmt == "dot":
+        assert out.count('[label="') == 4
+        assert '"1,3,6" -> "1,4,6";' in out and out.count("->") == 3
+    elif fmt == "tikz":
+        assert out.count("\\node") == 4
+        assert "(n1-3-6) -- (n1-4-6);" in out and out.count("\\draw[->]") == 3
+    else:
+        payload = json.loads(out)
+        assert payload["middles"] == [[[1, 3, 6]], [[1, 4, 6]]]
+        assert [d["entries"] for d in payload["differentials"]] == [[[1]], [[-1]], [[1]]]
+    assert run_cli(capsys, *argv[:-6], "--format", fmt)[0] == 2
 
 
 def test_emit_report(capsys):

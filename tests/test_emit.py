@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from hicat.emit import (
     render_label,
 )
 from hicat.exangles import realize
-from hicat.models import almost_positive_model, cluster_model, module_model
+from hicat.models import almost_positive_model, cluster_model, derived_model, module_model
 from hicat.quotients import projinj_ideal, quotient
 from hicat.tuples import build_quiver
 from hicat.verify import verify_equiv_module_ap
@@ -174,6 +175,22 @@ def test_tikz_smoke():
     text = emit_string(build_quiver(2, 3), EmitSpec(fmt="tikz", content="quiver"))
     assert text.startswith("\\begin{tikzpicture}")
     assert "\\draw[->]" in text
+    # TikZ reads "(1,3)" in a path as a coordinate, so every arrow must join
+    # two declared node names, and no name may hold a comma
+    cases = [(build_quiver(2, 3), "quiver", "all-nonzero-homs"),
+             (module_model(1, 2), "category", "all-nonzero-homs"),
+             (almost_positive_model(2, 3), "category", "irreducible-only"),
+             (derived_model(1, 2, (-3, -1)), "category", "all-nonzero-homs"),
+             (realize(module_model(2, 3), (2, 4, 6), (1, 3, 5)), "exangle", "all-nonzero-homs")]
+    for obj, content, arrows in cases:
+        text = emit_string(obj, EmitSpec(fmt="tikz", content=content, arrows=arrows))
+        names = re.findall(r"\\node \(([^)]*)\) at", text)
+        ends = re.findall(r"\\draw\[->\] \(([^)]*)\) -- \(([^)]*)\);", text)
+        assert ends and len(names) == len(set(names))
+        assert all("," not in name for name in names)
+        assert {end for pair in ends for end in pair} <= set(names)
+    assert "\\node (n1-3) at (0,1) {13};" in emit_string(
+        module_model(1, 2), EmitSpec(fmt="tikz", content="category"))
 
 
 def test_mutation_graph_content():

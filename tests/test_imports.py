@@ -32,3 +32,23 @@ def test_package_imports_form_no_cycle():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads; ``from __future__`` is left out."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.stem != "__init__"], ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    # __init__ imports to re-export, so it is left out
+    assert unused_imports(path) == []

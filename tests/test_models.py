@@ -66,6 +66,8 @@ def test_hom_membership_errors():
         m.hom_dim((1, 3, 9), (1, 3, 5))
     with pytest.raises(ValueError):
         m.ext_dim((1, 3, 5), (0, 2, 4))
+    with pytest.raises(ValueError, match="is not an object"):
+        m.compose_scalar((1, 3, 5), (1, 3, 9), (1, 3, 6))
 
 
 def test_ext_examples():

@@ -203,6 +203,9 @@ def test_mutate_examples():
     assert r2.summands == ((1, 4), (2, 4))
     with pytest.raises(ValueError):
         mutate(ap, t, (3, 5))
+    # (1, 3) and (2, 4) have an extension, so they form no rigid set
+    with pytest.raises(ValueError, match="maximal rigid set"):
+        mutate(ap, RigidSet(ap.kind, ((1, 3), (2, 4))), (1, 3))
 
 
 def test_repeated_summands_are_rejected():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
@@ -56,6 +57,13 @@ def test_verify_f_exangles_points():
     assert r.counters["ext_pairs"] == 2 * r.counters["distinguished"]
 
 
+def test_verify_f_exangles_needs_one_object_order(monkeypatch):
+    # the loop reads the two models' rows by one index, so the object lists must agree
+    monkeypatch.setattr("hicat.verify.relative_f_model", lambda d, n: relative_f_model(d, n + 1))
+    r = verify_f_exangles(1, 2)
+    assert not r.ok and r.counterexample[0] == "object-sets"
+
+
 def test_verify_main2_points():
     assert verify_main2(1, 1).ok
     assert verify_main2(2, 3).ok
@@ -90,7 +98,12 @@ def test_compare_exangles_reports_mismatch():
     e1 = realize(m, (2, 4, 6), (1, 3, 5))
     e2 = realize(m, (2, 4, 7), (1, 3, 5))
     assert compare_exangles(e1, e1) is None
-    assert compare_exangles(e1, e2) is not None
+    assert compare_exangles(e1, e2).startswith("ends differ")
+    # same terms, one differential entry with the other sign
+    first, *rest = e1.differentials
+    flipped = replace(first, entries=tuple(tuple(-v for v in row) for row in first.entries))
+    e3 = replace(e1, differentials=(flipped, *rest))
+    assert compare_exangles(e1, e3).startswith("differential 0 differs")
 
 
 def test_grid_helpers():
