@@ -2,8 +2,12 @@
 """Run every verifier over the default grid and print a summary table.
 
 Usage: python scripts/run_verification.py [DMAX:NMAX:OBJMAX]
-Exit code 0 when everything passes, 1 otherwise.
+The last line gives the checks passed, the time taken and the peak RSS
+of the process in MiB.  Exit code 0 when everything passes, 1 when a
+check fails, 2 on a usage error (a malformed grid or an extra argument).
 """
+import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -14,7 +18,10 @@ from hicat.verify import DEFAULT_GRID, THEOREMS, parse_grid, run_theorem
 
 
 def main() -> int:
-    grid = parse_grid(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT_GRID
+    parser = argparse.ArgumentParser(description="Run every verifier over a grid.")
+    parser.add_argument("grid", nargs="?", type=parse_grid, default=DEFAULT_GRID,
+                        metavar="DMAX:NMAX:OBJMAX", help="default 3:4:200")
+    grid = parser.parse_args().grid
     print(f"verification grid: d <= {grid[0]}, n <= {grid[1]}, "
           f"objects <= {grid[2]}")
     failures = 0
@@ -27,8 +34,10 @@ def main() -> int:
             if not report.ok:
                 failures += 1
             print("  " + report.summary())
+    # ru_maxrss is in KiB on Linux
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"{total - failures}/{total} checks passed "
-          f"in {time.perf_counter() - start:.1f}s")
+          f"in {time.perf_counter() - start:.1f}s, peak RSS {peak_mib:.1f} MiB")
     return 1 if failures else 0
 
 

@@ -124,23 +124,15 @@ COMMANDS = {
 }
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The hicat parser.
+def build_parser() -> argparse.ArgumentParser:
+    """The root parser with all ten subparsers.
 
-    When ``argv`` starts with a command name, only that command's
-    subparser is built: parsing it needs no other, and building all ten
-    costs several times more than the root and one.  Otherwise, for
-    ``--help``, no command or an unknown one, every subparser is built.
+    `main` parses with it every argv but a known command its own parser reads whole.
     """
     parser = _Parser(prog="hicat",
                      description="Combinatorial higher cluster category toolkit")
-    lean = bool(argv) and argv[0] in COMMANDS
-    # the root usage, which an unrecognized argument prints, lists every command either way;
-    # the full parser keeps no metavar, which would rename `command` in its choice error
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 metavar="{" + ",".join(COMMANDS) + "}" if lean else None)
-    for name in [argv[0]] if lean else COMMANDS:
-        help_line, add_args = COMMANDS[name]
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args) in COMMANDS.items():
         add_args(subs.add_parser(name, help=help_line))
     return parser
 
@@ -159,11 +151,22 @@ def _print(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    A known command (``argv[0]`` in `COMMANDS`) is parsed by its own parser
+    alone; ``--help``, no command, an unknown command and arguments that
+    parser leaves over go to the full parser, `build_parser`.
+    """
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv)
+    known = bool(argv) and argv[0] in COMMANDS
     try:
-        args = parser.parse_args(argv)
+        if known:
+            parser = _Parser(prog="hicat " + argv[0])
+            COMMANDS[argv[0]][1](parser)
+            args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not known or extras:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
@@ -176,8 +179,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "objects":
-        model = _model(args)
-        _print(json.dumps([list(t) for t in model.objects]) + "\n", None)
+        print(json.dumps([list(t) for t in _model(args).objects]))
         return 0
 
     if args.command in ("hom", "ext"):
@@ -185,17 +187,15 @@ def _dispatch(args) -> int:
         if (args.src is None) != (args.tgt is None):
             raise ValueError("--from and --to must be given together")
         if args.src is not None:
-            dim = (model.hom_dim(args.src, args.tgt) if args.command == "hom"
-                   else model.ext_dim(args.src, args.tgt))
-            print(dim)
+            dim = model.hom_dim if args.command == "hom" else model.ext_dim
+            print(dim(args.src, args.tgt))
         else:
             table = hom_table(model) if args.command == "hom" else ext_table(model)
             print(json.dumps(table, indent=2, sort_keys=True))
         return 0
 
     if args.command == "exangle":
-        model = _model(args)
-        e = realize(model, args.src, args.tgt)
+        e = realize(_model(args), args.src, args.tgt)
         _print(json.dumps(exangle_to_dict(e), indent=2) + "\n", args.out)
         return 0
 
@@ -219,8 +219,7 @@ def _dispatch(args) -> int:
         return 1 if failed else 0
 
     if args.command == "rigid":
-        model = _model(args)
-        sets = maximal_rigid(model)
+        sets = maximal_rigid(_model(args))
         if args.count:
             print(len(sets))
         else:
@@ -241,8 +240,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "count":
-        model = _model(args)
-        print(len(model.objects))
+        print(len(_model(args).objects))
         return 0
 
     # emit

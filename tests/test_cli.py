@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hicat.cli import COMMANDS, build_parser, main, parse_tuple
+from hicat.cli import COMMANDS, _Parser, build_parser, main, parse_tuple
 
 
 def run_cli(capsys, *argv):
@@ -277,10 +277,29 @@ def test_help_and_usage_error_texts(capsys, monkeypatch, argv, code, out, err):
 ])
 @pytest.mark.parametrize("command", COMMANDS)
 def test_command_parser_matches_the_full_parser(capsys, monkeypatch, command, tail):
-    # main builds only the subparser its command names; what it prints and
-    # returns must be what the parser with all ten subparsers gives
+    # main parses a known command with that command's parser alone; what it
+    # prints and returns must be what the parser with all ten subparsers gives
     monkeypatch.setenv("COLUMNS", "80")
     got = run_cli(capsys, command, *tail)
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([command, *tail])
     assert got == (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("tail,parsers", [
+    ([], 1),
+    # the leftover `extra` is reported by the full parser: root and ten subparsers
+    (["extra"], 1 + 1 + len(COMMANDS)),
+])
+def test_a_known_command_builds_its_own_parser_alone(capsys, monkeypatch, tail, parsers):
+    built = []
+    init = _Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Parser, "__init__", counting_init)
+    code, _, _ = run_cli(capsys, "count", "--model", "module", "--d", "1", "--n", "2", *tail)
+    assert code == (2 if tail else 0)
+    assert built[0] == "hicat count" and len(built) == parsers

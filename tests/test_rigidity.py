@@ -3,6 +3,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +107,23 @@ def test_maximal_rigid_small_examples():
     assert len(tilts) == 5
     assert all(len(t.summands) == 3 for t in tilts)
     assert all((1, 5) in t.summands for t in tilts)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_two_full_size_maximal_rigid_sets_from_2d_plus_2_points(d):
+    # A known answer from outside the predicate.  A maximal rigid set of
+    # module_model(d, n + 1) has full size when it has comb(n + d - 1, d)
+    # summands plus the projective-injectives.  Oppermann-Thomas 2012 match
+    # these sets with the triangulations of the cyclic polytope
+    # C(n + 2d + 1, 2d); here n = 1, so C(2d + 2, 2d).  2d + 2 points in
+    # general position in R^{2d} carry one affine dependence, hence one
+    # Radon partition, and have exactly two triangulations, one from each
+    # side of it.
+    n = 1
+    model = module_model(d, n + 1)
+    projinj = {z for z, _ in projinj_ideal(model).arrows}
+    full = comb(n + d - 1, d) + len(projinj)
+    assert sum(len(t.summands) == full for t in maximal_rigid(model)) == 2
 
 
 def test_tilting_sets_needs_a_module_model():

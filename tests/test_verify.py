@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -175,6 +176,20 @@ def test_run_verification_script_from_any_directory(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "11/11 checks passed" in proc.stdout
+    assert re.search(r"peak RSS \d+\.\d MiB$", proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("args", [["3:4"], ["1:1:10", "a"]])
+def test_run_verification_script_usage_error(args):
+    # a malformed grid or an extra argument is a usage error (2), not a failed check (1)
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+    proc = subprocess.run([sys.executable, str(script), *args],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith("usage: run_verification.py")
+    assert [line for line in lines if "error:" in line] == [lines[-1]]
+    assert lines[-1].startswith("run_verification.py: error: ")
 
 
 def _corrupted(model, method, key, value):
