@@ -13,25 +13,20 @@ from .exangles import (
     realize,
 )
 from .models import (
-    BasisMorphism,
     CategoryModel,
     MorphismMatrix,
     ObjectClass,
     almost_positive_model,
-    basis_morphism,
     cluster_model,
-    compose,
     compose_matrices,
     derived_model,
     make_model,
     module_model,
-    morphism_matrix,
     relative_f_model,
 )
 from .quotients import (
     IdealSpec,
     QuotientModel,
-    factors_through,
     injproj_ideal,
     projinj_ideal,
     quotient,
@@ -39,7 +34,6 @@ from .quotients import (
 from .report import VerificationReport
 from .rigidity import (
     MutationResult,
-    RigidSet,
     correspondence_check,
     exchange_exangles,
     is_rigid,

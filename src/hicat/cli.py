@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success or a passing verification, 1 on verification
-failure, 2 on usage errors.
+failure, 2 on usage errors, an unwritable ``--out`` among them.  An
+empty ``--out`` writes to stdout, as no ``--out`` does.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .emit import (
 from .exangles import realize
 from .models import KINDS, MODULE, RELATIVE_F, make_model
 from .quotients import injproj_ideal, projinj_ideal, quotient
-from .rigidity import RigidSet, maximal_rigid, mutate
+from .rigidity import maximal_rigid, mutate
 from .tuples import IndexTuple, build_quiver
 from .verify import DEFAULT_GRID, THEOREMS, parse_grid, run_point, run_theorem
 
@@ -143,11 +144,15 @@ def _model(args):
 
 
 def _print(text: str, out: str | None) -> None:
-    if out:
+    """Write text to the file out, or to stdout when out is None or empty."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # reported as a usage error, exit 2
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -223,13 +228,13 @@ def _dispatch(args) -> int:
         if args.count:
             print(len(sets))
         else:
-            print(json.dumps([[list(t) for t in s.summands] for s in sets]))
+            print(json.dumps([[list(t) for t in s] for s in sets]))
         return 0
 
     if args.command == "mutate":
         model = _model(args)
         summands = tuple(sorted(parse_tuple(p) for p in args.summands.split(";")))
-        result = mutate(model, RigidSet(model.kind, summands), args.at)
+        result = mutate(model, summands, args.at)
         if result is None:
             print("null")
         else:
@@ -263,9 +268,7 @@ def _dispatch(args) -> int:
         if args.model is None:
             raise ValueError(f"{args.content} emission needs --model")
         obj = _model(args)
-    text = emit(obj, spec, args.out)
-    if not args.out:
-        sys.stdout.write(text)
+    _print(emit(obj, spec), args.out)
     return 0
 
 

@@ -4,7 +4,8 @@ Each model is a finite set of tuple-labelled indecomposable objects with
 0/1-valued hom and ext dimension predicates and a 0/1 composition scalar
 on basis morphisms.  All nonzero hom spaces are one-dimensional, so a
 morphism between direct sums is an integer matrix over the canonical
-basis morphisms.
+basis morphisms (``MorphismMatrix``), and ``compose_matrices`` is their
+one product.
 
 Every hom and ext rule is an interleaving of gapped tuples, so each kind
 writes it once, as boxes: for a fixed label, each coordinate of the other
@@ -360,18 +361,6 @@ class CategoryModel:
             cols[j, k] = col
         return col
 
-    def compose_scalar(self, x: IndexTuple, y: IndexTuple, z: IndexTuple) -> int:
-        """Scalar (0 or 1) of the composite of basis morphisms x -> y -> z.
-
-        The label-level edge of ``compose_row``: the labels are checked, and
-        a triple with a zero hom space along it raises ValueError.
-        """
-        i, j, k = self._indices((x, y, z))
-        out = self.hom_rows.out
-        if not (out[i] >> j & 1 and out[j] >> k & 1):
-            raise ValueError(f"no basis morphisms along {x} -> {y} -> {z}")
-        return self.compose_row(i, j) >> k & 1
-
     def classify(self, a: IndexTuple) -> ObjectClass:
         """Projectivity and shift flags for one object."""
         self._require(a)
@@ -448,71 +437,19 @@ def _check_params(d: int, n: int) -> None:
 
 
 @dataclass(frozen=True)
-class BasisMorphism:
-    """The canonical basis morphism of a one-dimensional hom space."""
-    source: IndexTuple
-    target: IndexTuple
-
-
-def basis_morphism(model: CategoryModel, src: IndexTuple, tgt: IndexTuple) -> BasisMorphism:
-    """Construct the basis morphism src -> tgt, requiring hom_dim = 1."""
-    if model.hom_dim(src, tgt) != 1:
-        raise ValueError(f"hom space {src} -> {tgt} is zero in {model.kind}")
-    return BasisMorphism(src, tgt)
-
-
-def compose(model: CategoryModel, g: BasisMorphism, f: BasisMorphism) -> int:
-    """Scalar of g after f; the middle objects must agree."""
-    if f.target != g.source:
-        raise ValueError(f"cannot compose {g.source} -> {g.target} after {f.source} -> {f.target}")
-    return model.compose_scalar(f.source, f.target, g.target)
-
-
-@dataclass(frozen=True)
 class MorphismMatrix:
     """A morphism between direct sums, over the canonical hom bases.
 
     Row i, column j scales the basis morphism source[j] -> target[i];
-    entries are forced to 0 where the hom space vanishes.
+    an entry is 0 where the hom space vanishes, and ``compose_matrices``
+    raises on one that is not.
     """
     source: tuple[IndexTuple, ...]
     target: tuple[IndexTuple, ...]
     entries: tuple[tuple[int, ...], ...]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.target), len(self.source))
-
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)
-
-
-def morphism_matrix(model: CategoryModel,
-                    source: tuple[IndexTuple, ...],
-                    target: tuple[IndexTuple, ...],
-                    entries) -> MorphismMatrix:
-    """Validated matrix constructor: zero entries wherever hom_dim is zero."""
-    rows = tuple(tuple(int(v) for v in row) for row in entries)
-    if len(rows) != len(target) or any(len(row) != len(source) for row in rows):
-        raise ValueError(f"matrix shape {len(rows)}x? does not match "
-                         f"{len(target)}x{len(source)}")
-    for i, t in enumerate(target):
-        for j, s in enumerate(source):
-            if rows[i][j] != 0 and model.hom_dim(s, t) == 0:
-                raise ValueError(f"nonzero entry at zero hom space {s} -> {t}")
-    return MorphismMatrix(source, target, rows)
-
-
-def zero_matrix(source: tuple[IndexTuple, ...],
-                target: tuple[IndexTuple, ...]) -> MorphismMatrix:
-    return MorphismMatrix(source, target,
-                          tuple(tuple(0 for _ in source) for _ in target))
-
-
-def identity_matrix(labels: tuple[IndexTuple, ...]) -> MorphismMatrix:
-    return MorphismMatrix(labels, labels,
-                          tuple(tuple(1 if i == j else 0 for j in range(len(labels)))
-                                for i in range(len(labels))))
 
 
 def compose_matrices(model: CategoryModel, g: MorphismMatrix, f: MorphismMatrix) -> MorphismMatrix:

@@ -8,7 +8,8 @@ ideal generated by objects is the one generated by their identity
 arrows.  Since all hom spaces are at most one-dimensional and
 composition scalars are 0/1, a single admissible arrow suffices to
 witness membership in the ideal; closure under composition is verified
-by tests rather than assumed.
+by tests rather than assumed.  Membership is read from the quotient's
+``killed`` set, which ``quotient`` fills one source row at a time.
 
 A quotient is a model: its objects are the base objects whose identity
 survives, and its hom and ext tables are the base tables on them, with
@@ -26,7 +27,6 @@ from .exangles import compare_exangles, realize
 from .models import (
     MODULE,
     RELATIVE_F,
-    BasisMorphism,
     BitRows,
     CategoryModel,
     bit_indices,
@@ -68,23 +68,13 @@ def injproj_ideal(model: CategoryModel) -> IdealSpec:
                                   for j in targets if out[i] >> j & 1))
 
 
-def factors_through(model: CategoryModel, f: BasisMorphism, ideal: IdealSpec) -> bool:
-    """Whether a basis morphism lies in the ideal.
-
-    It does when some arrow z1 -> z2 of the ideal fits into source -> z1
-    -> z2 -> target with nonzero partial composites.  For an identity
-    arrow (z, z) the unit law makes this the object rule: basis morphisms
-    source -> z -> target with nonzero composite.
-    """
-    s, t = model._indices((f.source, f.target))
-    return bool(_ideal_row(model, s, ideal) >> t & 1)
-
-
 def _ideal_row(model: CategoryModel, s: int, ideal: IdealSpec) -> int:
     """The targets t of the basis morphisms from objects[s] that lie in the ideal.
 
     For each arrow z1 -> z2 with nonzero homs s -> z1 -> z2 and a nonzero
-    composite, those t are the row of nonzero composites s -> z2 -> t.
+    composite, those t are the row of nonzero composites s -> z2 -> t.  For
+    an identity arrow (z, z) the unit law makes this the object rule: the t
+    with basis morphisms s -> z -> t and a nonzero composite.
     """
     index, out = model.index, model.hom_rows.out
     row, reach = 0, out[s]

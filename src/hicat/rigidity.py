@@ -10,7 +10,8 @@ middle terms stay inside the rest of the set.
 Internally every set of objects is an integer bitmask over the model's
 object index, read against the model's conflict rows; the objects are
 sorted, so bit order is label order, and the enumeration yields masks in
-label order.  Labels are built only for public results and counterexamples.
+label order.  Labels are built only for public results and counterexamples;
+there a rigid set is the sorted tuple of its summands.
 """
 from __future__ import annotations
 
@@ -27,16 +28,6 @@ from .models import (
 from .quotients import compare_to_model, projinj_ideal, quotient
 from .report import VerificationReport, run_check
 from .tuples import IndexTuple
-
-
-@dataclass(frozen=True)
-class RigidSet:
-    """A rigid configuration: pairwise extension-free summands."""
-    kind: str
-    summands: tuple[IndexTuple, ...]
-
-    def without(self, x: IndexTuple) -> tuple[IndexTuple, ...]:
-        return tuple(s for s in self.summands if s != x)
 
 
 def _mask(model: CategoryModel, labels) -> int:
@@ -105,13 +96,12 @@ def _maximal_independent(rows: tuple[int, ...]) -> list[tuple[int, int]]:
     return sorted(found, key=lambda f: int(f"{f[0]:0{len(rows)}b}"[::-1], 2), reverse=True)
 
 
-def maximal_rigid(model: CategoryModel) -> tuple[RigidSet, ...]:
-    """All inclusion-maximal rigid sets, deterministically ordered."""
-    return tuple(RigidSet(model.kind, _labels(model, m))
-                 for m, _ in _maximal_independent(model.conflict_rows))
+def maximal_rigid(model: CategoryModel) -> tuple[tuple[IndexTuple, ...], ...]:
+    """All inclusion-maximal rigid sets, each its sorted summands, in label order."""
+    return tuple(_labels(model, m) for m, _ in _maximal_independent(model.conflict_rows))
 
 
-def tilting_sets(model: CategoryModel) -> tuple[RigidSet, ...]:
+def tilting_sets(model: CategoryModel) -> tuple[tuple[IndexTuple, ...], ...]:
     """Maximal rigid sets of a module model, all containing the projective-injectives.
 
     The projective-injective objects are extension-orthogonal to
@@ -121,9 +111,9 @@ def tilting_sets(model: CategoryModel) -> tuple[RigidSet, ...]:
     projinj = {z for z, _ in projinj_ideal(model).arrows}
     sets = maximal_rigid(model)
     for t in sets:
-        missing = projinj - set(t.summands)
+        missing = projinj - set(t)
         if missing:
-            raise ValueError(f"maximal rigid set {t.summands} misses "
+            raise ValueError(f"maximal rigid set {t} misses "
                              f"projective-injectives {sorted(missing)}")
     return sets
 
@@ -230,24 +220,25 @@ class _MutationScanner:
                              if not middles & ~rest), key=lambda e: (e.x0, e.xlast)))
 
 
-def _scan_at(model: CategoryModel, t: RigidSet, x: IndexTuple):
+def _scan_at(model: CategoryModel, t: tuple[IndexTuple, ...], x: IndexTuple):
     """A scanner of the model, with t, x and the replacement pool of x as bits.
 
     Raises ValueError unless t is a maximal rigid set of distinct summands with summand x.
     """
-    if len(set(t.summands)) != len(t.summands):
-        raise ValueError(f"repeated summands in the rigid set {t.summands}")
-    if x not in t.summands:
+    if len(set(t)) != len(t):
+        raise ValueError(f"repeated summands in the rigid set {t}")
+    if x not in t:
         raise ValueError(f"{x} is not a summand of the rigid set")
-    if not is_rigid(model, t.summands):
+    if not is_rigid(model, t):
         raise ValueError("mutation needs a maximal rigid set")
     scan = _MutationScanner(model)
-    tmask = _mask(model, set(t.summands))
+    tmask = _mask(model, set(t))
     i = model.index[x]
     return scan, tmask, i, scan.rows[i] & scan.single_hits(tmask)
 
 
-def exchange_exangles(model: CategoryModel, t: RigidSet, x: IndexTuple) -> tuple[Exangle, ...]:
+def exchange_exangles(model: CategoryModel, t: tuple[IndexTuple, ...],
+                      x: IndexTuple) -> tuple[Exangle, ...]:
     """Exchange d-exangles at a summand of a maximal rigid set.
 
     Returns every realized exangle whose end terms are x and some
@@ -268,7 +259,8 @@ class MutationResult:
     exchanges: tuple[Exangle, ...]
 
 
-def mutate(model: CategoryModel, t: RigidSet, x: IndexTuple) -> MutationResult | None:
+def mutate(model: CategoryModel, t: tuple[IndexTuple, ...],
+           x: IndexTuple) -> MutationResult | None:
     """Replace one summand of a maximal rigid set.
 
     Returns None when no replacement keeps the set maximal rigid (a
@@ -280,8 +272,9 @@ def mutate(model: CategoryModel, t: RigidSet, x: IndexTuple) -> MutationResult |
     if j is None:
         return None
     y = model.objects[j]
-    return MutationResult(summands=tuple(sorted(t.without(x) + (y,))), replaced_by=y,
-                          exchanges=scan.exchanges(i, bucket, tmask & ~(1 << i)))
+    rest = tmask & ~(1 << i)
+    return MutationResult(summands=_labels(model, rest | 1 << j), replaced_by=y,
+                          exchanges=scan.exchanges(i, bucket, rest))
 
 
 def mutation_graph_dot(model: CategoryModel) -> str:

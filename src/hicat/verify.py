@@ -10,6 +10,7 @@ compatibilities.
 """
 from __future__ import annotations
 
+from argparse import ArgumentTypeError
 from math import comb
 
 from .exangles import (
@@ -44,14 +45,19 @@ from .tuples import shift_cluster, shift_derived
 DEFAULT_GRID = (3, 4, 200)
 
 
+class GridError(ValueError, ArgumentTypeError):
+    """A malformed grid bound: a ValueError whose text argparse shows, as it
+    does an ArgumentTypeError's, where it hides a plain ValueError's."""
+
+
 def parse_grid(text: str) -> tuple[int, int, int]:
-    """Parse a DMAX:NMAX:OBJMAX grid bound."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be DMAX:NMAX:OBJMAX, got {text!r}")
-    dmax, nmax, objmax = (int(p) for p in parts)
-    if dmax < 1 or nmax < 1 or objmax < 1:
-        raise ValueError(f"grid bounds must be positive, got {text!r}")
+    """Parse a DMAX:NMAX:OBJMAX grid bound; raises GridError when malformed."""
+    try:
+        dmax, nmax, objmax = (int(p) for p in text.split(":"))
+    except ValueError:
+        raise GridError(f"grid must be DMAX:NMAX:OBJMAX, three integers, got {text!r}") from None
+    if min(dmax, nmax, objmax) < 1:
+        raise GridError(f"grid bounds DMAX:NMAX:OBJMAX must be positive, got {text!r}")
     return dmax, nmax, objmax
 
 

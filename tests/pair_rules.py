@@ -2,7 +2,7 @@
 
 A reference for the interval rules of ``hicat.models``, which read the
 same rules a whole row at a time, and for the helpers that put a
-one-value change into a model's table.
+one-value change into a model's table or read one composite by label.
 """
 from hicat.models import CLUSTER, CYCLIC_KINDS, DERIVED, MODULE, BitRows
 from hicat.tuples import intertwines, normalize_cyclic
@@ -52,3 +52,9 @@ def with_bit(rows: BitRows, i: int, j: int, value: int) -> BitRows:
     out[i] = out[i] & ~(1 << j) | value << j
     into[j] = into[j] & ~(1 << i) | value << i
     return BitRows(tuple(out), tuple(into))
+
+
+def composite(model, x, y, z) -> int:
+    """The composite scalar of basis morphisms x -> y -> z, read from ``compose_row``."""
+    index = model.index
+    return model.compose_row(index[x], index[y]) >> index[z] & 1

@@ -200,6 +200,40 @@ def test_membership_error_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("grid", ["3:4", "0:4:200", "3:x:200"])
+def test_malformed_grid_names_its_format(capsys, grid):
+    code, out, err = run_cli(capsys, "verify", "--theorem", "equiv", "--grid", grid)
+    assert (code, out) == (2, "")
+    last = err.splitlines()[-1]
+    assert last.startswith("hicat verify: error: argument --grid: grid ")
+    assert "DMAX:NMAX:OBJMAX" in last and last.endswith(repr(grid))
+
+
+#: the commands that take --out, each with a small query
+WRITERS = {
+    "exangle": ["exangle", "--model", "module", "--d", "2", "--n", "3",
+                "--from", "246", "--to", "135"],
+    "quotient": ["quotient", "--model", "module", "--d", "1", "--n", "3"],
+    "emit": ["emit", "--content", "quiver", "--d", "1", "--n", "2"],
+}
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_empty_out_writes_to_stdout(capsys, command):
+    code, want, _ = run_cli(capsys, *WRITERS[command])
+    assert code == 0 and want
+    assert run_cli(capsys, *WRITERS[command], "--out", "") == (0, want, "")
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_unwritable_out_is_usage_error(capsys, tmp_path, command):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, *WRITERS[command], "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.parent.exists()
+
+
 @pytest.mark.parametrize("command", [["count"], ["hom"], ["rigid", "--count"]])
 def test_reversed_window_is_usage_error(capsys, command):
     code, out, err = run_cli(capsys, *command, "--model", "derived", "--d", "1",

@@ -17,6 +17,7 @@ from hicat.models import almost_positive_model, cluster_model, derived_model, mo
 from hicat.quotients import projinj_ideal, quotient
 from hicat.tuples import build_quiver
 from hicat.verify import verify_equiv_module_ap
+from pair_rules import composite
 
 QUIVER_23_EDGES = {("13", "14"), ("14", "15"), ("14", "24"),
                    ("15", "25"), ("24", "25"), ("25", "35")}
@@ -105,7 +106,7 @@ def test_irreducible_matches_bruteforce_definition():
             if x == y or not model.hom_dim(x, y):
                 continue
             if not any(z not in (x, y) and model.hom_dim(x, z)
-                       and model.hom_dim(z, y) and model.compose_scalar(x, z, y)
+                       and model.hom_dim(z, y) and composite(model, x, z, y)
                        for z in model.objects):
                 expected.add((x, y))
     assert got == expected

@@ -29,6 +29,7 @@ from hicat.tuples import (
     normalize_cyclic,
     rotate_window_rep,
 )
+from pair_rules import composite
 
 
 def oracle_middles(a, b, member, d, project=lambda t: t):
@@ -260,11 +261,11 @@ def reference_failures(model, e):
         for diff in e.differentials:
             xs = [x for x in diff.source if model.hom_dim(t, x)]
             ys = [y for y in diff.target if model.hom_dim(t, y)]
-            cov.append(rank([[entry(diff, x, y, lambda: model.compose_scalar(t, x, y))
+            cov.append(rank([[entry(diff, x, y, lambda: composite(model, t, x, y))
                               for x in xs] for y in ys], len(xs)))
             xs = [x for x in diff.source if model.hom_dim(x, t)]
             ys = [y for y in diff.target if model.hom_dim(y, t)]
-            con.append(rank([[entry(diff, x, y, lambda: model.compose_scalar(x, y, t))
+            con.append(rank([[entry(diff, x, y, lambda: composite(model, x, y, t))
                               for y in ys] for x in xs], len(ys)))
         cov_dims = [sum(model.hom_dim(t, x) for x in term) for term in e.terms]
         con_dims = [sum(model.hom_dim(x, t) for x in term) for term in e.terms]

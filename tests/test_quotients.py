@@ -4,20 +4,18 @@ from hypothesis import strategies as st
 
 from hicat.exangles import realize
 from hicat.models import (
-    BasisMorphism,
-    basis_morphism,
     cluster_model,
     module_model,
     relative_f_model,
 )
 from hicat.quotients import (
     IdealSpec,
-    factors_through,
     injproj_ideal,
     projinj_ideal,
     quotient,
 )
 from hicat.verify import grid_points
+from pair_rules import composite
 
 
 def _identity_objects(ideal):
@@ -47,9 +45,10 @@ def test_ideal_kind_mismatch():
 
 def test_factors_through_object_class():
     m = module_model(1, 3)
-    ideal = projinj_ideal(m)
-    assert factors_through(m, basis_morphism(m, (1, 4), (2, 5)), ideal)
-    assert not factors_through(m, basis_morphism(m, (1, 4), (2, 4)), ideal)
+    killed = quotient(m, projinj_ideal(m)).killed
+    assert m.hom_dim((1, 4), (2, 5)) == m.hom_dim((1, 4), (2, 4)) == 1
+    assert ((1, 4), (2, 5)) in killed
+    assert ((1, 4), (2, 4)) not in killed
 
 
 def _shifted_projective_ideal(model):
@@ -67,16 +66,17 @@ def test_identity_arrow_ideal_is_the_object_ideal(d, n, make, ideal_of):
     ideal = ideal_of(model)
     objects = _identity_objects(ideal)
     assert objects
-    killed = 0
+    killed = quotient(model, ideal).killed
+    count = 0
     for s in model.objects:
         for t in model.objects:
             if not model.hom_dim(s, t):
                 continue
             by_objects = any(model.hom_dim(s, z) and model.hom_dim(z, t)
-                             and model.compose_scalar(s, z, t) for z in objects)
-            assert factors_through(model, BasisMorphism(s, t), ideal) == by_objects
-            killed += by_objects
-    assert killed
+                             and composite(model, s, z, t) for z in objects)
+            assert ((s, t) in killed) == by_objects
+            count += by_objects
+    assert count
 
 
 def _closure(model, ideal):
@@ -87,9 +87,9 @@ def _closure(model, ideal):
     while todo:
         x, y = todo.pop()
         grown = [(x, z) for z in model.objects
-                 if model.hom_dim(y, z) and model.compose_scalar(x, y, z)]
+                 if model.hom_dim(y, z) and composite(model, x, y, z)]
         grown += [(w, y) for w in model.objects
-                  if model.hom_dim(w, x) and model.compose_scalar(w, x, y)]
+                  if model.hom_dim(w, x) and composite(model, w, x, y)]
         for arrow in grown:
             if arrow not in closed:
                 closed.add(arrow)
@@ -104,16 +104,15 @@ def _closure(model, ideal):
     (cluster_model, _shifted_projective_ideal),
 ]), st.sampled_from(grid_points(7, 10, 60)))
 def test_one_admissible_arrow_decides_membership(case, point):
-    # factors_through tests one admissible arrow per morphism; the ideal
-    # closed under composition must hold exactly the morphisms it accepts
+    # quotient tests one admissible arrow per morphism; the ideal closed
+    # under composition must hold exactly the morphisms it kills
     make, ideal_of = case
     model = make(*point)
     ideal = ideal_of(model)
     closed = _closure(model, ideal)
     homs = {(s, t) for s in model.objects for t in model.objects if model.hom_dim(s, t)}
     assert closed <= homs
-    for s, t in homs:
-        assert factors_through(model, BasisMorphism(s, t), ideal) == ((s, t) in closed)
+    assert quotient(model, ideal).killed == closed
 
 
 def test_quotient_module_examples():
@@ -159,7 +158,7 @@ def test_relative_f_factoring_branch():
                 all(b[i] - 1 < a[i + 1] for i in range(2))
             if backwards:
                 found_killed = True
-                assert factors_through(rf, BasisMorphism(src, tgt), ideal)
+                assert (src, tgt) in q.killed
                 assert q.hom_dim(src, tgt) == 0
             elif q.hom_dim(src, tgt):
                 found_survivor = True
@@ -180,10 +179,10 @@ def test_killed_set_is_an_ideal(make, ideal_of):
             if model.hom_dim(x, y)]
     for x, y in killed:
         for _, z in ((p, q2) for p, q2 in homs if p == y):
-            if model.compose_scalar(x, y, z):
+            if composite(model, x, y, z):
                 assert (x, z) in killed, f"{(x, z)} escapes post-composition"
         for w, _ in ((p, q2) for p, q2 in homs if q2 == x):
-            if model.compose_scalar(w, x, y):
+            if composite(model, w, x, y):
                 assert (w, y) in killed, f"{(w, y)} escapes pre-composition"
 
 

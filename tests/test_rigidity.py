@@ -22,7 +22,6 @@ from hicat.models import (
 )
 from hicat.quotients import QuotientModel, projinj_ideal
 from hicat.rigidity import (
-    RigidSet,
     _maximal_independent,
     _MutationScanner,
     _scan_tilting,
@@ -99,31 +98,40 @@ def test_is_rigid_examples():
 
 def test_maximal_rigid_small_examples():
     ap = almost_positive_model(1, 2)
-    sets = [s.summands for s in maximal_rigid(ap)]
+    sets = list(maximal_rigid(ap))
     assert sets == [((1, 3), (1, 4)), ((1, 3), (3, 5)), ((1, 4), (2, 4)),
                     ((2, 4), (2, 5)), ((2, 5), (3, 5))]
     mod = module_model(1, 3)
     tilts = tilting_sets(mod)
     assert len(tilts) == 5
-    assert all(len(t.summands) == 3 for t in tilts)
-    assert all((1, 5) in t.summands for t in tilts)
+    assert all(len(t) == 3 for t in tilts)
+    assert all((1, 5) in t for t in tilts)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-def test_two_full_size_maximal_rigid_sets_from_2d_plus_2_points(d):
+@pytest.mark.parametrize("n,d,count", [
+    *(pytest.param(1, d, 2, id=str(d)) for d in range(1, 6)),
+    *(pytest.param(2, d, 2 * d + 3, id=f"{d}-n2") for d in range(1, 6)),
+])
+def test_two_full_size_maximal_rigid_sets_from_2d_plus_2_points(n, d, count):
     # A known answer from outside the predicate.  A maximal rigid set of
     # module_model(d, n + 1) has full size when it has comb(n + d - 1, d)
     # summands plus the projective-injectives.  Oppermann-Thomas 2012 match
     # these sets with the triangulations of the cyclic polytope
-    # C(n + 2d + 1, 2d); here n = 1, so C(2d + 2, 2d).  2d + 2 points in
-    # general position in R^{2d} carry one affine dependence, hence one
-    # Radon partition, and have exactly two triangulations, one from each
-    # side of it.
-    n = 1
+    # C(n + 2d + 1, 2d), which has N = dimension + n + 1 vertices.
+    # - n = 1, N = 2d + 2: the points carry one affine dependence, hence one
+    #   Radon partition, and have exactly two triangulations, one from each
+    #   side of it.
+    # - n = 2, N = 2d + 3: by Gale duality the N points become N vectors in
+    #   the plane, in pairwise distinct directions on the moment curve.  Every
+    #   triangulation of dimension + 3 points is regular, and the regular ones
+    #   are the chambers of the Gale dual, here the N cones between
+    #   consecutive rays: N = 2d + 3 triangulations (De Loera, Rambau and
+    #   Santos, "Triangulations", Springer 2010: Gale duality and the
+    #   chamber complex of a configuration of dimension + 3 points).
     model = module_model(d, n + 1)
     projinj = {z for z, _ in projinj_ideal(model).arrows}
     full = comb(n + d - 1, d) + len(projinj)
-    assert sum(len(t.summands) == full for t in maximal_rigid(model)) == 2
+    assert sum(len(t) == full for t in maximal_rigid(model)) == count
 
 
 def test_tilting_sets_needs_a_module_model():
@@ -139,22 +147,22 @@ def test_tilting_sets_needs_a_module_model():
 def test_maximal_rigid_matches_bruteforce(model):
     conflict = lambda x, y: bool(model.ext_dim(x, y) or model.ext_dim(y, x))
     expected = brute_maximal_independent(model.objects, conflict)
-    got = [s.summands for s in maximal_rigid(model)]
+    got = list(maximal_rigid(model))
     assert got == expected
 
 
 def test_cluster_equals_relative_rigid_sets():
     # both extension structures symmetrize to the same conflict graph
     for d, n in [(1, 3), (2, 3)]:
-        cl = [s.summands for s in maximal_rigid(cluster_model(d, n))]
-        rf = [s.summands for s in maximal_rigid(relative_f_model(d, n))]
+        cl = list(maximal_rigid(cluster_model(d, n)))
+        rf = list(maximal_rigid(relative_f_model(d, n)))
         assert cl == rf
 
 
 @pytest.mark.parametrize("d,n", [(1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4)])
 def test_maximal_rigid_sets_have_equal_cardinality_low_d(d, n):
     for model in (cluster_model(d, n), almost_positive_model(d, n)):
-        sizes = {len(s.summands) for s in maximal_rigid(model)}
+        sizes = {len(s) for s in maximal_rigid(model)}
         assert len(sizes) == 1
 
 
@@ -163,7 +171,7 @@ def test_maximal_rigid_sets_not_pure_at_d3():
     # reaches 3; confirmed against the brute-force oracle
     from collections import Counter
     model = almost_positive_model(3, 2)
-    sets = [s.summands for s in maximal_rigid(model)]
+    sets = list(maximal_rigid(model))
     conflict = lambda x, y: bool(model.ext_dim(x, y) or model.ext_dim(y, x))
     assert sets == brute_maximal_independent(model.objects, conflict)
     assert dict(Counter(len(s) for s in sets)) == {4: 9, 3: 3}
@@ -171,7 +179,7 @@ def test_maximal_rigid_sets_not_pure_at_d3():
 
 def test_exchange_example():
     ap = almost_positive_model(1, 2)
-    t = RigidSet(ap.kind, ((1, 3), (1, 4)))
+    t = ((1, 3), (1, 4))
     exchanges = exchange_exangles(ap, t, (1, 4))
     assert len(exchanges) == 1
     e = exchanges[0]
@@ -184,8 +192,8 @@ def test_exchange_example():
 def test_exchange_needs_maximal_rigid_set():
     ap = almost_positive_model(1, 2)
     # rigid, but (1, 4) and (3, 5) can still be added
-    t = RigidSet(ap.kind, ((1, 3),))
-    assert is_rigid(ap, t.summands)
+    t = ((1, 3),)
+    assert is_rigid(ap, t)
     with pytest.raises(ValueError, match="maximal rigid"):
         exchange_exangles(ap, t, (1, 3))
     with pytest.raises(ValueError, match="maximal rigid"):
@@ -194,7 +202,7 @@ def test_exchange_needs_maximal_rigid_set():
 
 def test_exchange_middles_stay_in_rest():
     mod = module_model(1, 3)
-    t = RigidSet(mod.kind, ((1, 3), (1, 4), (1, 5)))
+    t = ((1, 3), (1, 4), (1, 5))
     exchanges = exchange_exangles(mod, t, (1, 4))
     assert exchanges
     for e in exchanges:
@@ -204,7 +212,7 @@ def test_exchange_middles_stay_in_rest():
 
 def test_exchange_empty_when_no_replacement():
     mod = module_model(1, 3)
-    t = RigidSet(mod.kind, ((1, 3), (1, 4), (1, 5)))
+    t = ((1, 3), (1, 4), (1, 5))
     # the projective-injective summand admits no replacement
     assert exchange_exangles(mod, t, (1, 5)) == ()
     assert mutate(mod, t, (1, 5)) is None
@@ -212,7 +220,7 @@ def test_exchange_empty_when_no_replacement():
 
 def test_mutate_examples():
     ap = almost_positive_model(1, 2)
-    t = RigidSet(ap.kind, ((1, 3), (1, 4)))
+    t = ((1, 3), (1, 4))
     r = mutate(ap, t, (1, 4))
     assert r.summands == ((1, 3), (3, 5))
     assert r.replaced_by == (3, 5)
@@ -223,12 +231,12 @@ def test_mutate_examples():
         mutate(ap, t, (3, 5))
     # (1, 3) and (2, 4) have an extension, so they form no rigid set
     with pytest.raises(ValueError, match="maximal rigid set"):
-        mutate(ap, RigidSet(ap.kind, ((1, 3), (2, 4))), (1, 3))
+        mutate(ap, ((1, 3), (2, 4)), (1, 3))
 
 
 def test_repeated_summands_are_rejected():
     ap = almost_positive_model(1, 2)
-    t = RigidSet(ap.kind, ((1, 3), (1, 3), (1, 4)))
+    t = ((1, 3), (1, 3), (1, 4))
     for call in (mutate, exchange_exangles):
         with pytest.raises(ValueError, match="repeated summands"):
             call(ap, t, (1, 4))
@@ -239,13 +247,13 @@ def test_repeated_summands_are_rejected():
 ])
 def test_mutate_is_involution(model):
     for t in maximal_rigid(model):
-        for x in t.summands:
+        for x in t:
             r = mutate(model, t, x)
             if r is None:
                 continue
-            back = mutate(model, RigidSet(model.kind, r.summands), r.replaced_by)
+            back = mutate(model, r.summands, r.replaced_by)
             assert back is not None
-            assert back.summands == t.summands
+            assert back.summands == t
             assert back.replaced_by == x
 
 
@@ -256,8 +264,8 @@ def test_mutate_is_involution(model):
 def test_mutate_matches_bruteforce(factory, d, n):
     model = factory(d, n)
     for t in maximal_rigid(model):
-        for x in t.summands:
-            expected = brute_mutations(model, t.summands, x)
+        for x in t:
+            expected = brute_mutations(model, t, x)
             if len(expected) > 1:
                 with pytest.raises(ValueError, match="ambiguous"):
                     mutate(model, t, x)
@@ -268,8 +276,8 @@ def test_mutate_matches_bruteforce(factory, d, n):
                 continue
             y = expected[0]
             assert r.replaced_by == y
-            assert r.summands == tuple(sorted(t.without(x) + (y,)))
-            want = brute_exchanges(model, t.summands, x)
+            assert r.summands == tuple(sorted(set(t) - {x} | {y}))
+            want = brute_exchanges(model, t, x)
             assert [(e.x0, e.xlast, e.middles) for e in r.exchanges] == \
                 [(e.x0, e.xlast, e.middles) for e in want]
             assert r.exchanges == exchange_exangles(model, t, x)
@@ -463,8 +471,8 @@ from hicat.models import almost_positive_model
 from hicat.rigidity import is_rigid, maximal_rigid, mutate
 model = almost_positive_model(2, 3)
 t = maximal_rigid(model)[0]
-assert is_rigid(model, t.summands)
-mutate(model, t, t.summands[0])
+assert is_rigid(model, t)
+mutate(model, t, t[0])
 ref = weakref.ref(model)
 del model, t
 gc.collect()
@@ -512,14 +520,14 @@ def test_mutation_graph_follows_maximal_rigid_and_mutate():
     # and the edges are exactly the mutations that mutate finds
     ap = almost_positive_model(3, 2)
     sets = maximal_rigid(ap)
-    assert sorted(len(t.summands) for t in sets) == [3] * 3 + [4] * 9
+    assert sorted(len(t) for t in sets) == [3] * 3 + [4] * 9
     name = lambda summands: "|".join(",".join(map(str, x)) for x in summands)
     lines = mutation_graph_dot(ap).splitlines()
     assert [ln for ln in lines[1:-1] if "->" not in ln] == \
-        [f'  "{name(t.summands)}";' for t in sets]
+        [f'  "{name(t)}";' for t in sets]
     edges = [ln.strip(' ";').split('" -> "') for ln in lines if "->" in ln]
-    expected = {frozenset((name(t.summands), name(r.summands)))
-                for t in sets for x in t.summands if (r := mutate(ap, t, x)) is not None}
+    expected = {frozenset((name(t), name(r.summands)))
+                for t in sets for x in t if (r := mutate(ap, t, x)) is not None}
     assert len(edges) == len(expected)
     assert {frozenset(e) for e in edges} == expected
 
@@ -527,7 +535,7 @@ def test_mutation_graph_follows_maximal_rigid_and_mutate():
 def test_exchange_realizes_extension_ends():
     ap = almost_positive_model(2, 3)
     for t in maximal_rigid(ap)[:6]:
-        for x in t.summands:
+        for x in t:
             for e in exchange_exangles(ap, t, x):
                 assert x in (e.x0, e.xlast)
                 b, a = e.xlast, e.x0

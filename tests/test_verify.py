@@ -35,7 +35,7 @@ from hicat.verify import (
     verify_model_sanity,
 )
 
-from pair_rules import with_bit
+from pair_rules import composite, with_bit
 
 
 def test_verify_equiv_small_points():
@@ -91,7 +91,7 @@ def test_noncommuting_witness_cluster_1_6():
     x, y, z = witness
     assert c.hom_dim(x, y) == 1 and c.hom_dim(y, z) == 1
     assert c.hom_dim(x, z) == 1
-    assert c.compose_scalar(x, y, z) == 0
+    assert composite(c, x, y, z) == 0
 
 
 def test_compare_exangles_reports_mismatch():
@@ -179,7 +179,7 @@ def test_run_verification_script_from_any_directory(tmp_path):
     assert re.search(r"peak RSS \d+\.\d MiB$", proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("args", [["3:4"], ["1:1:10", "a"]])
+@pytest.mark.parametrize("args", [["3:4"], ["1:1:10", "a"], ["0:4:200"], ["3:x:200"]])
 def test_run_verification_script_usage_error(args):
     # a malformed grid or an extra argument is a usage error (2), not a failed check (1)
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
@@ -190,6 +190,10 @@ def test_run_verification_script_usage_error(args):
     assert lines[0].startswith("usage: run_verification.py")
     assert [line for line in lines if "error:" in line] == [lines[-1]]
     assert lines[-1].startswith("run_verification.py: error: ")
+    if len(args) == 1:
+        # a malformed grid keeps parse_grid's reason, not argparse's bare "invalid value"
+        assert lines[-1].endswith(f"DMAX:NMAX:OBJMAX, three integers, got {args[0]!r}") \
+            or lines[-1].endswith(f"DMAX:NMAX:OBJMAX must be positive, got {args[0]!r}")
 
 
 def _corrupted(model, method, key, value):
