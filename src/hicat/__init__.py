@@ -8,17 +8,16 @@ equivalence and mutation correspondences exhaustively at desk scale.
 from .exangles import (
     ExactnessReport,
     Exangle,
+    MorphismMatrix,
     hom_exactness_report,
     is_complex,
     realize,
 )
 from .models import (
     CategoryModel,
-    MorphismMatrix,
     ObjectClass,
     almost_positive_model,
     cluster_model,
-    compose_matrices,
     derived_model,
     make_model,
     module_model,
@@ -49,7 +48,6 @@ from .tuples import (
     gen_modset,
     gen_nonconsec,
     intertwines,
-    m_mix,
     normalize_cyclic,
     shift_cluster,
     shift_derived,

@@ -2,12 +2,15 @@
 
 Exit codes: 0 on success or a passing verification, 1 on verification
 failure, 2 on usage errors, an unwritable ``--out`` among them.  An
-empty ``--out`` writes to stdout, as no ``--out`` does.
+empty ``--out`` writes to stdout, as no ``--out`` does.  A reader that
+closes stdout early ends the output and changes no exit code: ``verify``
+computes all its reports before it writes its first line.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .emit import (
@@ -26,22 +29,28 @@ from .models import KINDS, MODULE, RELATIVE_F, make_model
 from .quotients import injproj_ideal, projinj_ideal, quotient
 from .rigidity import maximal_rigid, mutate
 from .tuples import IndexTuple, build_quiver
-from .verify import DEFAULT_GRID, THEOREMS, parse_grid, run_point, run_theorem
+from .verify import DEFAULT_GRID, THEOREMS, FormatError, parse_grid, run_point, run_theorem
 
 
 def parse_tuple(text: str) -> IndexTuple:
-    """Parse '246' or '2,4,6' into (2, 4, 6)."""
+    """Parse '246' or '2,4,6' into (2, 4, 6); raises FormatError when malformed."""
     text = text.strip()
-    if "," in text:
-        return tuple(int(p) for p in text.split(","))
-    if not text.isdigit():
-        raise ValueError(f"cannot parse tuple {text!r}")
-    return tuple(int(ch) for ch in text)
+    try:
+        if text:
+            return tuple(int(p) for p in (text.split(",") if "," in text else text))
+    except ValueError:
+        pass
+    raise FormatError(f"tuple must be 246 or 2,4,6, single digits or integers "
+                      f"joined by commas, got {text!r}")
 
 
 def parse_window(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    return (int(lo), int(hi))
+    """Parse a LO:HI window of first entries; raises FormatError when malformed."""
+    try:
+        lo, hi = (int(p) for p in text.split(":"))
+    except ValueError:
+        raise FormatError(f"window must be LO:HI, two integers, got {text!r}") from None
+    return lo, hi
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,10 +152,21 @@ def _model(args):
                       getattr(args, "window", None))
 
 
-def _print(text: str, out: str | None) -> None:
-    """Write text to the file out, or to stdout when out is None or empty."""
+def _print(text: str, out: str | None = None) -> None:
+    """Write text to the file out, or to stdout when out is None or empty.
+
+    A reader that closes stdout ends the output, not the command: stdout
+    is pointed at os.devnull, so that later writes and the flush at exit
+    stay silent, and the command keeps its exit code.
+    """
     if not out:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -184,7 +204,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "objects":
-        print(json.dumps([list(t) for t in _model(args).objects]))
+        _print(json.dumps([list(t) for t in _model(args).objects]) + "\n")
         return 0
 
     if args.command in ("hom", "ext"):
@@ -193,10 +213,10 @@ def _dispatch(args) -> int:
             raise ValueError("--from and --to must be given together")
         if args.src is not None:
             dim = model.hom_dim if args.command == "hom" else model.ext_dim
-            print(dim(args.src, args.tgt))
+            _print(f"{dim(args.src, args.tgt)}\n")
         else:
             table = hom_table(model) if args.command == "hom" else ext_table(model)
-            print(json.dumps(table, indent=2, sort_keys=True))
+            _print(json.dumps(table, indent=2, sort_keys=True) + "\n")
         return 0
 
     if args.command == "exangle":
@@ -217,18 +237,17 @@ def _dispatch(args) -> int:
 
     if args.command == "verify":
         reports = run_theorem(args.theorem, args.grid)
-        for report in reports:
-            print(report.summary())
         failed = [r for r in reports if not r.ok]
-        print(f"{len(reports) - len(failed)}/{len(reports)} checks passed")
+        _print("".join(f"{report.summary()}\n" for report in reports)
+               + f"{len(reports) - len(failed)}/{len(reports)} checks passed\n")
         return 1 if failed else 0
 
     if args.command == "rigid":
         sets = maximal_rigid(_model(args))
         if args.count:
-            print(len(sets))
+            _print(f"{len(sets)}\n")
         else:
-            print(json.dumps([[list(t) for t in s] for s in sets]))
+            _print(json.dumps([[list(t) for t in s] for s in sets]) + "\n")
         return 0
 
     if args.command == "mutate":
@@ -236,16 +255,16 @@ def _dispatch(args) -> int:
         summands = tuple(sorted(parse_tuple(p) for p in args.summands.split(";")))
         result = mutate(model, summands, args.at)
         if result is None:
-            print("null")
+            _print("null\n")
         else:
             payload = {"summands": [list(t) for t in result.summands],
                        "replaced_by": list(result.replaced_by),
                        "exchanges": [exangle_to_dict(e) for e in result.exchanges]}
-            print(json.dumps(payload, indent=2))
+            _print(json.dumps(payload, indent=2) + "\n")
         return 0
 
     if args.command == "count":
-        print(len(_model(args).objects))
+        _print(f"{len(_model(args).objects)}\n")
         return 0
 
     # emit

@@ -17,22 +17,32 @@ exhaustively rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from operator import itemgetter
 
 from .models import (
     CLUSTER,
     CategoryModel,
-    MorphismMatrix,
     bit_indices,
-    compose_matrices,
 )
 from .tuples import (
     IndexTuple,
     intertwines,
     rotate_window_rep,
 )
+
+
+@dataclass(frozen=True)
+class MorphismMatrix:
+    """A morphism between direct sums, over the canonical hom bases.
+
+    Row i, column j scales the basis morphism source[j] -> target[i];
+    an entry is 0 where the hom space vanishes.
+    """
+    source: tuple[IndexTuple, ...]
+    target: tuple[IndexTuple, ...]
+    entries: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -53,6 +63,24 @@ class Exangle:
     def terms(self) -> tuple[tuple[IndexTuple, ...], ...]:
         """All terms from X_a down to X_b, one tuple of summands per position."""
         return ((self.x0,),) + self.middles + ((self.xlast,),)
+
+    @cached_property
+    def indexed(self) -> tuple[tuple[tuple[int, ...], ...],
+                               tuple[tuple[int, int, int, int, int, int], ...]]:
+        """(terms, entries) over the object indices of the model, built once.
+
+        terms[p] lists the summands of term p as object indices; entries
+        lists the nonzero differential entries as (p, r, c, x, y, v): entry
+        (r, c) of differential p is v and scales the basis morphism x -> y
+        from summand c of term p to summand r of term p + 1.  A label that
+        is not an object of the model raises ValueError.
+        """
+        terms = tuple(tuple(self.model._indices(term)) for term in self.terms)
+        entries = tuple((p, r, c, sources[c], targets[r], v)
+                        for p, (diff, sources, targets)
+                        in enumerate(zip(self.differentials, terms, terms[1:]))
+                        for r, row in enumerate(diff.entries) for c, v in enumerate(row) if v)
+        return terms, entries
 
 
 def compare_exangles(left: Exangle, right: Exangle) -> str | None:
@@ -151,12 +179,42 @@ def realize(model: CategoryModel, b: IndexTuple, a: IndexTuple) -> Exangle:
                    differentials=tuple(diffs))
 
 
+def differential_off_hom(e: Exangle) -> tuple[IndexTuple, IndexTuple] | None:
+    """The first nonzero differential entry x -> y whose hom space is zero, or None."""
+    _, entries = e.indexed
+    out, objects = e.model.hom_rows.out, e.model.objects
+    for _, _, _, x, y, _ in entries:
+        if not out[x] >> y & 1:
+            return objects[x], objects[y]
+    return None
+
+
 def is_complex(e: Exangle) -> bool:
-    """True when every pair of consecutive differentials composes to zero."""
-    for first, second in zip(e.differentials, e.differentials[1:]):
-        if not compose_matrices(e.model, second, first).is_zero():
-            return False
-    return True
+    """True when every pair of consecutive differentials composes to zero.
+
+    The composite of differentials p and p + 1 at (x, u) sums, over the
+    middle summands y, v * w * (bit u of ``compose_row(x, y)``), where v
+    scales x -> y and w scales y -> u.  A nonzero entry on a zero hom
+    space (``differential_off_hom``) raises ValueError.
+    """
+    off = differential_off_hom(e)
+    if off is not None:
+        raise ValueError(f"no basis morphisms along {off[0]} -> {off[1]}")
+    _, entries = e.indexed
+    leaving: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for p, r, c, _, u, w in entries:
+        leaving.setdefault((p, c), []).append((r, u, w))
+    composite: dict[tuple[int, int, int], int] = {}
+    row = e.model.compose_row
+    for p, r, c, x, y, v in entries:
+        after = leaving.get((p + 1, r))
+        if after:
+            through = row(x, y)
+            for r2, u, w in after:
+                if through >> u & 1:
+                    key = (p, c, r2)
+                    composite[key] = composite.get(key, 0) + v * w
+    return not any(composite.values())
 
 
 def _rank(rows) -> int:
@@ -224,7 +282,7 @@ def _classes(universe: int, splitters) -> list[tuple[int, int]]:
     return [(c, view | common) for c, view in classes]
 
 
-def _failing_positions(e: Exangle, entries, derived: int, view: int) -> tuple[int, ...]:
+def _failing_positions(terms, entries, derived: int, view: int) -> tuple[int, ...]:
     """The interior positions where the hom complex of one view is not exact.
 
     Bit k of the view is set when the test object sees summand k, in the
@@ -233,24 +291,24 @@ def _failing_positions(e: Exangle, entries, derived: int, view: int) -> tuple[in
     object sees both its ends.
     """
     offsets, live, seen = [], [], 0
-    for term in e.terms:
+    for term in terms:
         offsets.append(seen)
         live.append([k for k in range(len(term)) if view >> seen + k & 1])
         seen += len(term)
-    kept: list[dict[tuple[int, int], int]] = [{} for _ in e.differentials]
-    for q, (p, r, c, _, _) in enumerate(entries):
+    kept: list[dict[tuple[int, int], int]] = [{} for _ in terms[1:]]
+    for q, (p, r, c, _, _, v) in enumerate(entries):
         if derived >> q & 1:
             survives = view >> offsets[p] + c & view >> offsets[p + 1] + r & 1
         else:
             survives = view >> seen + q & 1
         if survives:
-            kept[p][r, c] = e.differentials[p].entries[r][c]
+            kept[p][r, c] = v
     ranks = [_rank([[level.get((r, c), 0) for c in cols] for r in rows])
              for level, cols, rows in zip(kept, live, live[1:])]
     return tuple(p for p in range(1, len(live) - 1) if ranks[p - 1] + ranks[p] != len(live[p]))
 
 
-def hom_exactness_report(model: CategoryModel, e: Exangle) -> ExactnessReport:
+def hom_exactness_report(e: Exangle) -> ExactnessReport:
     """Check exactness of both induced hom complexes at every interior position.
 
     For each test object t the covariant complex Hom(t, X_a) -> Hom(t, E_d)
@@ -278,11 +336,9 @@ def hom_exactness_report(model: CategoryModel, e: Exangle) -> ExactnessReport:
     are (t, "covariant" | "contravariant", p), in object order, covariant
     first for each t.
     """
-    terms = [model._indices(term) for term in e.terms]
+    model = e.model
+    terms, entries = e.indexed
     summands = [x for term in terms for x in term]
-    entries = [(p, r, c, sources[c], targets[r])
-               for p, (diff, sources, targets) in enumerate(zip(e.differentials, terms, terms[1:]))
-               for r, row in enumerate(diff.entries) for c, v in enumerate(row) if v]
     shape = tuple(diff.entries for diff in e.differentials)
     hom = model.hom_rows
     failing: dict[int, list[tuple[str, int]]] = {}
@@ -295,7 +351,7 @@ def hom_exactness_report(model: CategoryModel, e: Exangle) -> ExactnessReport:
             continue
         splitters = [sees[x] for x in summands]
         derived = 0
-        for q, (_, _, _, x, y) in enumerate(entries):
+        for q, (_, _, _, x, y, _) in enumerate(entries):
             mask = (model.compose_column(x, y) if orientation == "covariant"
                     else model.compose_row(x, y))
             if mask == sees[x] & sees[y]:
@@ -306,7 +362,7 @@ def hom_exactness_report(model: CategoryModel, e: Exangle) -> ExactnessReport:
         for cls, view in _classes(universe, splitters):
             bad = views.get(view)
             if bad is None:
-                bad = views[view] = _failing_positions(e, entries, derived, view)
+                bad = views[view] = _failing_positions(terms, entries, derived, view)
             if bad:
                 for u in bit_indices(cls):
                     failing.setdefault(u, []).extend((orientation, p) for p in bad)

@@ -4,8 +4,7 @@ Each model is a finite set of tuple-labelled indecomposable objects with
 0/1-valued hom and ext dimension predicates and a 0/1 composition scalar
 on basis morphisms.  All nonzero hom spaces are one-dimensional, so a
 morphism between direct sums is an integer matrix over the canonical
-basis morphisms (``MorphismMatrix``), and ``compose_matrices`` is their
-one product.
+basis morphisms.
 
 Every hom and ext rule is an interleaving of gapped tuples, so each kind
 writes it once, as boxes: for a fixed label, each coordinate of the other
@@ -434,50 +433,3 @@ def make_model(kind: str, d: int, n: int,
 def _check_params(d: int, n: int) -> None:
     if d < 1 or n < 1:
         raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-
-
-@dataclass(frozen=True)
-class MorphismMatrix:
-    """A morphism between direct sums, over the canonical hom bases.
-
-    Row i, column j scales the basis morphism source[j] -> target[i];
-    an entry is 0 where the hom space vanishes, and ``compose_matrices``
-    raises on one that is not.
-    """
-    source: tuple[IndexTuple, ...]
-    target: tuple[IndexTuple, ...]
-    entries: tuple[tuple[int, ...], ...]
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
-
-
-def compose_matrices(model: CategoryModel, g: MorphismMatrix, f: MorphismMatrix) -> MorphismMatrix:
-    """Matrix composite with the model's composition rows as structure constants.
-
-    A nonzero coefficient along a zero hom space raises ValueError.
-    """
-    if f.target != g.source:
-        raise ValueError("shape mismatch: target of the first factor must equal "
-                         "source of the second")
-    sources, middles, targets = (model._indices(labels)
-                                 for labels in (f.source, f.target, g.target))
-    out = model.hom_rows.out
-    columns = []
-    for k, s in enumerate(sources):
-        column = [0] * len(targets)
-        for j, y in enumerate(middles):
-            v = f.entries[j][k]
-            if not v:
-                continue
-            row = model.compose_row(s, y) if out[s] >> y & 1 else None
-            for i, u in enumerate(targets):
-                w = g.entries[i][j]
-                if w:
-                    if row is None or not out[y] >> u & 1:
-                        raise ValueError(f"no basis morphisms along {f.source[k]} -> "
-                                         f"{f.target[j]} -> {g.target[i]}")
-                    column[i] += v * w * (row >> u & 1)
-        columns.append(column)
-    entries = tuple(tuple(column[i] for column in columns) for i in range(len(targets)))
-    return MorphismMatrix(f.source, g.target, entries)

@@ -3,7 +3,7 @@
 Everything downstream is built from (d+1)-tuples of integers that are
 strictly increasing with gaps of at least 2.  This module generates the
 three tuple families used as object labels, decides the interleaving
-predicates, and provides the mixing, normalization and shift operations
+predicates, and provides the normalization and shift operations
 together with the translation quiver.
 """
 from __future__ import annotations
@@ -99,18 +99,6 @@ def normalize_cyclic(a: IndexTuple, m: int) -> IndexTuple:
     if len(set(reduced)) != len(reduced):
         raise ValueError(f"entries of {a} collide modulo {m}")
     return tuple(reduced)
-
-
-def m_mix(I, a: IndexTuple, b: IndexTuple) -> IndexTuple:
-    """Mix two tuples: take a_i at positions in I, b_i elsewhere.
-
-    The result is a raw tuple; it is not validated against any family.
-    """
-    _check_same_length(a, b)
-    idx = set(I)
-    if not idx <= set(range(len(a))):
-        raise ValueError(f"mixing positions {sorted(idx)} outside 0..{len(a) - 1}")
-    return tuple(a[i] if i in idx else b[i] for i in range(len(a)))
 
 
 def shift_derived(a: IndexTuple, n: int, d: int) -> IndexTuple:

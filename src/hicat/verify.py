@@ -14,8 +14,8 @@ from argparse import ArgumentTypeError
 from math import comb
 
 from .exangles import (
-    Exangle,
     NoInterleavingLift,
+    differential_off_hom,
     hom_exactness_report,
     is_complex,
     realize,
@@ -45,19 +45,20 @@ from .tuples import shift_cluster, shift_derived
 DEFAULT_GRID = (3, 4, 200)
 
 
-class GridError(ValueError, ArgumentTypeError):
-    """A malformed grid bound: a ValueError whose text argparse shows, as it
-    does an ArgumentTypeError's, where it hides a plain ValueError's."""
+class FormatError(ValueError, ArgumentTypeError):
+    """A command-line value not in its expected form (a grid, a window, a
+    tuple): a ValueError whose text argparse shows, as it does an
+    ArgumentTypeError's, where it hides a plain ValueError's."""
 
 
 def parse_grid(text: str) -> tuple[int, int, int]:
-    """Parse a DMAX:NMAX:OBJMAX grid bound; raises GridError when malformed."""
+    """Parse a DMAX:NMAX:OBJMAX grid bound; raises FormatError when malformed."""
     try:
         dmax, nmax, objmax = (int(p) for p in text.split(":"))
     except ValueError:
-        raise GridError(f"grid must be DMAX:NMAX:OBJMAX, three integers, got {text!r}") from None
+        raise FormatError(f"grid must be DMAX:NMAX:OBJMAX, three integers, got {text!r}") from None
     if min(dmax, nmax, objmax) < 1:
-        raise GridError(f"grid bounds DMAX:NMAX:OBJMAX must be positive, got {text!r}")
+        raise FormatError(f"grid bounds DMAX:NMAX:OBJMAX must be positive, got {text!r}")
     return dmax, nmax, objmax
 
 
@@ -137,17 +138,6 @@ def _cluster_shift(model: CategoryModel) -> list[int]:
     return model._indices([shift_cluster(x, model.modulus) for x in model.objects])
 
 
-def _differential_off_hom(model: CategoryModel, e: Exangle):
-    """The first nonzero differential entry x -> y whose hom space is zero, or None."""
-    index, out = model.index, model.hom_rows.out
-    for diff in e.differentials:
-        for y, row in zip(diff.target, diff.entries):
-            for x, v in zip(diff.source, row):
-                if v and not out[index[x]] >> index[y] & 1:
-                    return x, y
-    return None
-
-
 def verify_model_sanity(model: CategoryModel) -> VerificationReport:
     """Structural sanity of one model.
 
@@ -219,12 +209,12 @@ def verify_model_sanity(model: CategoryModel) -> VerificationReport:
                 e = realize(model, b, a)
             except NoInterleavingLift:
                 return ("ext-without-lift", b, a)
-            off_hom = _differential_off_hom(model, e)
+            off_hom = differential_off_hom(e)
             if off_hom is not None:
                 return ("differential-off-hom", b, a, *off_hom)
             if not is_complex(e):
                 return ("not-a-complex", b, a)
-            report = hom_exactness_report(model, e)
+            report = hom_exactness_report(e)
             if not report.ok:
                 return ("hom-exactness", b, a, report.failures[:3])
         if model.kind == CLUSTER:
@@ -250,39 +240,36 @@ def _shift_failure(model: CategoryModel, shift: list[int | None], name: str,
 
     ``shift`` maps an object index to the index of its shift, or to None
     where the shift leaves the model; a pair is checked when both its
-    objects have a shift.  Where the map is one to one, row x of the hom
-    and ext tables, restricted to the checked objects and moved by it,
-    must be the row of the shift of x restricted to their images, and
-    only a row that differs is searched for its first failing pair; a map
-    that is not one to one (a broken shift) has every pair tested.  Pairs
-    are counted in the order of product(objects, repeat=2).
+    objects have a shift.  Row x of the hom and ext tables is pulled back
+    along the map: the y whose shift lies in the row of the shift of x,
+    the OR of pre[k] over the bits k of that row, with pre[k] the objects
+    whose shift is k.  It must equal row x restricted to the checked
+    objects, and the lowest bit where they differ is the first failing y,
+    whatever the map, one to one or not.  Pairs are counted in the order
+    of product(objects, repeat=2).
     """
     objects, hom, ext = model.objects, model.hom_rows.out, model.ext_rows.out
-    domain = images = 0
+    domain = 0
+    pre = [0] * len(objects)
     for j, s in enumerate(shift):
         if s is not None:
             domain |= 1 << j
-            images |= 1 << s
+            pre[s] |= 1 << j
     checked = domain.bit_count()
-    injective = images.bit_count() == checked
     for i, s in enumerate(shift):
         if s is None:
             continue
-        if injective:
-            moved = []
-            for table in (hom, ext):
-                mask = 0
-                for j in bit_indices(table[i] & domain):
-                    mask |= 1 << shift[j]
-                moved.append(mask)
-            if moved == [hom[s] & images, ext[s] & images]:
-                counters["shift_checks"] += checked
-                continue
-        for j in bit_indices(domain):
-            counters["shift_checks"] += 1
-            sj = shift[j]
-            if hom[i] >> j & 1 != hom[s] >> sj & 1 or ext[i] >> j & 1 != ext[s] >> sj & 1:
-                return (name, objects[i], objects[j])
+        bad = 0
+        for table in (hom, ext):
+            pulled = 0
+            for k in bit_indices(table[s]):
+                pulled |= pre[k]
+            bad |= pulled ^ table[i] & domain
+        if bad:
+            j = (bad & -bad).bit_length() - 1
+            counters["shift_checks"] += (domain & (2 << j) - 1).bit_count()
+            return (name, objects[i], objects[j])
+        counters["shift_checks"] += checked
     return None
 
 

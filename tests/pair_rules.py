@@ -3,6 +3,8 @@
 A reference for the interval rules of ``hicat.models``, which read the
 same rules a whole row at a time, and for the helpers that put a
 one-value change into a model's table or read one composite by label.
+It also holds the label-level references of ``hicat.exangles``: the
+mixing of two tuples and the complex condition as a matrix product.
 """
 from hicat.models import CLUSTER, CYCLIC_KINDS, DERIVED, MODULE, BitRows
 from hicat.tuples import intertwines, normalize_cyclic
@@ -58,3 +60,40 @@ def composite(model, x, y, z) -> int:
     """The composite scalar of basis morphisms x -> y -> z, read from ``compose_row``."""
     index = model.index
     return model.compose_row(index[x], index[y]) >> index[z] & 1
+
+
+def m_mix(I, a, b):
+    """Mix two tuples: take a_i at the positions in I, b_i elsewhere.
+
+    The result is a raw tuple; it is not validated against any family.
+    """
+    if len(a) != len(b):
+        raise ValueError(f"tuples of different lengths: {a}, {b}")
+    idx = set(I)
+    if not idx <= set(range(len(a))):
+        raise ValueError(f"mixing positions {sorted(idx)} outside 0..{len(a) - 1}")
+    return tuple(a[i] if i in idx else b[i] for i in range(len(a)))
+
+
+def composes_to_zero(e) -> bool:
+    """The complex condition by brute-force matrix products over ``composite``.
+
+    Each pair of consecutive differentials is multiplied out entry by
+    entry, by label; a nonzero entry whose hom space is zero (``hom_dim``)
+    raises ValueError.
+    """
+    model = e.model
+    for diff in e.differentials:
+        for y, row in zip(diff.target, diff.entries):
+            for x, v in zip(diff.source, row):
+                if v and not model.hom_dim(x, y):
+                    raise ValueError(f"no basis morphisms along {x} -> {y}")
+    for f, g in zip(e.differentials, e.differentials[1:]):
+        for i, z in enumerate(g.target):
+            for k, x in enumerate(f.source):
+                total = sum(g.entries[i][j] * f.entries[j][k] * composite(model, x, y, z)
+                            for j, y in enumerate(f.target)
+                            if g.entries[i][j] and f.entries[j][k])
+                if total:
+                    return False
+    return True

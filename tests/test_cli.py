@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +19,9 @@ def test_parse_tuple():
     assert parse_tuple("246") == (2, 4, 6)
     assert parse_tuple("2,4,6") == (2, 4, 6)
     assert parse_tuple("6,11") == (6, 11)
-    with pytest.raises(ValueError):
-        parse_tuple("x1")
+    for text in ("x1", "1,,3", ""):
+        with pytest.raises(ValueError, match="246 or 2,4,6"):
+            parse_tuple(text)
 
 
 def test_count_objects(capsys):
@@ -207,6 +212,47 @@ def test_malformed_grid_names_its_format(capsys, grid):
     last = err.splitlines()[-1]
     assert last.startswith("hicat verify: error: argument --grid: grid ")
     assert "DMAX:NMAX:OBJMAX" in last and last.endswith(repr(grid))
+
+
+@pytest.mark.parametrize("argv,flag,form", [
+    (["count", "--model", "derived", "--d", "1", "--n", "2", "--window", "5"],
+     "--window", "window must be LO:HI"),
+    (["count", "--model", "derived", "--d", "1", "--n", "2", "--window", "1:x"],
+     "--window", "window must be LO:HI"),
+    (["hom", "--model", "module", "--d", "1", "--n", "3", "--from", "1,,3", "--to", "13"],
+     "--from", "tuple must be 246 or 2,4,6"),
+    (["exangle", "--model", "module", "--d", "1", "--n", "3", "--from", "24", "--to", "x1"],
+     "--to", "tuple must be 246 or 2,4,6"),
+])
+def test_malformed_window_and_tuple_name_their_form(capsys, argv, flag, form):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    last = err.splitlines()[-1]
+    assert last.startswith(f"hicat {argv[0]}: error: argument {flag}: {form}")
+    assert last.endswith(repr(argv[argv.index(flag) + 1]))
+
+
+def test_malformed_summand_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "mutate", "--model", "module", "--d", "1", "--n", "2",
+                             "--summands", "13;1,,4", "--at", "13")
+    assert (code, out) == (2, "")
+    assert err == "error: tuple must be 246 or 2,4,6, single digits or integers " \
+        "joined by commas, got '1,,4'\n"
+
+
+def test_a_closed_stdout_ends_the_output_with_exit_0():
+    # the 651 853-byte table is larger than a pipe buffer, so the writer
+    # meets the closed pipe (EPIPE) once the reader has taken one line
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "hicat.cli", "hom", "--model", "derived",
+                             "--d", "4", "--n", "6"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 #: the commands that take --out, each with a small query

@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 from hicat.models import (
     DERIVED,
     KINDS,
-    MorphismMatrix,
     almost_positive_model,
     bit_indices,
     cluster_model,
-    compose_matrices,
     derived_model,
     make_model,
     module_model,
@@ -127,23 +125,6 @@ def test_classify():
     assert c.classify((2, 4, 8)).shifted_projective
     assert c.classify((1, 3, 7)).projective_image
     assert not c.classify((2, 4, 6)).shifted_projective
-
-
-def test_compose_matrices_identity_and_zero():
-    m = module_model(2, 3)
-    labels = ((1, 3, 5), (1, 3, 6))
-    ident = MorphismMatrix(labels, labels, ((1, 0), (0, 1)))
-    assert compose_matrices(m, ident, ident).entries == ident.entries
-    z = MorphismMatrix(labels, labels, ((0, 0), (0, 0)))
-    assert compose_matrices(m, z, ident).is_zero()
-    assert compose_matrices(m, ident, z).is_zero()
-    with pytest.raises(ValueError, match="shape mismatch"):
-        compose_matrices(m, ident, MorphismMatrix(labels, ((1, 3, 5),), ((0, 0),)))
-    # a nonzero coefficient along the zero hom space (1, 3, 6) -> (1, 3, 5)
-    back = MorphismMatrix(((1, 3, 6),), ((1, 3, 5),), ((1,),))
-    forth = MorphismMatrix(((1, 3, 5),), ((1, 3, 7),), ((1,),))
-    with pytest.raises(ValueError, match="no basis morphisms"):
-        compose_matrices(m, forth, back)
 
 
 @given(st.sampled_from(gen_nonconsec(9, 1)), st.sampled_from(gen_nonconsec(9, 1)))

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 from itertools import product
 
 from cyclic_oracle import intertwines_cyclic
+from pair_rules import m_mix
 from hicat.tuples import (
     build_quiver,
     gen_derset_window,
@@ -13,7 +14,6 @@ from hicat.tuples import (
     in_modset,
     in_nonconsec,
     intertwines,
-    m_mix,
     normalize_cyclic,
     rotate_window_rep,
     shift_cluster,

@@ -169,6 +169,18 @@ def test_a_quotient_is_a_model(d, n):
         assert report.counters == want.counters
 
 
+def test_sanity_maps_each_exangle_to_indices_once(monkeypatch):
+    # one index view per exangle: one _indices call per term, d + 2 terms
+    calls = []
+    indices = CategoryModel._indices
+    monkeypatch.setattr(CategoryModel, "_indices",
+                        lambda self, labels: calls.append(labels) or indices(self, labels))
+    model = module_model(2, 3)
+    report = verify_model_sanity(model)
+    assert report.ok and report.counters["ext_pairs"] == 7
+    assert len(calls) == (model.d + 2) * report.counters["ext_pairs"]
+
+
 def test_run_verification_script_from_any_directory(tmp_path):
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
