@@ -20,10 +20,12 @@ def main() -> int:
     out.mkdir(exist_ok=True)
     quiver_spec = EmitSpec(fmt="dot", content="quiver")
     cat_spec = EmitSpec(fmt="dot", content="category", arrows="irreducible-only")
-    for d, n in ((1, 3), (2, 3), (3, 3)):
-        emit(build_quiver(d, n), quiver_spec, out / f"quiver_{d}_{n}.dot")
-    emit(module_model(2, 3), cat_spec, out / "module_2_3.dot")
-    emit(almost_positive_model(2, 3), cat_spec, out / "almost_positive_2_3.dot")
+    figures = {f"quiver_{d}_{n}.dot": emit(build_quiver(d, n), quiver_spec)
+               for d, n in ((1, 3), (2, 3), (3, 3))}
+    figures["module_2_3.dot"] = emit(module_model(2, 3), cat_spec)
+    figures["almost_positive_2_3.dot"] = emit(almost_positive_model(2, 3), cat_spec)
+    for name, text in figures.items():
+        (out / name).write_text(text, encoding="utf-8")
     print(f"wrote {len(list(out.glob('*.dot')))} DOT files to {out}/")
     return 0
 

@@ -8,7 +8,6 @@ equivalence and mutation correspondences exhaustively at desk scale.
 from .exangles import (
     ExactnessReport,
     Exangle,
-    MorphismMatrix,
     hom_exactness_report,
     is_complex,
     realize,
@@ -24,7 +23,6 @@ from .models import (
     relative_f_model,
 )
 from .quotients import (
-    IdealSpec,
     QuotientModel,
     injproj_ideal,
     projinj_ideal,

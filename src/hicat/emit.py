@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .exangles import Exangle
 from .models import CategoryModel, bit_indices
@@ -145,10 +144,11 @@ def exangle_to_dict(e: Exangle) -> dict:
         "A": list(e.x0),
         "B": list(e.xlast),
         "middles": [[list(t) for t in level] for level in e.middles],
-        "differentials": [{"source": [list(t) for t in m.source],
-                           "target": [list(t) for t in m.target],
-                           "entries": [list(row) for row in m.entries]}
-                          for m in e.differentials],
+        "differentials": [{"source": [list(t) for t in sources],
+                           "target": [list(t) for t in targets],
+                           "entries": [list(row) for row in diff]}
+                          for diff, sources, targets
+                          in zip(e.differentials, e.terms, e.terms[1:])],
     }
 
 
@@ -170,7 +170,7 @@ def _json_dump(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def emit_string(obj, spec: EmitSpec) -> str:
+def emit(obj, spec: EmitSpec) -> str:
     """Render one object under the given spec; raises on invalid pairings."""
     if spec.content == "quiver":
         if not isinstance(obj, Quiver):
@@ -205,13 +205,10 @@ def emit_string(obj, spec: EmitSpec) -> str:
             raise ValueError("exangle content needs an Exangle")
         if spec.fmt == "json":
             return _json_dump(exangle_to_dict(obj))
-        nodes = [e for level in obj.terms for e in level]
-        edges = []
-        for diff in obj.differentials:
-            for i, tgt in enumerate(diff.target):
-                for j, src in enumerate(diff.source):
-                    if diff.entries[i][j]:
-                        edges.append((src, tgt))
+        terms = obj.terms
+        nodes = [x for term in terms for x in term]
+        edges = [(src, tgt) for diff, sources, targets in zip(obj.differentials, terms, terms[1:])
+                 for tgt, row in zip(targets, diff) for src, v in zip(sources, row) if v]
         if spec.fmt == "dot":
             return _dot_graph(nodes, edges)
         return _tikz_graph(nodes, edges)
@@ -222,10 +219,3 @@ def emit_string(obj, spec: EmitSpec) -> str:
         raise ValueError("reports are emitted as JSON only")
     return _json_dump(report_to_dict(obj))
 
-
-def emit(obj, spec: EmitSpec, out: str | Path | None = None) -> str:
-    """Render and optionally write to a file; returns the rendered text."""
-    text = emit_string(obj, spec)
-    if out is not None:
-        Path(out).write_text(text, encoding="utf-8")
-    return text

@@ -34,30 +34,22 @@ from .tuples import (
 
 
 @dataclass(frozen=True)
-class MorphismMatrix:
-    """A morphism between direct sums, over the canonical hom bases.
-
-    Row i, column j scales the basis morphism source[j] -> target[i];
-    an entry is 0 where the hom space vanishes.
-    """
-    source: tuple[IndexTuple, ...]
-    target: tuple[IndexTuple, ...]
-    entries: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class Exangle:
     """A realized d-exangle.
 
-    middles lists E_d, ..., E_1; differentials holds the d+1 matrices
-    X_a -> E_d, E_d -> E_{d-1}, ..., E_1 -> X_b.  Empty middle terms are
-    genuine zero objects with degenerate matrix shapes.
+    middles lists E_d, ..., E_1; differentials holds the d+1 integer sign
+    matrices X_a -> E_d, E_d -> E_{d-1}, ..., E_1 -> X_b over the
+    canonical basis morphisms: entry (r, c) of differential p scales the
+    basis morphism from summand c of terms[p] to summand r of
+    terms[p + 1], and is 0 where the hom space vanishes.  The summands
+    are read from the terms alone.  Empty middle terms are genuine zero
+    objects with degenerate matrix shapes.
     """
     model: CategoryModel
     x0: IndexTuple
     xlast: IndexTuple
     middles: tuple[tuple[IndexTuple, ...], ...]
-    differentials: tuple[MorphismMatrix, ...]
+    differentials: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def terms(self) -> tuple[tuple[IndexTuple, ...], ...]:
@@ -79,7 +71,7 @@ class Exangle:
         entries = tuple((p, r, c, sources[c], targets[r], v)
                         for p, (diff, sources, targets)
                         in enumerate(zip(self.differentials, terms, terms[1:]))
-                        for r, row in enumerate(diff.entries) for c, v in enumerate(row) if v)
+                        for r, row in enumerate(diff) for c, v in enumerate(row) if v)
         return terms, entries
 
 
@@ -95,8 +87,8 @@ def compare_exangles(left: Exangle, right: Exangle) -> str | None:
     if left.middles != right.middles:
         return f"middle terms differ: {left.middles} vs {right.middles}"
     for pos, (dl, dr) in enumerate(zip(left.differentials, right.differentials)):
-        if dl.entries != dr.entries:
-            return f"differential {pos} differs: {dl.entries} vs {dr.entries}"
+        if dl != dr:
+            return f"differential {pos} differs: {dl} vs {dr}"
     return None
 
 
@@ -169,14 +161,11 @@ def realize(model: CategoryModel, b: IndexTuple, a: IndexTuple) -> Exangle:
     """Realize the extension of X_b by X_a as a d-exangle from a to b."""
     terms = _kept_mixes(model, b, a)
     _, faces = _cube(model.d)
-    diffs = []
-    for upper, lower in zip(terms, terms[1:]):
-        rows = tuple(tuple(faces[I].get(J, 0) for _, I in upper) for _, J in lower)
-        diffs.append(MorphismMatrix(tuple(label for label, _ in upper),
-                                    tuple(label for label, _ in lower), rows))
+    diffs = tuple(tuple(tuple(faces[I].get(J, 0) for _, I in upper) for _, J in lower)
+                  for upper, lower in zip(terms, terms[1:]))
     return Exangle(model=model, x0=a, xlast=b,
                    middles=tuple(tuple(label for label, _ in term) for term in terms[1:-1]),
-                   differentials=tuple(diffs))
+                   differentials=diffs)
 
 
 def differential_off_hom(e: Exangle) -> tuple[IndexTuple, IndexTuple] | None:
@@ -282,29 +271,37 @@ def _classes(universe: int, splitters) -> list[tuple[int, int]]:
     return [(c, view | common) for c, view in classes]
 
 
-def _failing_positions(terms, entries, derived: int, view: int) -> tuple[int, ...]:
+@cache
+def _failing_positions(differentials, derived: int, view: int) -> tuple[int, ...]:
     """The interior positions where the hom complex of one view is not exact.
 
-    Bit k of the view is set when the test object sees summand k, in the
-    order of the terms, and bit (number of summands + q) when entry q of
-    ``entries`` survives; an entry in ``derived`` survives when the test
+    The complex is read from its sign matrices alone, so the answer is
+    kept per (matrices, derived, view) for every exangle with that sign
+    pattern, in any model.  Bit k of the view is set when the test object
+    sees summand k, in the order of the terms, and bit (number of
+    summands + q) when the q-th nonzero entry survives, in the order of
+    ``Exangle.indexed``; an entry in ``derived`` survives when the test
     object sees both its ends.
     """
     offsets, live, seen = [], [], 0
-    for term in terms:
+    for size in (1, *map(len, differentials)):
         offsets.append(seen)
-        live.append([k for k in range(len(term)) if view >> seen + k & 1])
-        seen += len(term)
-    kept: list[dict[tuple[int, int], int]] = [{} for _ in terms[1:]]
-    for q, (p, r, c, _, _, v) in enumerate(entries):
-        if derived >> q & 1:
-            survives = view >> offsets[p] + c & view >> offsets[p + 1] + r & 1
-        else:
-            survives = view >> seen + q & 1
-        if survives:
-            kept[p][r, c] = v
-    ranks = [_rank([[level.get((r, c), 0) for c in cols] for r in rows])
-             for level, cols, rows in zip(kept, live, live[1:])]
+        live.append([k for k in range(size) if view >> seen + k & 1])
+        seen += size
+    ranks, q = [], 0
+    for p, diff in enumerate(differentials):
+        kept = [list(row) for row in diff]
+        for r, row in enumerate(diff):
+            for c, v in enumerate(row):
+                if v:
+                    if derived >> q & 1:
+                        survives = view >> offsets[p] + c & view >> offsets[p + 1] + r
+                    else:
+                        survives = view >> seen + q
+                    if not survives & 1:
+                        kept[r][c] = 0
+                    q += 1
+        ranks.append(_rank([[kept[r][c] for c in live[p]] for r in live[p + 1]]))
     return tuple(p for p in range(1, len(live) - 1) if ranks[p - 1] + ranks[p] != len(live[p]))
 
 
@@ -328,8 +325,9 @@ def hom_exactness_report(e: Exangle) -> ExactnessReport:
     the hom table per summand, and per entry the covariant column
     ``compose_column(x, y)`` or the contravariant row ``compose_row(x, y)``.
     So the test objects split into classes that agree on every mask, and
-    the failing positions are computed once per view, and kept per model
-    for exangles with the same differentials.  An entry whose mask is the
+    the failing positions are computed once per view and kept per sign
+    pattern (``_failing_positions``), for every exangle with the same
+    differentials in any model.  An entry whose mask is the
     t that see both its ends splits no class further.  A t that sees no
     interior summand has all interior dimensions 0, so are the ranks of
     all differentials, and the identity holds without a matrix.  Failures
@@ -339,7 +337,6 @@ def hom_exactness_report(e: Exangle) -> ExactnessReport:
     model = e.model
     terms, entries = e.indexed
     summands = [x for term in terms for x in term]
-    shape = tuple(diff.entries for diff in e.differentials)
     hom = model.hom_rows
     failing: dict[int, list[tuple[str, int]]] = {}
     for orientation, sees in (("covariant", hom.into), ("contravariant", hom.out)):
@@ -358,11 +355,8 @@ def hom_exactness_report(e: Exangle) -> ExactnessReport:
                 derived |= 1 << q
                 mask = 0
             splitters.append(mask)
-        views = model._exactness_views.setdefault((shape, derived), {})
         for cls, view in _classes(universe, splitters):
-            bad = views.get(view)
-            if bad is None:
-                bad = views[view] = _failing_positions(terms, entries, derived, view)
+            bad = _failing_positions(e.differentials, derived, view)
             if bad:
                 for u in bit_indices(cls):
                     failing.setdefault(u, []).extend((orientation, p) for p in bad)

@@ -240,12 +240,16 @@ class CategoryModel:
             raise ValueError(f"{a} is not an object of {self.kind}(d={self.d}, n={self.n})")
 
     def _indices(self, labels) -> list[int]:
-        """The index of each label; a label that is not an object raises ValueError."""
-        index = self.index
+        """The index of each label, read in one pass, so any iterable will do.
+
+        The first label that is not an object raises ValueError.
+        """
+        index, found = self.index, []
         for a in labels:
             if a not in index:
                 self._require(a)
-        return [index[a] for a in labels]
+            found.append(index[a])
+        return found
 
     def _dim(self, table: str, rule: str, x: IndexTuple, y: IndexTuple) -> int:
         """One pair, read by its rule; a pair never builds a table, loops read the tables."""
@@ -272,11 +276,6 @@ class CategoryModel:
     @cached_property
     def _compose_cols(self) -> dict[tuple[int, int], int]:
         """The composition columns read so far, keyed by index pair."""
-        return {}
-
-    @cached_property
-    def _exactness_views(self) -> dict:
-        """The failing positions of each view of an exangle shape (``hom_exactness_report``)."""
         return {}
 
     @cached_property

@@ -1,21 +1,22 @@
 """Factoring-through ideals and the resulting quotient models.
 
 Both quotients divide by an ideal of morphisms factoring through a set
-of admissible arrows: the identities of the projective-injective objects
-of the module model, and the arrows from shifted projectives to
-projective images in the cyclic model with restricted extensions.  An
-ideal generated by objects is the one generated by their identity
-arrows.  Since all hom spaces are at most one-dimensional and
-composition scalars are 0/1, a single admissible arrow suffices to
-witness membership in the ideal; closure under composition is verified
-by tests rather than assumed.  Membership is read from the quotient's
-``killed`` set, which ``quotient`` fills one source row at a time.
+of admissible arrows, given as sorted label pairs z1 -> z2: the
+identities of the projective-injective objects of the module model, and
+the arrows from shifted projectives to projective images in the cyclic
+model with restricted extensions.  An ideal generated by objects is the
+one generated by their identity arrows.  Since all hom spaces are at
+most one-dimensional and composition scalars are 0/1, a single
+admissible arrow suffices to witness membership in the ideal; closure
+under composition is verified by tests rather than assumed.
 
 A quotient is a model: its objects are the base objects whose identity
 survives, and its hom and ext tables are the base tables on them, with
-the killed basis morphisms cleared.  So ``realize``, the verifiers and
-the emitters read a quotient like any model, and ``compare_to_model``
-holds it to a target model the same way on both sides.
+the killed basis morphisms cleared.  It keeps one record of the ideal,
+``killed_rows``, from which the killed label pairs, the zero objects and
+the tables are derived.  So ``realize``, the verifiers and the emitters
+read a quotient like any model, and ``compare_to_model`` holds it to a
+target model the same way on both sides.
 """
 from __future__ import annotations
 
@@ -33,56 +34,26 @@ from .models import (
 )
 from .tuples import IndexTuple
 
-
-@dataclass(frozen=True)
-class IdealSpec:
-    """The ideal of a base model generated by a set of admissible arrows.
-
-    The arrows are basis morphisms z1 -> z2 of the base, stored sorted;
-    the ideal generated by a set of objects is the one generated by
-    their identity arrows (z, z).
-    """
-    base: CategoryModel
-    arrows: tuple[tuple[IndexTuple, IndexTuple], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "arrows", tuple(sorted(self.arrows)))
+Arrows = tuple[tuple[IndexTuple, IndexTuple], ...]
 
 
-def projinj_ideal(model: CategoryModel) -> IdealSpec:
-    """The ideal generated by the projective-injective objects of a module model."""
+def projinj_ideal(model: CategoryModel) -> Arrows:
+    """The identity arrows of the projective-injective objects of a module model, sorted."""
     if model.kind != MODULE:
         raise ValueError(f"projective-injective ideal needs a module model, got {model.kind}")
-    return IdealSpec(model, tuple((a, a) for a in model.objects
-                                  if model.classify(a).projective and model.classify(a).injective))
+    return tuple((a, a) for a in model.objects
+                 if model.classify(a).projective and model.classify(a).injective)
 
 
-def injproj_ideal(model: CategoryModel) -> IdealSpec:
-    """The ideal generated by the arrows from shifted projectives to projective images."""
+def injproj_ideal(model: CategoryModel) -> Arrows:
+    """The arrows from shifted projectives to projective images, sorted."""
     if model.kind != RELATIVE_F:
         raise ValueError(f"arrow ideal needs the restricted cyclic model, got {model.kind}")
     objects, out = model.objects, model.hom_rows.out
     targets = [j for j, a in enumerate(objects) if model.classify(a).projective_image]
-    return IdealSpec(model, tuple((z1, objects[j]) for i, z1 in enumerate(objects)
-                                  if model.classify(z1).shifted_projective
-                                  for j in targets if out[i] >> j & 1))
-
-
-def _ideal_row(model: CategoryModel, s: int, ideal: IdealSpec) -> int:
-    """The targets t of the basis morphisms from objects[s] that lie in the ideal.
-
-    For each arrow z1 -> z2 with nonzero homs s -> z1 -> z2 and a nonzero
-    composite, those t are the row of nonzero composites s -> z2 -> t.  For
-    an identity arrow (z, z) the unit law makes this the object rule: the t
-    with basis morphisms s -> z -> t and a nonzero composite.
-    """
-    index, out = model.index, model.hom_rows.out
-    row, reach = 0, out[s]
-    for z1, z2 in ideal.arrows:
-        i, j = index[z1], index[z2]
-        if reach >> i & reach >> j & 1 and model.compose_row(s, i) >> j & 1:
-            row |= model.compose_row(s, j)
-    return row & reach
+    return tuple((z1, objects[j]) for i, z1 in enumerate(objects)
+                 if model.classify(z1).shifted_projective
+                 for j in targets if out[i] >> j & 1)
 
 
 def _squeeze(row: int, drop: tuple[int, ...]) -> int:
@@ -96,23 +67,38 @@ def _squeeze(row: int, drop: tuple[int, ...]) -> int:
 class QuotientModel(CategoryModel):
     """An ideal quotient of a base model, itself a model.
 
-    Its objects are the base objects whose identity survives.  Its hom
-    table is the base table with the killed basis morphisms cleared, its
-    ext table the base table, both with the zero objects squeezed out;
-    every pair is read from these tables, and a composite is the base
-    one wherever its hom space survives.  So ``realize`` keeps the mixes
-    that are nonzero objects of the quotient, as in any model.
+    killed_rows[s] is the mask of the base objects t whose basis morphism
+    from base object s lies in the ideal.  The quotient's objects are the
+    base objects whose identity survives.  Its hom table is the base
+    table with the killed basis morphisms cleared, its ext table the base
+    table, both with the zero objects squeezed out; every pair is read
+    from these tables, and a composite is the base one wherever its hom
+    space survives.  So ``realize`` keeps the mixes that are nonzero
+    objects of the quotient, as in any model.
     """
     base: CategoryModel
-    killed: frozenset[tuple[IndexTuple, IndexTuple]]
-    zero_objects: tuple[IndexTuple, ...]
+    killed_rows: tuple[int, ...]
+
+    @cached_property
+    def killed(self) -> frozenset[tuple[IndexTuple, IndexTuple]]:
+        """The killed basis morphisms as label pairs."""
+        objects = self.base.objects
+        return frozenset((objects[s], objects[t])
+                         for s, row in enumerate(self.killed_rows) for t in bit_indices(row))
+
+    @property
+    def zero_objects(self) -> tuple[IndexTuple, ...]:
+        """The base objects whose identity is killed, in label order."""
+        objects = self.base.objects
+        return tuple(objects[i] for i in reversed(self._kept[1]))
 
     @cached_property
     def _kept(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(keep, drop): the base indices of the objects, and of the zero objects descending."""
-        index = self.base.index
-        return (tuple(index[x] for x in self.objects),
-                tuple(index[z] for z in reversed(self.zero_objects)))
+        keep, drop = [], []
+        for i, row in enumerate(self.killed_rows):
+            (drop if row >> i & 1 else keep).append(i)
+        return tuple(keep), tuple(reversed(drop))
 
     def _restrict(self, out, into) -> BitRows:
         """A base table on the quotient's objects: zero-object rows and bits deleted."""
@@ -123,13 +109,12 @@ class QuotientModel(CategoryModel):
     @cached_property
     def hom_rows(self) -> BitRows:
         """The base hom table with the killed basis morphisms cleared."""
-        index, rows = self.base.index, self.base.hom_rows
-        out, into = list(rows.out), list(rows.into)
-        for src, tgt in self.killed:
-            i, j = index[src], index[tgt]
-            out[i] &= ~(1 << j)
-            into[j] &= ~(1 << i)
-        return self._restrict(out, into)
+        rows = self.base.hom_rows
+        into = list(rows.into)
+        for i, row in enumerate(self.killed_rows):
+            for j in bit_indices(row):
+                into[j] &= ~(1 << i)
+        return self._restrict([out & ~row for out, row in zip(rows.out, self.killed_rows)], into)
 
     @cached_property
     def ext_rows(self) -> BitRows:
@@ -155,19 +140,29 @@ class QuotientModel(CategoryModel):
         return row
 
 
-def quotient(model: CategoryModel, ideal: IdealSpec) -> QuotientModel:
-    """Build the quotient of a model by a factoring-through ideal."""
-    if ideal.base is not model and ideal.base != model:
-        raise ValueError("ideal was built over a different base model")
-    objects = model.objects
-    killed = set()
-    for s, src in enumerate(objects):
-        for j in bit_indices(_ideal_row(model, s, ideal)):
-            killed.add((src, objects[j]))
-    zero = tuple(a for a in objects if (a, a) in killed)
-    return QuotientModel(model.kind, model.d, model.n, model.window,
-                         tuple(a for a in objects if (a, a) not in killed),
-                         base=model, killed=frozenset(killed), zero_objects=zero)
+def quotient(model: CategoryModel, arrows) -> QuotientModel:
+    """The quotient of a model by the ideal generated by arrows, label pairs z1 -> z2.
+
+    The labels are mapped to indices once; one that is not an object of
+    the model raises ValueError.  The basis morphism s -> t is killed when,
+    for some arrow z1 -> z2, the homs s -> z1 and s -> z2 are nonzero and
+    so are the composites s -> z1 -> z2 and s -> z2 -> t; for an identity
+    arrow (z, z) the unit law makes this the object rule.  Row s of
+    ``killed_rows`` collects those t.
+    """
+    ends = model._indices(z for arrow in arrows for z in arrow)
+    pairs = tuple(zip(ends[::2], ends[1::2]))
+    row = model.compose_row
+    killed_rows = []
+    for s, reach in enumerate(model.hom_rows.out):
+        killed = 0
+        for i, j in pairs:
+            if reach >> i & reach >> j & 1 and row(s, i) >> j & 1:
+                killed |= row(s, j)
+        killed_rows.append(killed & reach)
+    objects = tuple(a for i, a in enumerate(model.objects) if not killed_rows[i] >> i & 1)
+    return QuotientModel(model.kind, model.d, model.n, model.window, objects,
+                         base=model, killed_rows=tuple(killed_rows))
 
 
 def compare_to_model(q: CategoryModel, target: CategoryModel,

@@ -108,7 +108,7 @@ def tilting_sets(model: CategoryModel) -> tuple[tuple[IndexTuple, ...], ...]:
     everything, so maximality forces their inclusion; this is checked.
     Raises ValueError when a set misses one, or for a model of another kind.
     """
-    projinj = {z for z, _ in projinj_ideal(model).arrows}
+    projinj = {z for z, _ in projinj_ideal(model)}
     sets = maximal_rigid(model)
     for t in sets:
         missing = projinj - set(t)
@@ -417,7 +417,7 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
         base = module_model(d, n + 1)
         ap = almost_positive_model(d, n)
         relf = relative_f_model(d, n)
-        projinj = {z for z, _ in projinj_ideal(base).arrows}
+        projinj = {z for z, _ in projinj_ideal(base)}
         failure = _premise_failure(base, projinj, ap, relf)
         if failure is not None:
             return failure

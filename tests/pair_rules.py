@@ -82,18 +82,18 @@ def composes_to_zero(e) -> bool:
     entry, by label; a nonzero entry whose hom space is zero (``hom_dim``)
     raises ValueError.
     """
-    model = e.model
-    for diff in e.differentials:
-        for y, row in zip(diff.target, diff.entries):
-            for x, v in zip(diff.source, row):
+    model, terms, diffs = e.model, e.terms, e.differentials
+    for diff, sources, targets in zip(diffs, terms, terms[1:]):
+        for y, row in zip(targets, diff):
+            for x, v in zip(sources, row):
                 if v and not model.hom_dim(x, y):
                     raise ValueError(f"no basis morphisms along {x} -> {y}")
-    for f, g in zip(e.differentials, e.differentials[1:]):
-        for i, z in enumerate(g.target):
-            for k, x in enumerate(f.source):
-                total = sum(g.entries[i][j] * f.entries[j][k] * composite(model, x, y, z)
-                            for j, y in enumerate(f.target)
-                            if g.entries[i][j] and f.entries[j][k])
+    for p, (f, g) in enumerate(zip(diffs, diffs[1:])):
+        sources, middles, targets = terms[p:p + 3]
+        for i, z in enumerate(targets):
+            for k, x in enumerate(sources):
+                total = sum(g[i][j] * f[j][k] * composite(model, x, y, z)
+                            for j, y in enumerate(middles) if g[i][j] and f[j][k])
                 if total:
                     return False
     return True

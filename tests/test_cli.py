@@ -91,6 +91,26 @@ def test_quotient_command(capsys):
     assert code == 2
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MODULE_23_EXANGLE = ["--model", "module", "--d", "2", "--n", "3", "--from", "246", "--to", "135"]
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("exangle_module_2_3.json", ["exangle", *MODULE_23_EXANGLE]),
+    ("quotient_module_1_3.json", ["quotient", "--model", "module", "--d", "1", "--n", "3"]),
+    ("quotient_relative-f_1_3.json",
+     ["quotient", "--model", "relative-f", "--d", "1", "--n", "3"]),
+    ("emit_exangle_module_2_3.json",
+     ["emit", "--content", "exangle", "--format", "json", *MODULE_23_EXANGLE]),
+])
+def test_output_bytes_match_the_goldens(capsys, name, argv):
+    # the differentials' source and target lists, the key order and the
+    # indentation are pinned byte for byte
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
 def test_verify_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "--theorem", "equiv",
                            "--grid", "1:2:50")

@@ -1,12 +1,14 @@
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hicat.emit import (
     EmitSpec,
     emit,
-    emit_string,
     exangle_to_dict,
     irreducible_arrows,
     node_id,
@@ -66,17 +68,17 @@ def test_render_helpers():
 
 
 def test_quiver_dot_matches_small_quiver():
-    text = emit_string(build_quiver(2, 3), EmitSpec(fmt="dot", content="quiver"))
+    text = emit(build_quiver(2, 3), EmitSpec(fmt="dot", content="quiver"))
     nodes, edges = parse_dot(text)
     assert len(nodes) == 6 and len(edges) == 6
     assert edges == id_pairs(QUIVER_23_EDGES)
 
 
 def test_quiver_dot_other_sizes():
-    nodes1, edges1 = parse_dot(emit_string(build_quiver(1, 3),
+    nodes1, edges1 = parse_dot(emit(build_quiver(1, 3),
                                            EmitSpec(fmt="dot", content="quiver")))
     assert len(nodes1) == 3 and len(edges1) == 2
-    nodes3, edges3 = parse_dot(emit_string(build_quiver(3, 3),
+    nodes3, edges3 = parse_dot(emit(build_quiver(3, 3),
                                            EmitSpec(fmt="dot", content="quiver")))
     assert len(nodes3) == 10 and len(edges3) == 12
 
@@ -84,7 +86,7 @@ def test_quiver_dot_other_sizes():
 def test_module_category_irreducible_dot():
     model = module_model(2, 3)
     spec = EmitSpec(fmt="dot", content="category", arrows="irreducible-only")
-    nodes, edges = parse_dot(emit_string(model, spec))
+    nodes, edges = parse_dot(emit(model, spec))
     assert len(nodes) == 10
     assert edges == id_pairs(MODULE_23_ARROWS)
 
@@ -92,7 +94,7 @@ def test_module_category_irreducible_dot():
 def test_almost_positive_irreducible_dot():
     model = almost_positive_model(2, 3)
     spec = EmitSpec(fmt="dot", content="category", arrows="irreducible-only")
-    nodes, edges = parse_dot(emit_string(model, spec))
+    nodes, edges = parse_dot(emit(model, spec))
     assert nodes == {",".join(s) for s in AP_23_NODES}
     assert edges == id_pairs(AP_23_ARROWS)
 
@@ -115,25 +117,35 @@ def test_irreducible_matches_bruteforce_definition():
 def test_emission_is_deterministic():
     model = module_model(2, 3)
     spec = EmitSpec(fmt="dot", content="category", arrows="irreducible-only")
-    assert emit_string(model, spec) == emit_string(model, spec)
+    assert emit(model, spec) == emit(model, spec)
     quiver = build_quiver(2, 3)
     qspec = EmitSpec(fmt="dot", content="quiver")
-    assert emit_string(quiver, qspec) == emit_string(quiver, qspec)
+    assert emit(quiver, qspec) == emit(quiver, qspec)
 
 
-def test_emit_writes_file(tmp_path):
-    out = tmp_path / "quiver.dot"
-    text = emit(build_quiver(2, 3), EmitSpec(fmt="dot", content="quiver"), out)
-    assert out.read_text(encoding="utf-8") == text
+def test_emit_figures_script_writes_what_emit_returns(tmp_path):
+    # the script writes the five reference diagrams into out/ of its working directory
+    script = Path(__file__).resolve().parent.parent / "scripts" / "emit_figures.py"
+    run = subprocess.run([sys.executable, "-W", "error", str(script)], cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    quiver_spec = EmitSpec(fmt="dot", content="quiver")
+    cat_spec = EmitSpec(fmt="dot", content="category", arrows="irreducible-only")
+    want = {f"quiver_{d}_{n}.dot": emit(build_quiver(d, n), quiver_spec)
+            for d, n in ((1, 3), (2, 3), (3, 3))}
+    want["module_2_3.dot"] = emit(module_model(2, 3), cat_spec)
+    want["almost_positive_2_3.dot"] = emit(almost_positive_model(2, 3), cat_spec)
+    written = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+    assert written == {name: text.encode("utf-8") for name, text in want.items()}
 
 
 def test_json_emissions():
     model = cluster_model(1, 2)
-    payload = json.loads(emit_string(model, EmitSpec(fmt="json", content="category")))
+    payload = json.loads(emit(model, EmitSpec(fmt="json", content="category")))
     assert payload["kind"] == "cluster"
     assert [1, 3] in payload["objects"]
     assert "1,3" in payload["hom"]
-    q = json.loads(emit_string(build_quiver(2, 3), EmitSpec(fmt="json", content="quiver")))
+    q = json.loads(emit(build_quiver(2, 3), EmitSpec(fmt="json", content="quiver")))
     assert len(q["vertices"]) == 6 and len(q["arrows"]) == 6
     e = realize(module_model(2, 3), (2, 4, 6), (1, 3, 5))
     d = exangle_to_dict(e)
@@ -162,8 +174,8 @@ digraph {
 def test_quotient_category_emission():
     base = module_model(1, 3)
     q = quotient(base, projinj_ideal(base))
-    assert emit_string(q, EmitSpec(fmt="dot", content="category")) == MODULE_13_QUOTIENT_DOT
-    payload = json.loads(emit_string(q, EmitSpec(fmt="json", content="category")))
+    assert emit(q, EmitSpec(fmt="dot", content="category")) == MODULE_13_QUOTIENT_DOT
+    payload = json.loads(emit(q, EmitSpec(fmt="json", content="category")))
     # the tables are the quotient's, over its objects; objects lists the base's
     live = ["1,3", "1,4", "2,4", "2,5", "3,5"]
     assert list(payload["hom"]) == list(payload["ext"]) == live
@@ -173,7 +185,7 @@ def test_quotient_category_emission():
 
 
 def test_tikz_smoke():
-    text = emit_string(build_quiver(2, 3), EmitSpec(fmt="tikz", content="quiver"))
+    text = emit(build_quiver(2, 3), EmitSpec(fmt="tikz", content="quiver"))
     assert text.startswith("\\begin{tikzpicture}")
     assert "\\draw[->]" in text
     # TikZ reads "(1,3)" in a path as a coordinate, so every arrow must join
@@ -184,25 +196,25 @@ def test_tikz_smoke():
              (derived_model(1, 2, (-3, -1)), "category", "all-nonzero-homs"),
              (realize(module_model(2, 3), (2, 4, 6), (1, 3, 5)), "exangle", "all-nonzero-homs")]
     for obj, content, arrows in cases:
-        text = emit_string(obj, EmitSpec(fmt="tikz", content=content, arrows=arrows))
+        text = emit(obj, EmitSpec(fmt="tikz", content=content, arrows=arrows))
         names = re.findall(r"\\node \(([^)]*)\) at", text)
         ends = re.findall(r"\\draw\[->\] \(([^)]*)\) -- \(([^)]*)\);", text)
         assert ends and len(names) == len(set(names))
         assert all("," not in name for name in names)
         assert {end for pair in ends for end in pair} <= set(names)
-    assert "\\node (n1-3) at (0,1) {13};" in emit_string(
+    assert "\\node (n1-3) at (0,1) {13};" in emit(
         module_model(1, 2), EmitSpec(fmt="tikz", content="category"))
 
 
 def test_mutation_graph_content():
     model = almost_positive_model(1, 2)
-    text = emit_string(model, EmitSpec(fmt="dot", content="mutation-graph"))
+    text = emit(model, EmitSpec(fmt="dot", content="mutation-graph"))
     assert text.count("->") == 5
 
 
 def test_report_emission():
     rep = verify_equiv_module_ap(1, 1)
-    payload = json.loads(emit_string(rep, EmitSpec(fmt="json", content="report")))
+    payload = json.loads(emit(rep, EmitSpec(fmt="json", content="report")))
     assert payload["ok"] is True and payload["theorem"] == "equiv"
 
 
@@ -212,6 +224,6 @@ def test_invalid_pairings():
     with pytest.raises(ValueError):
         EmitSpec(fmt="dot", content="poster")
     with pytest.raises(ValueError):
-        emit_string(module_model(1, 1), EmitSpec(fmt="dot", content="quiver"))
+        emit(module_model(1, 1), EmitSpec(fmt="dot", content="quiver"))
     with pytest.raises(ValueError):
-        emit_string(build_quiver(1, 2), EmitSpec(fmt="dot", content="report"))
+        emit(build_quiver(1, 2), EmitSpec(fmt="dot", content="report"))

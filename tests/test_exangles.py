@@ -6,7 +6,7 @@ import pytest
 
 from hicat.exangles import (
     Exangle,
-    MorphismMatrix,
+    _failing_positions,
     compare_exangles,
     differential_off_hom,
     hom_exactness_report,
@@ -160,8 +160,7 @@ def _reference_realize(model, b, a):
                 else:
                     row.append(0)
             rows.append(tuple(row))
-        diffs.append(MorphismMatrix(tuple(lbl for _, lbl in upper),
-                                    tuple(lbl for _, lbl in lower), tuple(rows)))
+        diffs.append(tuple(rows))
     return Exangle(model, a, b, tuple(tuple(lbl for _, lbl in lvl) for lvl in levels[1:-1]),
                    tuple(diffs))
 
@@ -199,21 +198,19 @@ def test_corrupted_signs_break_complex():
     assert is_complex(e)
     corrupted = Exangle(
         model=e.model, x0=e.x0, xlast=e.xlast, middles=e.middles,
-        differentials=tuple(
-            MorphismMatrix(d.source, d.target,
-                           tuple(tuple(abs(v) for v in row) for row in d.entries))
-            for d in e.differentials))
+        differentials=tuple(tuple(tuple(abs(v) for v in row) for row in d)
+                            for d in e.differentials))
     assert not is_complex(corrupted)
 
 
 def _sign_flips(e):
     """Copies of e with the sign of one nonzero entry flipped, one per nonzero entry."""
     for p, diff in enumerate(e.differentials):
-        for r, c in ((r, c) for r, row in enumerate(diff.entries)
+        for r, c in ((r, c) for r, row in enumerate(diff)
                      for c, v in enumerate(row) if v):
-            rows = [list(row) for row in diff.entries]
+            rows = [list(row) for row in diff]
             rows[r][c] = -rows[r][c]
-            flipped = MorphismMatrix(diff.source, diff.target, tuple(map(tuple, rows)))
+            flipped = tuple(map(tuple, rows))
             yield replace(e, differentials=e.differentials[:p] + (flipped,)
                           + e.differentials[p + 1:])
 
@@ -245,9 +242,7 @@ def test_complex_condition_matches_the_matrix_product(model):
 def test_an_entry_on_a_zero_hom_space_raises():
     # (1, 3, 6) -> (1, 3, 5) has no basis morphism in the module model
     m = module_model(2, 3)
-    e = Exangle(m, (1, 3, 6), (1, 3, 7), (((1, 3, 5),),),
-                (MorphismMatrix(((1, 3, 6),), ((1, 3, 5),), ((1,),)),
-                 MorphismMatrix(((1, 3, 5),), ((1, 3, 7),), ((1,),))))
+    e = Exangle(m, (1, 3, 6), (1, 3, 7), (((1, 3, 5),),), (((1,),), ((1,),)))
     with pytest.raises(ValueError, match="no basis morphisms"):
         is_complex(e)
     with pytest.raises(ValueError, match="no basis morphisms"):
@@ -260,13 +255,26 @@ def test_the_index_view_is_built_once():
     e = realize(m, (2, 4, 6), (1, 3, 5))
     terms, entries = e.indexed
     assert terms == tuple(tuple(m.index[x] for x in term) for term in e.terms)
-    assert len(entries) == sum(v != 0 for diff in e.differentials
-                               for row in diff.entries for v in row)
+    assert len(entries) == sum(v != 0 for diff in e.differentials for row in diff for v in row)
     for p, r, c, x, y, v in entries:
-        diff = e.differentials[p]
-        assert (m.objects[x], m.objects[y]) == (diff.source[c], diff.target[r])
-        assert diff.entries[r][c] == v
+        assert (m.objects[x], m.objects[y]) == (e.terms[p][c], e.terms[p + 1][r])
+        assert e.differentials[p][r][c] == v
     assert e.indexed is e.indexed
+
+
+def test_exactness_views_are_kept_per_sign_pattern_not_per_model():
+    # the same sign matrices in two models: the second exangle's views are
+    # all read from what the first one computed
+    e1 = realize(module_model(2, 3), (2, 4, 6), (1, 3, 5))
+    e2 = realize(almost_positive_model(2, 3), (2, 4, 6), (1, 3, 5))
+    assert e1.model != e2.model and e1.differentials == e2.differentials
+    _failing_positions.cache_clear()
+    assert hom_exactness_report(e1).ok
+    first = _failing_positions.cache_info()
+    assert first.misses == first.currsize > 0
+    assert hom_exactness_report(e2).ok
+    second = _failing_positions.cache_info()
+    assert second.misses == first.misses and second.hits > first.hits
 
 
 def test_module_d1_exactness_all_pairs():
@@ -315,21 +323,23 @@ def reference_failures(model, e):
         matrix = np.array(rows, dtype=float).reshape(len(rows), n_cols)
         return int(np.linalg.matrix_rank(matrix)) if matrix.size else 0
 
-    def entry(diff, x, y, scalar):
-        v = diff.entries[diff.target.index(y)][diff.source.index(x)]
+    def entry(maps, x, y, scalar):
+        diff, sources, targets = maps
+        v = diff[targets.index(y)][sources.index(x)]
         return v * scalar() if v else 0
 
     failures = []
     for t in model.objects:
         cov, con = [], []
-        for diff in e.differentials:
-            xs = [x for x in diff.source if model.hom_dim(t, x)]
-            ys = [y for y in diff.target if model.hom_dim(t, y)]
-            cov.append(rank([[entry(diff, x, y, lambda: composite(model, t, x, y))
+        for maps in zip(e.differentials, e.terms, e.terms[1:]):
+            _, sources, targets = maps
+            xs = [x for x in sources if model.hom_dim(t, x)]
+            ys = [y for y in targets if model.hom_dim(t, y)]
+            cov.append(rank([[entry(maps, x, y, lambda: composite(model, t, x, y))
                               for x in xs] for y in ys], len(xs)))
-            xs = [x for x in diff.source if model.hom_dim(x, t)]
-            ys = [y for y in diff.target if model.hom_dim(y, t)]
-            con.append(rank([[entry(diff, x, y, lambda: composite(model, x, y, t))
+            xs = [x for x in sources if model.hom_dim(x, t)]
+            ys = [y for y in targets if model.hom_dim(y, t)]
+            con.append(rank([[entry(maps, x, y, lambda: composite(model, x, y, t))
                               for y in ys] for x in xs], len(ys)))
         cov_dims = [sum(model.hom_dim(t, x) for x in term) for term in e.terms]
         con_dims = [sum(model.hom_dim(x, t) for x in term) for term in e.terms]
@@ -354,10 +364,10 @@ def test_exactness_failures_match_reference(model, b, a, pos, i, j):
     e = realize(model, b, a)
     assert hom_exactness_report(e).failures == reference_failures(model, e) == ()
     diff = e.differentials[pos]
-    assert diff.entries[i][j] != 0
-    rows = [list(row) for row in diff.entries]
+    assert diff[i][j] != 0
+    rows = [list(row) for row in diff]
     rows[i][j] = 0
-    broken_diff = MorphismMatrix(diff.source, diff.target, tuple(map(tuple, rows)))
+    broken_diff = tuple(map(tuple, rows))
     broken = replace(e, differentials=e.differentials[:pos] + (broken_diff,)
                      + e.differentials[pos + 1:])
     report = hom_exactness_report(broken)
@@ -466,6 +476,8 @@ def test_exangle_shape():
     e = realize(m, b, a)
     assert len(e.middles) == 3
     assert len(e.differentials) == 4
-    assert e.differentials[0].source == (a,)
-    assert e.differentials[-1].target == (b,)
+    assert e.terms[0] == (a,) and e.terms[-1] == (b,)
+    # the first differential has one column, for a, and the last one row, for b
+    assert {len(row) for row in e.differentials[0]} == {1}
+    assert len(e.differentials[-1]) == 1
     assert (e.x0, e.xlast) == (a, b)

@@ -7,7 +7,7 @@ module, almost-positive and cluster models for d <= 3, n <= 4, and each
 pins its orientation where the other one is wrong.
 """
 from hicat.models import almost_positive_model, cluster_model, derived_model, module_model
-from hicat.quotients import IdealSpec, quotient
+from hicat.quotients import quotient
 from hicat.tuples import shift_cluster, shift_derived
 
 GRID = [(d, n) for d in range(1, 4) for n in range(1, 5)]
@@ -43,8 +43,8 @@ def _tau(b):
 
 def _module_identities(model):
     # Hom-bar: hom modulo the morphisms that factor through an injective
-    killed = quotient(model, IdealSpec(model, tuple(
-        (z, z) for z in model.objects if model.classify(z).injective))).killed
+    killed = quotient(model, tuple(
+        (z, z) for z in model.objects if model.classify(z).injective)).killed
 
     def hom_bar(x, y):
         return int(x in model and y in model and model.hom_dim(x, y) == 1

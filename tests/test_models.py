@@ -62,6 +62,14 @@ def test_hom_membership_errors():
         m.ext_dim((1, 3, 5), (0, 2, 4))
 
 
+def test_indices_read_the_labels_once():
+    m = module_model(1, 3)
+    assert m._indices([(1, 3), (2, 4)]) == [0, 3]
+    assert m._indices(x for x in [(1, 3), (2, 4)]) == [0, 3]
+    with pytest.raises(ValueError, match=r"\(1, 2\) is not an object of module"):
+        m._indices(x for x in [(1, 3), (1, 2), (9, 9)])
+
+
 def test_ext_examples():
     m = module_model(2, 3)
     assert m.ext_dim((2, 4, 6), (1, 3, 5)) == 1

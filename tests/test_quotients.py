@@ -9,7 +9,6 @@ from hicat.models import (
     relative_f_model,
 )
 from hicat.quotients import (
-    IdealSpec,
     injproj_ideal,
     projinj_ideal,
     quotient,
@@ -18,10 +17,10 @@ from hicat.verify import grid_points
 from pair_rules import composite
 
 
-def _identity_objects(ideal):
+def _identity_objects(arrows):
     """The objects of an ideal generated by objects, asserting its arrows are identities."""
-    assert all(z1 == z2 for z1, z2 in ideal.arrows)
-    return {z for z, _ in ideal.arrows}
+    assert all(z1 == z2 for z1, z2 in arrows)
+    return {z for z, _ in arrows}
 
 
 def test_projinj_ideal_members():
@@ -52,8 +51,7 @@ def test_factors_through_object_class():
 
 
 def _shifted_projective_ideal(model):
-    return IdealSpec(model, tuple((z, z) for z in model.objects
-                                  if model.classify(z).shifted_projective))
+    return tuple((z, z) for z in model.objects if model.classify(z).shifted_projective)
 
 
 @pytest.mark.parametrize("d,n", [(1, 3), (2, 3), (3, 2)])
@@ -82,7 +80,7 @@ def test_identity_arrow_ideal_is_the_object_ideal(d, n, make, ideal_of):
 def _closure(model, ideal):
     """The ideal as a set of basis morphisms, by fixpoint: its arrows closed
     under nonzero pre- and post-composition with basis morphisms."""
-    closed = set(ideal.arrows)
+    closed = set(ideal)
     todo = list(closed)
     while todo:
         x, y = todo.pop()
@@ -113,6 +111,30 @@ def test_one_admissible_arrow_decides_membership(case, point):
     homs = {(s, t) for s in model.objects for t in model.objects if model.hom_dim(s, t)}
     assert closed <= homs
     assert quotient(model, ideal).killed == closed
+
+
+def test_ideal_arrows_are_sorted_label_pairs():
+    for model, arrows in ((module_model(2, 4), projinj_ideal(module_model(2, 4))),
+                          (relative_f_model(2, 3), injproj_ideal(relative_f_model(2, 3)))):
+        assert arrows and arrows == tuple(sorted(arrows))
+        assert all(model.hom_dim(z1, z2) for z1, z2 in arrows)
+
+
+def test_quotient_reads_its_arrows_in_one_pass():
+    # the arrows may come as any iterable, a generator among them
+    m = relative_f_model(2, 3)
+    arrows = injproj_ideal(m)
+    q = quotient(m, arrows)
+    assert quotient(m, (arrow for arrow in arrows)) == q
+    assert q.killed == {(m.objects[s], m.objects[t]) for s, row in enumerate(q.killed_rows)
+                        for t in range(len(m.objects)) if row >> t & 1}
+
+
+def test_quotient_rejects_an_arrow_off_the_model():
+    # (1, 6) is projective-injective in module (1, 4) and no object of module (1, 3)
+    small, large = module_model(1, 3), module_model(1, 4)
+    with pytest.raises(ValueError, match=r"\(1, 6\) is not an object of module"):
+        quotient(small, projinj_ideal(large))
 
 
 def test_quotient_module_examples():
@@ -194,8 +216,5 @@ def test_quotient_exangle_strips_zero_summands():
         for a in q.objects:
             if m.ext_dim(b, a):
                 e = realize(q, b, a)
-                for level in e.middles:
-                    assert not (set(level) & dead)
-                for diff in e.differentials:
-                    assert not (set(diff.source) & dead)
-                    assert not (set(diff.target) & dead)
+                for term in e.terms:
+                    assert not (set(term) & dead)

@@ -129,7 +129,7 @@ def test_two_full_size_maximal_rigid_sets_from_2d_plus_2_points(n, d, count):
     #   Santos, "Triangulations", Springer 2010: Gale duality and the
     #   chamber complex of a configuration of dimension + 3 points).
     model = module_model(d, n + 1)
-    projinj = {z for z, _ in projinj_ideal(model).arrows}
+    projinj = {z for z, _ in projinj_ideal(model)}
     full = comb(n + d - 1, d) + len(projinj)
     assert sum(len(t) == full for t in maximal_rigid(model)) == count
 
@@ -370,7 +370,7 @@ def _first_edge_without_reverse(d, n, rule):
     """
     base = module_model(d, n + 1)
     rows = base.conflict_rows
-    live = ~sum(1 << base.index[z] for z, _ in projinj_ideal(base).arrows)
+    live = ~sum(1 << base.index[z] for z, _ in projinj_ideal(base))
     edges = {}
     for t, single in _maximal_independent(rows):
         for x in bit_indices(t & live):

@@ -102,7 +102,7 @@ def test_compare_exangles_reports_mismatch():
     assert compare_exangles(e1, e2).startswith("ends differ")
     # same terms, one differential entry with the other sign
     first, *rest = e1.differentials
-    flipped = replace(first, entries=tuple(tuple(-v for v in row) for row in first.entries))
+    flipped = tuple(tuple(-v for v in row) for row in first)
     e3 = replace(e1, differentials=(flipped, *rest))
     assert compare_exangles(e1, e3).startswith("differential 0 differs")
 
