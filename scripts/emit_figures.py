@@ -10,7 +10,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hicat.emit import EmitSpec, emit
+from hicat.emit import emit
 from hicat.models import almost_positive_model, module_model
 from hicat.tuples import build_quiver
 
@@ -18,12 +18,11 @@ from hicat.tuples import build_quiver
 def main() -> int:
     out = Path("out")
     out.mkdir(exist_ok=True)
-    quiver_spec = EmitSpec(fmt="dot", content="quiver")
-    cat_spec = EmitSpec(fmt="dot", content="category", arrows="irreducible-only")
-    figures = {f"quiver_{d}_{n}.dot": emit(build_quiver(d, n), quiver_spec)
+    figures = {f"quiver_{d}_{n}.dot": emit(build_quiver(d, n))
                for d, n in ((1, 3), (2, 3), (3, 3))}
-    figures["module_2_3.dot"] = emit(module_model(2, 3), cat_spec)
-    figures["almost_positive_2_3.dot"] = emit(almost_positive_model(2, 3), cat_spec)
+    figures["module_2_3.dot"] = emit(module_model(2, 3), arrows="irreducible-only")
+    figures["almost_positive_2_3.dot"] = emit(almost_positive_model(2, 3),
+                                              arrows="irreducible-only")
     for name, text in figures.items():
         (out / name).write_text(text, encoding="utf-8")
     print(f"wrote {len(list(out.glob('*.dot')))} DOT files to {out}/")

@@ -15,9 +15,7 @@ import sys
 
 from .emit import (
     ARROW_POLICIES,
-    CONTENTS,
     FORMATS,
-    EmitSpec,
     emit,
     exangle_to_dict,
     ext_table,
@@ -27,7 +25,7 @@ from .emit import (
 from .exangles import realize
 from .models import KINDS, MODULE, RELATIVE_F, make_model
 from .quotients import injproj_ideal, projinj_ideal, quotient
-from .rigidity import maximal_rigid, mutate
+from .rigidity import maximal_rigid, mutate, mutation_graph_dot
 from .tuples import IndexTuple, build_quiver
 from .verify import DEFAULT_GRID, THEOREMS, FormatError, parse_grid, run_point, run_theorem
 
@@ -103,6 +101,10 @@ def _add_mutate_args(p):
     p.add_argument("--summands", required=True,
                    help="semicolon-separated tuples, e.g. '13;14'")
     p.add_argument("--at", type=parse_tuple, required=True)
+
+
+#: what `hicat emit --content` draws; all but the mutation graph are drawn by `emit`
+CONTENTS = ("quiver", "category", "mutation-graph", "exangle", "report")
 
 
 def _add_emit_args(p):
@@ -268,7 +270,6 @@ def _dispatch(args) -> int:
         return 0
 
     # emit
-    spec = EmitSpec(fmt=args.format, content=args.content, arrows=args.arrows)
     if args.content == "quiver":
         obj = build_quiver(args.d, args.n)
     elif args.content == "exangle":
@@ -287,7 +288,12 @@ def _dispatch(args) -> int:
         if args.model is None:
             raise ValueError(f"{args.content} emission needs --model")
         obj = _model(args)
-    _print(emit(obj, spec), args.out)
+        if args.content == "mutation-graph":
+            if args.format != "dot":
+                raise ValueError("mutation graphs are emitted as DOT only")
+            _print(mutation_graph_dot(obj), args.out)
+            return 0
+    _print(emit(obj, args.format, args.arrows), args.out)
     return 0
 
 

@@ -10,34 +10,15 @@ order and edges in sorted order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .exangles import Exangle
 from .models import CategoryModel, bit_indices
 from .quotients import QuotientModel
 from .report import VerificationReport
-from .rigidity import mutation_graph_dot
 from .tuples import IndexTuple, Quiver
 
 FORMATS = ("dot", "tikz", "json")
-CONTENTS = ("quiver", "category", "mutation-graph", "exangle", "report")
 ARROW_POLICIES = ("all-nonzero-homs", "irreducible-only")
-
-
-@dataclass(frozen=True)
-class EmitSpec:
-    """What to emit and how: format, content kind, and arrow policy."""
-    fmt: str = "dot"
-    content: str = "category"
-    arrows: str = "all-nonzero-homs"
-
-    def __post_init__(self):
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.content not in CONTENTS:
-            raise ValueError(f"unknown content {self.content!r}")
-        if self.arrows not in ARROW_POLICIES:
-            raise ValueError(f"unknown arrow policy {self.arrows!r}")
 
 
 def node_id(t: IndexTuple) -> str:
@@ -170,52 +151,40 @@ def _json_dump(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def emit(obj, spec: EmitSpec) -> str:
-    """Render one object under the given spec; raises on invalid pairings."""
-    if spec.content == "quiver":
-        if not isinstance(obj, Quiver):
-            raise ValueError("quiver content needs a Quiver")
-        if spec.fmt == "dot":
-            return _dot_graph(obj.vertices, [(s, t) for s, t, _ in obj.arrows])
-        if spec.fmt == "tikz":
-            return _tikz_graph(obj.vertices, [(s, t) for s, t, _ in obj.arrows])
-        return _json_dump(quiver_to_dict(obj))
-    if spec.content == "category":
-        if not isinstance(obj, CategoryModel):
-            raise ValueError("category content needs a model")
-        if spec.fmt == "json":
+def emit(obj, fmt: str = "dot", arrows: str = "all-nonzero-homs") -> str:
+    """Draw a Quiver, a model (a quotient too), an Exangle or a report.
+
+    What is drawn follows the object's type; a report is JSON only.  An
+    unknown format or arrow policy, or any other type, raises ValueError.
+    """
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    if arrows not in ARROW_POLICIES:
+        raise ValueError(f"unknown arrow policy {arrows!r}")
+    if isinstance(obj, VerificationReport):
+        if fmt != "json":
+            raise ValueError("reports are emitted as JSON only")
+        return _json_dump(report_to_dict(obj))
+    if isinstance(obj, Quiver):
+        if fmt == "json":
+            return _json_dump(quiver_to_dict(obj))
+        nodes, edges = obj.vertices, [(s, t) for s, t, _ in obj.arrows]
+    elif isinstance(obj, CategoryModel):
+        if fmt == "json":
             payload = model_descriptor(obj)
             payload["hom"] = hom_table(obj)
             payload["ext"] = ext_table(obj)
             if isinstance(obj, QuotientModel):
                 payload.update(quotient_to_dict(obj))
             return _json_dump(payload)
-        edges = category_arrows(obj, spec.arrows)
-        if spec.fmt == "dot":
-            return _dot_graph(obj.objects, edges)
-        return _tikz_graph(obj.objects, edges)
-    if spec.content == "mutation-graph":
-        if not isinstance(obj, CategoryModel):
-            raise ValueError("mutation-graph content needs a model")
-        if spec.fmt != "dot":
-            raise ValueError("mutation graphs are emitted as DOT only")
-        return mutation_graph_dot(obj)
-    if spec.content == "exangle":
-        if not isinstance(obj, Exangle):
-            raise ValueError("exangle content needs an Exangle")
-        if spec.fmt == "json":
+        nodes, edges = obj.objects, category_arrows(obj, arrows)
+    elif isinstance(obj, Exangle):
+        if fmt == "json":
             return _json_dump(exangle_to_dict(obj))
         terms = obj.terms
         nodes = [x for term in terms for x in term]
         edges = [(src, tgt) for diff, sources, targets in zip(obj.differentials, terms, terms[1:])
                  for tgt, row in zip(targets, diff) for src, v in zip(sources, row) if v]
-        if spec.fmt == "dot":
-            return _dot_graph(nodes, edges)
-        return _tikz_graph(nodes, edges)
-    # report
-    if not isinstance(obj, VerificationReport):
-        raise ValueError("report content needs a VerificationReport")
-    if spec.fmt != "json":
-        raise ValueError("reports are emitted as JSON only")
-    return _json_dump(report_to_dict(obj))
-
+    else:
+        raise ValueError(f"cannot emit a {type(obj).__name__}")
+    return (_dot_graph if fmt == "dot" else _tikz_graph)(nodes, edges)

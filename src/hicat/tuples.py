@@ -128,13 +128,6 @@ def rotate_window_rep(a: IndexTuple, m: int) -> IndexTuple:
     return a[1:] + (a[0] + m,)
 
 
-def unit_step(i: int, length: int) -> IndexTuple:
-    """The tuple with a single 1 at position i."""
-    if not 0 <= i < length:
-        raise ValueError(f"direction {i} outside 0..{length - 1}")
-    return tuple(1 if j == i else 0 for j in range(length))
-
-
 @dataclass(frozen=True)
 class Quiver:
     """A translation quiver with commutativity and zero relations.
@@ -163,7 +156,7 @@ def build_quiver(d: int, n: int) -> Quiver:
     width = d  # tuples have d entries, directions 0..d-1
 
     def step(a: IndexTuple, i: int) -> IndexTuple:
-        return tuple(v + s for v, s in zip(a, unit_step(i, width)))
+        return a[:i] + (a[i] + 1,) + a[i + 1:]
 
     arrows = tuple((a, step(a, i), i)
                    for a in verts for i in range(width)

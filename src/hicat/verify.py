@@ -51,13 +51,17 @@ class FormatError(ValueError, ArgumentTypeError):
 
 
 def parse_grid(text: str) -> tuple[int, int, int]:
-    """Parse a DMAX:NMAX:OBJMAX grid bound; raises FormatError when malformed."""
+    """Parse a DMAX:NMAX:OBJMAX grid bound; raises FormatError when malformed
+    or when it holds no grid point, so that no run passes with nothing checked."""
     try:
         dmax, nmax, objmax = (int(p) for p in text.split(":"))
     except ValueError:
         raise FormatError(f"grid must be DMAX:NMAX:OBJMAX, three integers, got {text!r}") from None
     if min(dmax, nmax, objmax) < 1:
         raise FormatError(f"grid bounds DMAX:NMAX:OBJMAX must be positive, got {text!r}")
+    if not grid_points(dmax, nmax, objmax):
+        raise FormatError("grid DMAX:NMAX:OBJMAX holds no point, since the smallest model, "
+                          f"at (1, 1), has 3 objects, got {text!r}")
     return dmax, nmax, objmax
 
 

@@ -6,7 +6,7 @@ where the criterion carries one.
 import time
 from contextlib import contextmanager
 
-from hicat.emit import EmitSpec, emit
+from hicat.emit import emit
 from hicat.models import (
     almost_positive_model,
     cluster_model,
@@ -280,26 +280,23 @@ def _parse_dot(text):
 
 def test_criterion_7_golden_figures():
     with criterion(7, "figure emissions are deterministic with the right graphs"):
-        quiver_spec = EmitSpec(fmt="dot", content="quiver")
-        cat_spec = EmitSpec(fmt="dot", content="category", arrows="irreducible-only")
-
         quiver = build_quiver(2, 3)
-        first = emit(quiver, quiver_spec)
-        assert first == emit(quiver, quiver_spec)
+        first = emit(quiver)
+        assert first == emit(quiver)
         nodes, edges = _parse_dot(first)
         assert edges == FIGURE_QUIVER_23
         assert len(nodes) == 6
 
         module_cat = module_model(2, 3)
-        first = emit(module_cat, cat_spec)
-        assert first == emit(module_cat, cat_spec)
+        first = emit(module_cat, arrows="irreducible-only")
+        assert first == emit(module_cat, arrows="irreducible-only")
         nodes, edges = _parse_dot(first)
         assert len(nodes) == 10
         assert edges == FIGURE_MODULE_23
 
         ap_cat = almost_positive_model(2, 3)
-        first = emit(ap_cat, cat_spec)
-        assert first == emit(ap_cat, cat_spec)
+        first = emit(ap_cat, arrows="irreducible-only")
+        assert first == emit(ap_cat, arrows="irreducible-only")
         nodes, edges = _parse_dot(first)
         assert nodes == FIGURE_AP_23_NODES
         assert edges == FIGURE_AP_23_ARROWS

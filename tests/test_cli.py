@@ -102,13 +102,38 @@ MODULE_23_EXANGLE = ["--model", "module", "--d", "2", "--n", "3", "--from", "246
      ["quotient", "--model", "relative-f", "--d", "1", "--n", "3"]),
     ("emit_exangle_module_2_3.json",
      ["emit", "--content", "exangle", "--format", "json", *MODULE_23_EXANGLE]),
+    *((f"emit_exangle_module_2_3.{fmt}",
+       ["emit", "--content", "exangle", "--format", fmt, *MODULE_23_EXANGLE])
+      for fmt in ("dot", "tikz")),
+    *((f"emit_quiver_2_3.{fmt}",
+       ["emit", "--content", "quiver", "--d", "2", "--n", "3", "--format", fmt])
+      for fmt in ("dot", "tikz", "json")),
+    *((f"emit_category_module_1_3.{fmt}",
+       ["emit", "--content", "category", "--model", "module", "--d", "1", "--n", "3",
+        "--format", fmt])
+      for fmt in ("dot", "tikz", "json")),
+    ("emit_mutation-graph_almost-positive_1_3.dot",
+     ["emit", "--content", "mutation-graph", "--model", "almost-positive", "--d", "1",
+      "--n", "3"]),
 ])
 def test_output_bytes_match_the_goldens(capsys, name, argv):
-    # the differentials' source and target lists, the key order and the
-    # indentation are pinned byte for byte
+    # the differentials' source and target lists, the key order, the
+    # indentation and the node and edge order of the diagrams are pinned byte for byte
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv,message", [
+    *((["emit", "--content", "mutation-graph", "--model", "almost-positive", "--d", "1",
+        "--n", "3", "--format", fmt], "mutation graphs are emitted as DOT only")
+      for fmt in ("tikz", "json")),
+    *((["emit", "--content", "report", "--theorem", "equiv", "--d", "1", "--n", "2",
+        "--format", fmt], "reports are emitted as JSON only")
+      for fmt in ("dot", "tikz")),
+])
+def test_emit_in_a_format_the_content_lacks_is_usage_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_verify_pass(capsys):
@@ -225,7 +250,7 @@ def test_membership_error_is_usage_error(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("grid", ["3:4", "0:4:200", "3:x:200"])
+@pytest.mark.parametrize("grid", ["3:4", "0:4:200", "3:x:200", "1:1:1", "3:4:2"])
 def test_malformed_grid_names_its_format(capsys, grid):
     code, out, err = run_cli(capsys, "verify", "--theorem", "equiv", "--grid", grid)
     assert (code, out) == (2, "")

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from hicat.emit import (
-    EmitSpec,
     emit,
     exangle_to_dict,
     irreducible_arrows,
@@ -17,6 +16,7 @@ from hicat.emit import (
 from hicat.exangles import realize
 from hicat.models import almost_positive_model, cluster_model, derived_model, module_model
 from hicat.quotients import projinj_ideal, quotient
+from hicat.rigidity import mutation_graph_dot
 from hicat.tuples import build_quiver
 from hicat.verify import verify_equiv_module_ap
 from pair_rules import composite
@@ -68,33 +68,29 @@ def test_render_helpers():
 
 
 def test_quiver_dot_matches_small_quiver():
-    text = emit(build_quiver(2, 3), EmitSpec(fmt="dot", content="quiver"))
+    text = emit(build_quiver(2, 3))
     nodes, edges = parse_dot(text)
     assert len(nodes) == 6 and len(edges) == 6
     assert edges == id_pairs(QUIVER_23_EDGES)
 
 
 def test_quiver_dot_other_sizes():
-    nodes1, edges1 = parse_dot(emit(build_quiver(1, 3),
-                                           EmitSpec(fmt="dot", content="quiver")))
+    nodes1, edges1 = parse_dot(emit(build_quiver(1, 3)))
     assert len(nodes1) == 3 and len(edges1) == 2
-    nodes3, edges3 = parse_dot(emit(build_quiver(3, 3),
-                                           EmitSpec(fmt="dot", content="quiver")))
+    nodes3, edges3 = parse_dot(emit(build_quiver(3, 3)))
     assert len(nodes3) == 10 and len(edges3) == 12
 
 
 def test_module_category_irreducible_dot():
     model = module_model(2, 3)
-    spec = EmitSpec(fmt="dot", content="category", arrows="irreducible-only")
-    nodes, edges = parse_dot(emit(model, spec))
+    nodes, edges = parse_dot(emit(model, arrows="irreducible-only"))
     assert len(nodes) == 10
     assert edges == id_pairs(MODULE_23_ARROWS)
 
 
 def test_almost_positive_irreducible_dot():
     model = almost_positive_model(2, 3)
-    spec = EmitSpec(fmt="dot", content="category", arrows="irreducible-only")
-    nodes, edges = parse_dot(emit(model, spec))
+    nodes, edges = parse_dot(emit(model, arrows="irreducible-only"))
     assert nodes == {",".join(s) for s in AP_23_NODES}
     assert edges == id_pairs(AP_23_ARROWS)
 
@@ -116,11 +112,9 @@ def test_irreducible_matches_bruteforce_definition():
 
 def test_emission_is_deterministic():
     model = module_model(2, 3)
-    spec = EmitSpec(fmt="dot", content="category", arrows="irreducible-only")
-    assert emit(model, spec) == emit(model, spec)
+    assert emit(model, arrows="irreducible-only") == emit(model, arrows="irreducible-only")
     quiver = build_quiver(2, 3)
-    qspec = EmitSpec(fmt="dot", content="quiver")
-    assert emit(quiver, qspec) == emit(quiver, qspec)
+    assert emit(quiver) == emit(quiver)
 
 
 def test_emit_figures_script_writes_what_emit_returns(tmp_path):
@@ -129,23 +123,20 @@ def test_emit_figures_script_writes_what_emit_returns(tmp_path):
     run = subprocess.run([sys.executable, "-W", "error", str(script)], cwd=tmp_path,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    quiver_spec = EmitSpec(fmt="dot", content="quiver")
-    cat_spec = EmitSpec(fmt="dot", content="category", arrows="irreducible-only")
-    want = {f"quiver_{d}_{n}.dot": emit(build_quiver(d, n), quiver_spec)
-            for d, n in ((1, 3), (2, 3), (3, 3))}
-    want["module_2_3.dot"] = emit(module_model(2, 3), cat_spec)
-    want["almost_positive_2_3.dot"] = emit(almost_positive_model(2, 3), cat_spec)
+    want = {f"quiver_{d}_{n}.dot": emit(build_quiver(d, n)) for d, n in ((1, 3), (2, 3), (3, 3))}
+    want["module_2_3.dot"] = emit(module_model(2, 3), arrows="irreducible-only")
+    want["almost_positive_2_3.dot"] = emit(almost_positive_model(2, 3), arrows="irreducible-only")
     written = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
     assert written == {name: text.encode("utf-8") for name, text in want.items()}
 
 
 def test_json_emissions():
     model = cluster_model(1, 2)
-    payload = json.loads(emit(model, EmitSpec(fmt="json", content="category")))
+    payload = json.loads(emit(model, "json"))
     assert payload["kind"] == "cluster"
     assert [1, 3] in payload["objects"]
     assert "1,3" in payload["hom"]
-    q = json.loads(emit(build_quiver(2, 3), EmitSpec(fmt="json", content="quiver")))
+    q = json.loads(emit(build_quiver(2, 3), "json"))
     assert len(q["vertices"]) == 6 and len(q["arrows"]) == 6
     e = realize(module_model(2, 3), (2, 4, 6), (1, 3, 5))
     d = exangle_to_dict(e)
@@ -174,8 +165,8 @@ digraph {
 def test_quotient_category_emission():
     base = module_model(1, 3)
     q = quotient(base, projinj_ideal(base))
-    assert emit(q, EmitSpec(fmt="dot", content="category")) == MODULE_13_QUOTIENT_DOT
-    payload = json.loads(emit(q, EmitSpec(fmt="json", content="category")))
+    assert emit(q) == MODULE_13_QUOTIENT_DOT
+    payload = json.loads(emit(q, "json"))
     # the tables are the quotient's, over its objects; objects lists the base's
     live = ["1,3", "1,4", "2,4", "2,5", "3,5"]
     assert list(payload["hom"]) == list(payload["ext"]) == live
@@ -185,45 +176,47 @@ def test_quotient_category_emission():
 
 
 def test_tikz_smoke():
-    text = emit(build_quiver(2, 3), EmitSpec(fmt="tikz", content="quiver"))
+    text = emit(build_quiver(2, 3), "tikz")
     assert text.startswith("\\begin{tikzpicture}")
     assert "\\draw[->]" in text
     # TikZ reads "(1,3)" in a path as a coordinate, so every arrow must join
     # two declared node names, and no name may hold a comma
-    cases = [(build_quiver(2, 3), "quiver", "all-nonzero-homs"),
-             (module_model(1, 2), "category", "all-nonzero-homs"),
-             (almost_positive_model(2, 3), "category", "irreducible-only"),
-             (derived_model(1, 2, (-3, -1)), "category", "all-nonzero-homs"),
-             (realize(module_model(2, 3), (2, 4, 6), (1, 3, 5)), "exangle", "all-nonzero-homs")]
-    for obj, content, arrows in cases:
-        text = emit(obj, EmitSpec(fmt="tikz", content=content, arrows=arrows))
+    cases = [(build_quiver(2, 3), "all-nonzero-homs"),
+             (module_model(1, 2), "all-nonzero-homs"),
+             (almost_positive_model(2, 3), "irreducible-only"),
+             (derived_model(1, 2, (-3, -1)), "all-nonzero-homs"),
+             (realize(module_model(2, 3), (2, 4, 6), (1, 3, 5)), "all-nonzero-homs")]
+    for obj, arrows in cases:
+        text = emit(obj, "tikz", arrows)
         names = re.findall(r"\\node \(([^)]*)\) at", text)
         ends = re.findall(r"\\draw\[->\] \(([^)]*)\) -- \(([^)]*)\);", text)
         assert ends and len(names) == len(set(names))
         assert all("," not in name for name in names)
         assert {end for pair in ends for end in pair} <= set(names)
-    assert "\\node (n1-3) at (0,1) {13};" in emit(
-        module_model(1, 2), EmitSpec(fmt="tikz", content="category"))
+    assert "\\node (n1-3) at (0,1) {13};" in emit(module_model(1, 2), "tikz")
 
 
 def test_mutation_graph_content():
-    model = almost_positive_model(1, 2)
-    text = emit(model, EmitSpec(fmt="dot", content="mutation-graph"))
+    # emit draws no mutation graph: `hicat emit --content mutation-graph` takes it from rigidity
+    text = mutation_graph_dot(almost_positive_model(1, 2))
     assert text.count("->") == 5
 
 
 def test_report_emission():
     rep = verify_equiv_module_ap(1, 1)
-    payload = json.loads(emit(rep, EmitSpec(fmt="json", content="report")))
+    payload = json.loads(emit(rep, "json"))
     assert payload["ok"] is True and payload["theorem"] == "equiv"
 
 
 def test_invalid_pairings():
-    with pytest.raises(ValueError):
-        EmitSpec(fmt="png", content="quiver")
-    with pytest.raises(ValueError):
-        EmitSpec(fmt="dot", content="poster")
-    with pytest.raises(ValueError):
-        emit(module_model(1, 1), EmitSpec(fmt="dot", content="quiver"))
-    with pytest.raises(ValueError):
-        emit(build_quiver(1, 2), EmitSpec(fmt="dot", content="report"))
+    # an unknown format or arrow policy, a report drawn as a diagram, and an
+    # object that is none of the four types emit draws
+    with pytest.raises(ValueError, match="unknown format 'png'"):
+        emit(build_quiver(1, 2), "png")
+    with pytest.raises(ValueError, match="unknown arrow policy 'all'"):
+        emit(module_model(1, 1), "dot", "all")
+    for fmt in ("dot", "tikz"):
+        with pytest.raises(ValueError, match="reports are emitted as JSON only"):
+            emit(verify_equiv_module_ap(1, 1), fmt)
+    with pytest.raises(ValueError, match="cannot emit a tuple"):
+        emit((1, 3))

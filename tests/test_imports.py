@@ -34,6 +34,11 @@ def test_package_imports_form_no_cycle():
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
+def test_emit_draws_without_rigidity_or_verify():
+    # emit draws the objects it is given; the CLI takes mutation graphs from rigidity
+    assert not {"rigidity", "verify"} & relative_imports()["emit"]
+
+
 def unused_imports(path: Path) -> list[str]:
     """The names a module imports and never reads; ``from __future__`` is left out."""
     tree = ast.parse(path.read_text(encoding="utf-8"))

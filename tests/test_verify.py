@@ -113,6 +113,9 @@ def test_grid_helpers():
         parse_grid("3:4")
     with pytest.raises(ValueError):
         parse_grid("0:4:200")
+    assert parse_grid("1:1:3") == (1, 1, 3)
+    with pytest.raises(ValueError, match="holds no point"):
+        parse_grid("3:4:2")
     pts = grid_points(3, 4, 200)
     assert len(pts) == 12
     assert (1, 1) in pts and (3, 4) in pts
@@ -191,9 +194,11 @@ def test_run_verification_script_from_any_directory(tmp_path):
     assert re.search(r"peak RSS \d+\.\d MiB$", proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("args", [["3:4"], ["1:1:10", "a"], ["0:4:200"], ["3:x:200"]])
+@pytest.mark.parametrize("args", [["3:4"], ["1:1:10", "a"], ["0:4:200"], ["3:x:200"],
+                                  ["1:1:1"], ["1:1:2"]])
 def test_run_verification_script_usage_error(args):
-    # a malformed grid or an extra argument is a usage error (2), not a failed check (1)
+    # a malformed grid, a grid with no point or an extra argument is a usage
+    # error (2), not a failed check (1) nor a pass with nothing checked
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
     proc = subprocess.run([sys.executable, str(script), *args],
                           capture_output=True, text=True, timeout=120)
@@ -205,7 +210,8 @@ def test_run_verification_script_usage_error(args):
     if len(args) == 1:
         # a malformed grid keeps parse_grid's reason, not argparse's bare "invalid value"
         assert lines[-1].endswith(f"DMAX:NMAX:OBJMAX, three integers, got {args[0]!r}") \
-            or lines[-1].endswith(f"DMAX:NMAX:OBJMAX must be positive, got {args[0]!r}")
+            or lines[-1].endswith(f"DMAX:NMAX:OBJMAX must be positive, got {args[0]!r}") \
+            or lines[-1].endswith(f"has 3 objects, got {args[0]!r}")
 
 
 def _corrupted(model, method, key, value):
