@@ -2,18 +2,19 @@
 """Run every verifier over the default grid and print a summary table.
 
 Usage: python scripts/run_verification.py [DMAX:NMAX:OBJMAX]
-The last line gives the checks passed, the time taken and the peak RSS
-of the process in MiB.  Exit code 0 when everything passes, 1 when a
-check fails, 2 on a usage error (a malformed grid or an extra argument).
+The last line gives the checks passed, the time taken and, where the
+platform reports it, the peak RSS of the process in MiB.  Exit code 0
+when everything passes, 1 when a check fails, 2 on a usage error (a
+malformed grid or an extra argument).
 """
 import argparse
-import resource
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from hicat.report import peak_rss_mib
 from hicat.verify import DEFAULT_GRID, THEOREMS, parse_grid, run_theorem
 
 
@@ -34,10 +35,10 @@ def main() -> int:
             if not report.ok:
                 failures += 1
             print("  " + report.summary())
-    # ru_maxrss is in KiB on Linux
-    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    peak = peak_rss_mib()
+    memory = "" if peak is None else f", peak RSS {peak:.1f} MiB"
     print(f"{total - failures}/{total} checks passed "
-          f"in {time.perf_counter() - start:.1f}s, peak RSS {peak_mib:.1f} MiB")
+          f"in {time.perf_counter() - start:.1f}s{memory}")
     return 1 if failures else 0
 
 

@@ -279,6 +279,9 @@ def _dispatch(args) -> int:
     elif args.content == "report":
         if args.theorem is None:
             raise ValueError("report emission needs --theorem")
+        if args.format != "json":
+            # before the theorem runs, which can take seconds
+            raise ValueError("reports are emitted as JSON only")
         reports = run_point(args.theorem, args.d, args.n)
         if len(reports) != 1:
             raise ValueError(f"{args.theorem} gives {len(reports)} reports; "

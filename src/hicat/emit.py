@@ -137,7 +137,8 @@ def report_to_dict(r: VerificationReport) -> dict:
     return {"theorem": r.theorem, "d": r.d, "n": r.n, "ok": r.ok,
             "counters": dict(sorted(r.counters.items())),
             "counterexample": repr(r.counterexample) if r.counterexample else None,
-            "elapsed": round(r.elapsed, 4)}
+            "elapsed": round(r.elapsed, 4),
+            "peak_rss_mib": None if r.peak_rss_mib is None else round(r.peak_rss_mib, 3)}
 
 
 def quotient_to_dict(q: QuotientModel) -> dict:

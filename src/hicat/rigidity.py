@@ -9,9 +9,13 @@ middle terms stay inside the rest of the set.
 
 Internally every set of objects is an integer bitmask over the model's
 object index, read against the model's conflict rows; the objects are
-sorted, so bit order is label order, and the enumeration yields masks in
-label order.  Labels are built only for public results and counterexamples;
-there a rigid set is the sorted tuple of its summands.
+sorted, so bit order is label order.  The enumeration gives each maximal
+set as one int, ``rev << 2n | mask << n | single`` over the n objects: the
+mask bit-reversed, the mask, and the outside objects with exactly one
+conflict inside.  A descending sort of these ints is label order, and
+``_unpack`` is the one reader of the format.  Labels are built only for
+public results and counterexamples; there a rigid set is the sorted tuple
+of its summands.
 """
 from __future__ import annotations
 
@@ -51,25 +55,30 @@ def is_rigid(model: CategoryModel, summands) -> bool:
     return not any(rows[i] & m for i in bit_indices(m))
 
 
-def _maximal_independent(rows: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Maximal independent sets of a conflict graph, in label order, with their single hits.
+def _maximal_independent(rows: tuple[int, ...]) -> list[int]:
+    """Maximal independent sets of a conflict graph, in label order, one int each.
 
     Pivoting Bron–Kerbosch (Bron–Kerbosch 1973; Tomita et al. 2006) on
     the complement masks: each step branches only on the vertices of P
     outside the neighbourhood of the pivot with most neighbours in P.
     Down the recursion it carries the vertices with at least one and
-    with at least two conflicts in R, so each set comes as a pair
-    (mask, single hits): the outside vertices with exactly one conflict
-    inside, which ``_MutationScanner.single_hits`` would compute again.
+    with at least two conflicts in R, so each set comes with its single
+    hits: the outside vertices with exactly one conflict inside, which
+    ``_MutationScanner.single_hits`` would compute again.  Beside R it
+    carries R bit-reversed over the n = len(rows) vertices, and each set
+    is the one int ``rev << 2n | mask << n | single``; ``_unpack`` reads it.
     """
-    vertices = (1 << len(rows)) - 1
+    size = len(rows)
+    vertices = (1 << size) - 1
     nbrs = [vertices & ~row & ~(1 << i) for i, row in enumerate(rows)]
-    found: list[tuple[int, int]] = []
+    # vertex v, bit-reversed over n bits and placed above the mask and the single hits
+    flipped = [1 << 3 * size - 1 - v for v in range(size)]
+    found: list[int] = []
 
-    def expand(r: int, p: int, x: int, once: int, twice: int) -> None:
+    def expand(r: int, rev: int, p: int, x: int, once: int, twice: int) -> None:
         if not p:
             if not x:
-                found.append((r, once & ~twice & ~r))
+                found.append(rev | r << size | once & ~twice & ~r)
             return
         best, pivot = -1, 0
         rest = p | x
@@ -85,20 +94,30 @@ def _maximal_independent(rows: tuple[int, ...]) -> list[tuple[int, int]]:
             low = branch & -branch
             v = low.bit_length() - 1
             nb, row = nbrs[v], rows[v]
-            expand(r | low, p & nb, x & nb, once | row, twice | once & row)
+            expand(r | low, rev | flipped[v], p & nb, x & nb, once | row, twice | once & row)
             p ^= low
             x |= low
             branch ^= low
 
-    expand(0, vertices, 0, 0, 0)
+    expand(0, 0, vertices, 0, 0, 0)
     # maximal sets form an antichain, so label order puts first the set holding the
-    # lowest vertex of their symmetric difference: the larger bit-reversed mask
-    return sorted(found, key=lambda f: int(f"{f[0]:0{len(rows)}b}"[::-1], 2), reverse=True)
+    # lowest vertex of their symmetric difference: the larger bit-reversed mask, which
+    # leads each int
+    found.sort(reverse=True)
+    return found
+
+
+def _unpack(entry: int, size: int) -> tuple[int, int]:
+    """The (mask, single hits) of one set of ``_maximal_independent`` over size vertices."""
+    full = (1 << size) - 1
+    return entry >> size & full, entry & full
 
 
 def maximal_rigid(model: CategoryModel) -> tuple[tuple[IndexTuple, ...], ...]:
     """All inclusion-maximal rigid sets, each its sorted summands, in label order."""
-    return tuple(_labels(model, m) for m, _ in _maximal_independent(model.conflict_rows))
+    rows = model.conflict_rows
+    return tuple(_labels(model, _unpack(entry, len(rows))[0])
+                 for entry in _maximal_independent(rows))
 
 
 def tilting_sets(model: CategoryModel) -> tuple[tuple[IndexTuple, ...], ...]:
@@ -279,7 +298,8 @@ def mutate(model: CategoryModel, t: tuple[IndexTuple, ...],
 
 def mutation_graph_dot(model: CategoryModel) -> str:
     """DOT digraph of the mutation graph: nodes are maximal rigid sets."""
-    sets = _maximal_independent(model.conflict_rows)
+    rows = model.conflict_rows
+    sets = [_unpack(entry, len(rows)) for entry in _maximal_independent(rows)]
     scan = _MutationScanner(model)
     names = [",".join(str(v) for v in lbl) for lbl in model.objects]
     ids: dict[int, str] = {}
@@ -331,11 +351,12 @@ def _premise_failure(base: CategoryModel, projinj: set[IndexTuple],
     return None
 
 
-def _scan_tilting(base: CategoryModel, tilts: list[tuple[int, int]],
+def _scan_tilting(base: CategoryModel, tilts: list[int],
                   projinj: set[IndexTuple], counters: dict[str, int]):
     """Mutate every tilting set at every live summand: the first counterexample, or None.
 
-    ``tilts`` holds the (set, single hits) pairs of ``_maximal_independent``.
+    ``tilts`` holds the sets of ``_maximal_independent``, one int each,
+    read with ``_unpack`` into the set's mask and its single hits.
     A summand with an empty bucket has nothing to check; for the others
     the scanner's ``step`` gives the replacement candidates and the middles
     of the linked exchange exangles, and a set adds only the test that the
@@ -346,15 +367,19 @@ def _scan_tilting(base: CategoryModel, tilts: list[tuple[int, int]],
     """
     scan = _MutationScanner(base)
     rows = scan.rows
+    size = len(rows)
     live = ~_mask(base, projinj)
+    # an edge end (set, summand) is the int set << width | summand index
+    width = size.bit_length()
 
-    def at(t: int, x: int):
-        return _labels(base, t), base.objects[x]
+    def at(end: int):
+        return _labels(base, end >> width), base.objects[end & (1 << width) - 1]
 
     # mutating (old set, x) gave (new set, y); mutating (new set, y) must give (old set, x).
     # An edge (new set, y) -> (old set, x) stays here until that reverse edge arrives.
-    unmatched: dict[tuple[int, int], tuple[int, int]] = {}
-    for t, single in tilts:
+    unmatched: dict[int, int] = {}
+    for entry in tilts:
+        t, single = _unpack(entry, size)
         exchanges = 0
         for x in bit_indices(t & live):
             bucket = rows[x] & single
@@ -369,9 +394,10 @@ def _scan_tilting(base: CategoryModel, tilts: list[tuple[int, int]],
                 # the live summands of t below x passed; x got as far as its exchanges
                 counters["exchange_exangles"] += exchanges
                 counters["mutations_checked"] += 2 * (t & live & (1 << x) - 1).bit_count()
-                return ("ambiguous-mutation", *at(t, x), list(_labels(base, cand)))
+                return ("ambiguous-mutation", *at(t << width | x), list(_labels(base, cand)))
             if cand:
-                edge, source = (rest | cand, cand), (t, 1 << x)
+                edge = (rest | cand) << width | cand.bit_length() - 1
+                source = t << width | x
                 if unmatched.get(source) == edge:
                     del unmatched[source]
                 else:
@@ -381,8 +407,7 @@ def _scan_tilting(base: CategoryModel, tilts: list[tuple[int, int]],
         counters["mutations_checked"] += 2 * (t & live).bit_count()
     if unmatched:
         edge, source = next(iter(unmatched.items()))
-        return ("mutation-not-involutive",
-                *(at(t, bit.bit_length() - 1) for t, bit in (source, edge)))
+        return ("mutation-not-involutive", at(source), at(edge))
     return None
 
 
@@ -421,9 +446,10 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
         failure = _premise_failure(base, projinj, ap, relf)
         if failure is not None:
             return failure
-        tilts = _maximal_independent(base.conflict_rows)
+        rows = base.conflict_rows
+        tilts = _maximal_independent(rows)
         # not all maximal rigid sets have the same size once d reaches 3
-        sizes = [t.bit_count() - len(projinj) for t, _ in tilts]
+        sizes = {_unpack(t, len(rows))[0].bit_count() - len(projinj) for t in tilts}
         counters.update(tilting_sets=len(tilts), ap_maximal_rigid=len(tilts),
                         relf_maximal_rigid=len(tilts), set_size_min=min(sizes),
                         set_size_max=max(sizes), exchange_exangles=0, mutations_checked=0)

@@ -131,8 +131,16 @@ def test_output_bytes_match_the_goldens(capsys, name, argv):
     *((["emit", "--content", "report", "--theorem", "equiv", "--d", "1", "--n", "2",
         "--format", fmt], "reports are emitted as JSON only")
       for fmt in ("dot", "tikz")),
+    # a theorem that takes seconds here, and sanity, which gives five reports
+    *((["emit", "--content", "report", "--theorem", theorem, "--d", "5", "--n", "3",
+        "--format", "dot"], "reports are emitted as JSON only")
+      for theorem in ("correspondence", "sanity")),
 ])
-def test_emit_in_a_format_the_content_lacks_is_usage_error(capsys, argv, message):
+def test_emit_in_a_format_the_content_lacks_is_usage_error(capsys, monkeypatch, argv, message):
+    # the format is refused before any theorem runs
+    def never(*args):
+        raise AssertionError("run_point ran")
+    monkeypatch.setattr("hicat.cli.run_point", never)
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
@@ -226,6 +234,7 @@ def test_emit_report(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True and payload["counters"]["objects"] == 5
+    assert payload["peak_rss_mib"] > 0
     code, _, _ = run_cli(capsys, "emit", "--content", "report",
                          "--d", "1", "--n", "2", "--format", "json")
     assert code == 2

@@ -25,6 +25,7 @@ from hicat.rigidity import (
     _maximal_independent,
     _MutationScanner,
     _scan_tilting,
+    _unpack,
     correspondence_check,
     exchange_exangles,
     is_rigid,
@@ -372,7 +373,8 @@ def _first_edge_without_reverse(d, n, rule):
     rows = base.conflict_rows
     live = ~sum(1 << base.index[z] for z, _ in projinj_ideal(base))
     edges = {}
-    for t, single in _maximal_independent(rows):
+    for entry in _maximal_independent(rows):
+        t, single = _unpack(entry, len(rows))
         for x in bit_indices(t & live):
             bucket = rows[x] & single
             if bucket:
@@ -596,6 +598,8 @@ def test_scan_reports_an_ambiguous_mutation(monkeypatch):
     monkeypatch.setattr("hicat.rigidity.middle_terms", lambda model, b, a: ((),))
     counters = {"exchange_exangles": 0, "mutations_checked": 0}
     tilts = _maximal_independent(table.conflict_rows)
+    first, _ = _unpack(tilts[0], len(table.objects))
+    assert [table.objects[i] for i in bit_indices(first)] == ["a", "r", "x"]
     failure = _scan_tilting(table, tilts, {"r"}, counters)
     # the first set {a, r, x} mutates at a to {b, r, x}, with the two exchanges
     # between a and b; x has three candidates, after its six exchanges
@@ -616,9 +620,13 @@ def _conflict_tables(draw):
 @settings(max_examples=200, deadline=None)
 @given(_conflict_tables())
 def test_enumeration_matches_bruteforce_with_its_single_hits(table):
-    # the enumerator yields the sets in label order, each with the single-hit
-    # mask it carried down the recursion; both are checked against a fresh count
-    found = _maximal_independent(table.conflict_rows)
+    # the enumerator yields one int per set, strictly descending, which is label
+    # order; each holds the single-hit mask it carried down the recursion, and
+    # sets and single hits are checked against a fresh count
+    entries = _maximal_independent(table.conflict_rows)
+    assert all(type(e) is int for e in entries)
+    assert all(a > b for a, b in zip(entries, entries[1:]))
+    found = [_unpack(e, len(table.objects)) for e in entries]
     conflict = lambda x, y: bool(table.ext_dim(x, y))
     assert [tuple(table.objects[i] for i in range(len(table.objects)) if m >> i & 1)
             for m, _ in found] == brute_maximal_independent(table.objects, conflict)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from hicat import report as report_module
+from hicat.emit import report_to_dict
 from hicat.exangles import compare_exangles, realize
 from hicat.models import (
     CategoryModel,
@@ -18,7 +20,7 @@ from hicat.models import (
     relative_f_model,
 )
 from hicat.quotients import injproj_ideal, projinj_ideal, quotient
-from hicat.report import VerificationReport
+from hicat.report import VerificationReport, peak_rss_mib
 from hicat.tuples import normalize_cyclic, shift_cluster
 from hicat.verify import (
     THEOREMS,
@@ -131,9 +133,31 @@ def test_run_theorem_with_extra_points():
 def test_failure_reports_counterexample():
     # a deliberately broken comparison records the first mismatch
     rep = VerificationReport("demo", 1, 1, False, {"objects": 2},
-                             ("hom", (1, 3), (2, 4)), 0.0)
+                             ("hom", (1, 3), (2, 4)), 0.0, 20.0)
     assert "FAIL" in rep.summary()
     assert "counterexample" in rep.summary()
+
+
+def test_a_report_holds_the_peak_memory_of_the_process():
+    # read when the check ended; the summary line leaves it out
+    (report,) = run_point("equiv", 1, 2)
+    assert 0 < report.peak_rss_mib <= peak_rss_mib()
+    assert "MiB" not in report.summary()
+
+
+def test_peak_memory_reads_the_unit_of_each_platform(monkeypatch):
+    # ru_maxrss is KiB on Linux and bytes on macOS; without getrusage there is no reading
+    usage = type("Usage", (), {"ru_maxrss": 2**30})()
+    fake = type("Resource", (), {"RUSAGE_SELF": 0, "getrusage": staticmethod(lambda _: usage)})
+    monkeypatch.setattr(report_module, "resource", fake)
+    monkeypatch.setattr(report_module.sys, "platform", "linux")
+    assert peak_rss_mib() == 2**20
+    monkeypatch.setattr(report_module.sys, "platform", "darwin")
+    assert peak_rss_mib() == 1024
+    monkeypatch.setattr(report_module, "resource", None)
+    assert peak_rss_mib() is None
+    (report,) = run_point("equiv", 1, 2)
+    assert report.peak_rss_mib is None and report_to_dict(report)["peak_rss_mib"] is None
 
 
 def test_unknown_theorem_is_rejected():
