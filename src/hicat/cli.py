@@ -51,12 +51,6 @@ def parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-
 def _add_model_args(sub):
     sub.add_argument("--model", choices=KINDS, required=True)
     sub.add_argument("--d", type=int, required=True)
@@ -103,14 +97,20 @@ def _add_mutate_args(p):
     p.add_argument("--at", type=parse_tuple, required=True)
 
 
-#: what `hicat emit --content` draws; all but the mutation graph are drawn by `emit`
-CONTENTS = ("quiver", "category", "mutation-graph", "exangle", "report")
+#: what `hicat emit --content` draws -> the options it reads besides --content,
+#: --format, --d, --n and --out; all but the mutation graph are drawn by `emit`
+CONTENTS = {"quiver": (), "category": ("--model", "--window", "--arrows"),
+            "mutation-graph": ("--model", "--window"),
+            "exangle": ("--model", "--window", "--from", "--to"), "report": ("--theorem",)}
+#: the emit options some contents read -> where the parsed args hold them
+_CONTENT_OPTIONS = {"--arrows": "arrows", "--model": "model", "--theorem": "theorem",
+                    "--window": "window", "--from": "src", "--to": "tgt"}
 
 
 def _add_emit_args(p):
     p.add_argument("--content", choices=CONTENTS, required=True)
     p.add_argument("--format", choices=FORMATS, default="dot")
-    p.add_argument("--arrows", choices=ARROW_POLICIES, default="all-nonzero-homs")
+    p.add_argument("--arrows", choices=ARROW_POLICIES, default=None)
     p.add_argument("--model", choices=KINDS, default=None)
     p.add_argument("--theorem", choices=THEOREMS, default=None)
     p.add_argument("--d", type=int, required=True)
@@ -121,37 +121,8 @@ def _add_emit_args(p):
     p.add_argument("--out", default=None)
 
 
-#: command -> (help line, function adding its arguments), in the order `hicat --help` lists them
-COMMANDS = {
-    "objects": ("list the objects of a model", _add_model_args),
-    "hom": ("hom dimension or full hom table", _add_query_args),
-    "ext": ("ext dimension or full ext table", _add_query_args),
-    "exangle": ("realize the exangle of an extension", _add_exangle_args),
-    "quotient": ("ideal quotient of a model", _add_quotient_args),
-    "verify": ("run a theorem verifier over the grid", _add_verify_args),
-    "rigid": ("list maximal rigid sets", _add_rigid_args),
-    "mutate": ("mutate a maximal rigid set at one summand", _add_mutate_args),
-    "emit": ("emit a diagram or report", _add_emit_args),
-    "count": ("count the objects of a model", _add_model_args),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The root parser with all ten subparsers.
-
-    `main` parses with it every argv but a known command its own parser reads whole.
-    """
-    parser = _Parser(prog="hicat",
-                     description="Combinatorial higher cluster category toolkit")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_args) in COMMANDS.items():
-        add_args(subs.add_parser(name, help=help_line))
-    return parser
-
-
 def _model(args):
-    return make_model(args.model, args.d, args.n,
-                      getattr(args, "window", None))
+    return make_model(args.model, args.d, args.n, args.window)
 
 
 def _print(text: str, out: str | None = None) -> None:
@@ -177,99 +148,83 @@ def _print(text: str, out: str | None = None) -> None:
         raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def main(argv=None) -> int:
-    """Run one command and return its exit code.
-
-    A known command (``argv[0]`` in `COMMANDS`) is parsed by its own parser
-    alone; ``--help``, no command, an unknown command and arguments that
-    parser leaves over go to the full parser, `build_parser`.
-    """
-    if argv is None:
-        argv = sys.argv[1:]
-    known = bool(argv) and argv[0] in COMMANDS
-    try:
-        if known:
-            parser = _Parser(prog="hicat " + argv[0])
-            COMMANDS[argv[0]][1](parser)
-            args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not known or extras:
-            args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-
-    try:
-        return _dispatch(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _objects(args) -> None:
+    _print(json.dumps([list(t) for t in _model(args).objects]) + "\n")
 
 
-def _dispatch(args) -> int:
-    if args.command == "objects":
-        _print(json.dumps([list(t) for t in _model(args).objects]) + "\n")
-        return 0
+def _count(args) -> None:
+    _print(f"{len(_model(args).objects)}\n")
 
-    if args.command in ("hom", "ext"):
-        model = _model(args)
-        if (args.src is None) != (args.tgt is None):
-            raise ValueError("--from and --to must be given together")
-        if args.src is not None:
-            dim = model.hom_dim if args.command == "hom" else model.ext_dim
-            _print(f"{dim(args.src, args.tgt)}\n")
-        else:
-            table = hom_table(model) if args.command == "hom" else ext_table(model)
-            _print(json.dumps(table, indent=2, sort_keys=True) + "\n")
-        return 0
 
-    if args.command == "exangle":
-        e = realize(_model(args), args.src, args.tgt)
-        _print(json.dumps(exangle_to_dict(e), indent=2) + "\n", args.out)
-        return 0
+def _pairs(args) -> None:
+    """`hom` and `ext`: the dimension of one pair, or the whole table."""
+    model = _model(args)
+    if (args.src is None) != (args.tgt is None):
+        raise ValueError("--from and --to must be given together")
+    hom = args.command == "hom"
+    if args.src is not None:
+        dim = model.hom_dim if hom else model.ext_dim
+        _print(f"{dim(args.src, args.tgt)}\n")
+    else:
+        table = hom_table(model) if hom else ext_table(model)
+        _print(json.dumps(table, indent=2, sort_keys=True) + "\n")
 
-    if args.command == "quotient":
-        model = _model(args)
-        if model.kind == MODULE:
-            q = quotient(model, projinj_ideal(model))
-        elif model.kind == RELATIVE_F:
-            q = quotient(model, injproj_ideal(model))
-        else:
-            raise ValueError(f"no ideal quotient is defined for the {model.kind} model")
-        _print(json.dumps(quotient_to_dict(q), indent=2) + "\n", args.out)
-        return 0
 
-    if args.command == "verify":
-        reports = run_theorem(args.theorem, args.grid)
-        failed = [r for r in reports if not r.ok]
-        _print("".join(f"{report.summary()}\n" for report in reports)
-               + f"{len(reports) - len(failed)}/{len(reports)} checks passed\n")
-        return 1 if failed else 0
+def _exangle(args) -> None:
+    e = realize(_model(args), args.src, args.tgt)
+    _print(json.dumps(exangle_to_dict(e), indent=2) + "\n", args.out)
 
-    if args.command == "rigid":
-        sets = maximal_rigid(_model(args))
-        if args.count:
-            _print(f"{len(sets)}\n")
-        else:
-            _print(json.dumps([[list(t) for t in s] for s in sets]) + "\n")
-        return 0
 
-    if args.command == "mutate":
-        model = _model(args)
-        summands = tuple(sorted(parse_tuple(p) for p in args.summands.split(";")))
-        result = mutate(model, summands, args.at)
-        if result is None:
-            _print("null\n")
-        else:
-            payload = {"summands": [list(t) for t in result.summands],
-                       "replaced_by": list(result.replaced_by),
-                       "exchanges": [exangle_to_dict(e) for e in result.exchanges]}
-            _print(json.dumps(payload, indent=2) + "\n")
-        return 0
+#: model kind -> the ideal `hicat quotient` divides it by; other kinds have none
+_QUOTIENT_IDEALS = {MODULE: projinj_ideal, RELATIVE_F: injproj_ideal}
 
-    if args.command == "count":
-        _print(f"{len(_model(args).objects)}\n")
-        return 0
 
-    # emit
+def _quotient(args) -> None:
+    model = _model(args)
+    if model.kind not in _QUOTIENT_IDEALS:
+        raise ValueError(f"no ideal quotient is defined for the {model.kind} model")
+    q = quotient(model, _QUOTIENT_IDEALS[model.kind](model))
+    _print(json.dumps(quotient_to_dict(q), indent=2) + "\n", args.out)
+
+
+def _verify(args) -> int:
+    reports = run_theorem(args.theorem, args.grid)
+    failed = [r for r in reports if not r.ok]
+    _print("".join(f"{report.summary()}\n" for report in reports)
+           + f"{len(reports) - len(failed)}/{len(reports)} checks passed\n")
+    return 1 if failed else 0
+
+
+def _rigid(args) -> None:
+    sets = maximal_rigid(_model(args))
+    if args.count:
+        _print(f"{len(sets)}\n")
+    else:
+        _print(json.dumps([[list(t) for t in s] for s in sets]) + "\n")
+
+
+def _mutate(args) -> None:
+    model = _model(args)
+    summands = tuple(sorted(parse_tuple(p) for p in args.summands.split(";")))
+    result = mutate(model, summands, args.at)
+    if result is None:
+        _print("null\n")
+    else:
+        payload = {"summands": [list(t) for t in result.summands],
+                   "replaced_by": list(result.replaced_by),
+                   "exchanges": [exangle_to_dict(e) for e in result.exchanges]}
+        _print(json.dumps(payload, indent=2) + "\n")
+
+
+def _emit(args) -> None:
+    """Draw one content; an option the content does not read is a usage error."""
+    reads = CONTENTS[args.content]
+    for flag, name in _CONTENT_OPTIONS.items():
+        if getattr(args, name) is not None and flag not in reads:
+            raise ValueError(f"--content {args.content} does not read {flag}")
+    if args.content == "category" and args.format == "json" and args.arrows is not None:
+        raise ValueError("--content category in JSON writes the full tables "
+                         "and does not read --arrows")
     if args.content == "quiver":
         obj = build_quiver(args.d, args.n)
     elif args.content == "exangle":
@@ -295,9 +250,64 @@ def _dispatch(args) -> int:
             if args.format != "dot":
                 raise ValueError("mutation graphs are emitted as DOT only")
             _print(mutation_graph_dot(obj), args.out)
-            return 0
-    _print(emit(obj, args.format, args.arrows), args.out)
-    return 0
+            return
+    _print(emit(obj, args.format, args.arrows or "all-nonzero-homs"), args.out)
+
+
+#: command -> (help line, function adding its arguments, handler), in the order
+#: `hicat --help` lists them; a handler returns the exit code when it is not 0
+COMMANDS = {
+    "objects": ("list the objects of a model", _add_model_args, _objects),
+    "hom": ("hom dimension or full hom table", _add_query_args, _pairs),
+    "ext": ("ext dimension or full ext table", _add_query_args, _pairs),
+    "exangle": ("realize the exangle of an extension", _add_exangle_args, _exangle),
+    "quotient": ("ideal quotient of a model", _add_quotient_args, _quotient),
+    "verify": ("run a theorem verifier over the grid", _add_verify_args, _verify),
+    "rigid": ("list maximal rigid sets", _add_rigid_args, _rigid),
+    "mutate": ("mutate a maximal rigid set at one summand", _add_mutate_args, _mutate),
+    "emit": ("emit a diagram or report", _add_emit_args, _emit),
+    "count": ("count the objects of a model", _add_model_args, _count),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The root parser with all ten subparsers.
+
+    `main` parses with it every argv but a known command its own parser reads whole.
+    """
+    parser = argparse.ArgumentParser(prog="hicat",
+                                     description="Combinatorial higher cluster category toolkit")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args, _) in COMMANDS.items():
+        add_args(subs.add_parser(name, help=help_line))
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    A known command (``argv[0]`` in `COMMANDS`) is parsed by its own parser
+    alone; ``--help``, no command, an unknown command and arguments that
+    parser leaves over go to the full parser, `build_parser`.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    known = bool(argv) and argv[0] in COMMANDS
+    try:
+        if known:
+            parser = argparse.ArgumentParser(prog="hicat " + argv[0])
+            COMMANDS[argv[0]][1](parser)
+            args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not known or extras:
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+
+    try:
+        return COMMANDS[args.command][2](args) or 0
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

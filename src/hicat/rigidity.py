@@ -35,9 +35,11 @@ from .tuples import IndexTuple
 
 
 def _mask(model: CategoryModel, labels) -> int:
-    """The mask of distinct objects of the model."""
-    index = model.index
-    return sum([1 << index[x] for x in labels])
+    """The mask of the labels; a label that is not an object raises ValueError."""
+    mask = 0
+    for i in model._indices(labels):
+        mask |= 1 << i
+    return mask
 
 
 def _labels(model: CategoryModel, mask: int) -> tuple[IndexTuple, ...]:
@@ -47,10 +49,7 @@ def _labels(model: CategoryModel, mask: int) -> tuple[IndexTuple, ...]:
 
 def is_rigid(model: CategoryModel, summands) -> bool:
     """True when no ordered pair of summands has a nonzero extension."""
-    items = tuple(summands)
-    for x in items:
-        model._require(x)
-    m = _mask(model, set(items))
+    m = _mask(model, summands)
     rows = model.conflict_rows
     return not any(rows[i] & m for i in bit_indices(m))
 
@@ -159,10 +158,11 @@ class _MutationScanner:
             {} for _ in self.rows]
 
     def single_hits(self, t: int) -> int:
-        """Outside objects with exactly one conflict in the rigid set t.
+        """Outside objects with exactly one conflict in the maximal rigid set t.
 
-        Raises ValueError when some outside object conflicts with no
-        summand, that is when the rigid set is not maximal.
+        The one check that a given set is maximal rigid: raises ValueError
+        when two summands conflict, or when some outside object conflicts
+        with no summand.
         """
         once = twice = 0
         rows = self.rows
@@ -173,15 +173,12 @@ class _MutationScanner:
             twice |= once & row
             once |= row
             rest ^= low
-        if (t | once).bit_count() < len(rows):
+        if once & t or (t | once).bit_count() < len(rows):
             raise ValueError("mutation needs a maximal rigid set")
         return once & ~twice & ~t
 
     def candidates(self, x: int, bucket: int) -> int:
         """The members y of x's bucket that conflict with all of x and the bucket but y."""
-        if not bucket & (bucket - 1):
-            # a lone member conflicts with x, as every bucket member does
-            return bucket
         free = bucket | 1 << x
         found = 0
         for y in bit_indices(bucket):
@@ -226,7 +223,7 @@ class _MutationScanner:
             model = self.model
             if model.ext_rows.out[b] >> a & 1:
                 middles = middle_terms(model, model.objects[b], model.objects[a])
-                self._exchange[key] = _mask(model, {lbl for level in middles for lbl in level})
+                self._exchange[key] = _mask(model, (lbl for level in middles for lbl in level))
             else:
                 self._exchange[key] = None
         return self._exchange[key]
@@ -248,10 +245,8 @@ def _scan_at(model: CategoryModel, t: tuple[IndexTuple, ...], x: IndexTuple):
         raise ValueError(f"repeated summands in the rigid set {t}")
     if x not in t:
         raise ValueError(f"{x} is not a summand of the rigid set")
-    if not is_rigid(model, t):
-        raise ValueError("mutation needs a maximal rigid set")
     scan = _MutationScanner(model)
-    tmask = _mask(model, set(t))
+    tmask = _mask(model, t)
     i = model.index[x]
     return scan, tmask, i, scan.rows[i] & scan.single_hits(tmask)
 

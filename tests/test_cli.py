@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hicat.cli import COMMANDS, _Parser, build_parser, main, parse_tuple
+from hicat.cli import COMMANDS, CONTENTS, build_parser, main, parse_tuple
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +143,30 @@ def test_emit_in_a_format_the_content_lacks_is_usage_error(capsys, monkeypatch, 
         raise AssertionError("run_point ran")
     monkeypatch.setattr("hicat.cli.run_point", never)
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+#: a valid value of each emit option that only some contents read
+CONTENT_OPTIONS = {"--arrows": "irreducible-only", "--model": "module", "--theorem": "equiv",
+                   "--window": "0:1", "--from": "246", "--to": "135"}
+
+
+@pytest.mark.parametrize("content,flag", [
+    (content, flag) for content, reads in CONTENTS.items()
+    for flag in CONTENT_OPTIONS if flag not in reads])
+def test_emit_rejects_an_option_its_content_does_not_read(capsys, monkeypatch, content, flag):
+    def never(*args):
+        raise AssertionError("run_point ran")
+    monkeypatch.setattr("hicat.cli.run_point", never)
+    argv = ["emit", "--content", content, "--d", "2", "--n", "3", flag, CONTENT_OPTIONS[flag]]
+    assert run_cli(capsys, *argv) == (2, "", f"error: --content {content} does not read {flag}\n")
+
+
+def test_emit_category_in_json_rejects_arrows(capsys):
+    argv = ["emit", "--content", "category", "--model", "module", "--d", "1", "--n", "3"]
+    assert run_cli(capsys, *argv, "--format", "json")[0] == 0
+    assert run_cli(capsys, *argv, "--format", "json", "--arrows", "all-nonzero-homs") == (
+        2, "", "error: --content category in JSON writes the full tables "
+        "and does not read --arrows\n")
 
 
 def test_verify_pass(capsys):
@@ -427,13 +452,13 @@ def test_command_parser_matches_the_full_parser(capsys, monkeypatch, command, ta
 ])
 def test_a_known_command_builds_its_own_parser_alone(capsys, monkeypatch, tail, parsers):
     built = []
-    init = _Parser.__init__
+    init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(_Parser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     code, _, _ = run_cli(capsys, "count", "--model", "module", "--d", "1", "--n", "2", *tail)
     assert code == (2 if tail else 0)
     assert built[0] == "hicat count" and len(built) == parsers

@@ -201,6 +201,22 @@ def test_exchange_needs_maximal_rigid_set():
         mutate(ap, t, (1, 3))
 
 
+@pytest.mark.parametrize("t,message", [
+    # neither (2, 9) nor (9, 9) is an object; the first of them is named
+    (((1, 3), (2, 9), (9, 9)), "(2, 9) is not an object of almost-positive(d=1, n=2)"),
+    # rigid, but (1, 4) and (3, 5) can still be added
+    (((1, 3),), "mutation needs a maximal rigid set"),
+    # (1, 3) and (2, 4) conflict, although nothing else can be added
+    (((1, 3), (1, 4), (2, 4), (3, 5)), "mutation needs a maximal rigid set"),
+])
+@pytest.mark.parametrize("call", [mutate, exchange_exangles])
+def test_a_set_that_is_not_maximal_rigid_is_refused(call, t, message):
+    ap = almost_positive_model(1, 2)
+    with pytest.raises(ValueError) as exc:
+        call(ap, t, (1, 3))
+    assert str(exc.value) == message
+
+
 def test_exchange_middles_stay_in_rest():
     mod = module_model(1, 3)
     t = ((1, 3), (1, 4), (1, 5))
