@@ -33,7 +33,6 @@ from .rigidity import (
     MutationResult,
     correspondence_check,
     exchange_exangles,
-    is_rigid,
     maximal_rigid,
     mutate,
     tilting_sets,

@@ -25,7 +25,7 @@ from .emit import (
 from .exangles import realize
 from .models import KINDS, MODULE, RELATIVE_F, make_model
 from .quotients import injproj_ideal, projinj_ideal, quotient
-from .rigidity import maximal_rigid, mutate, mutation_graph_dot
+from .rigidity import count_maximal_rigid, maximal_rigid, mutate, mutation_graph_dot
 from .tuples import IndexTuple, build_quiver
 from .verify import DEFAULT_GRID, THEOREMS, FormatError, parse_grid, run_point, run_theorem
 
@@ -196,11 +196,11 @@ def _verify(args) -> int:
 
 
 def _rigid(args) -> None:
-    sets = maximal_rigid(_model(args))
+    model = _model(args)
     if args.count:
-        _print(f"{len(sets)}\n")
+        _print(f"{count_maximal_rigid(model)}\n")
     else:
-        _print(json.dumps([[list(t) for t in s] for s in sets]) + "\n")
+        _print(json.dumps([[list(t) for t in s] for s in maximal_rigid(model)]) + "\n")
 
 
 def _mutate(args) -> None:

@@ -9,17 +9,18 @@ middle terms stay inside the rest of the set.
 
 Internally every set of objects is an integer bitmask over the model's
 object index, read against the model's conflict rows; the objects are
-sorted, so bit order is label order.  The enumeration gives each maximal
-set as one int, ``rev << 2n | mask << n | single`` over the n objects: the
-mask bit-reversed, the mask, and the outside objects with exactly one
-conflict inside.  A descending sort of these ints is label order, and
-``_unpack`` is the one reader of the format.  Labels are built only for
-public results and counterexamples; there a rigid set is the sorted tuple
-of its summands.
+sorted, so bit order is label order.  The enumeration hands each maximal
+set to a visitor as it finds it, with its single hits (the outside
+objects with exactly one conflict inside), and keeps nothing, so the
+correspondence scan checks each set, and each mutation edge's reverse,
+where it is found and holds no set and no edge.  Labels are built only
+for public results and counterexamples; there a rigid set is the sorted
+tuple of its summands, and public lists of sets are sorted by them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from .exangles import Exangle, middle_terms, realize
 from .models import (
@@ -47,15 +48,8 @@ def _labels(model: CategoryModel, mask: int) -> tuple[IndexTuple, ...]:
     return tuple(objects[i] for i in bit_indices(mask))
 
 
-def is_rigid(model: CategoryModel, summands) -> bool:
-    """True when no ordered pair of summands has a nonzero extension."""
-    m = _mask(model, summands)
-    rows = model.conflict_rows
-    return not any(rows[i] & m for i in bit_indices(m))
-
-
-def _maximal_independent(rows: tuple[int, ...]) -> list[int]:
-    """Maximal independent sets of a conflict graph, in label order, one int each.
+def _maximal_independent(rows: tuple[int, ...], visit: Callable[[int, int], Any]) -> Any:
+    """Call visit(mask, single hits) on each maximal independent set of a conflict graph.
 
     Pivoting Bron–Kerbosch (Bron–Kerbosch 1973; Tomita et al. 2006) on
     the complement masks: each step branches only on the vertices of P
@@ -63,22 +57,17 @@ def _maximal_independent(rows: tuple[int, ...]) -> list[int]:
     Down the recursion it carries the vertices with at least one and
     with at least two conflicts in R, so each set comes with its single
     hits: the outside vertices with exactly one conflict inside, which
-    ``_MutationScanner.single_hits`` would compute again.  Beside R it
-    carries R bit-reversed over the n = len(rows) vertices, and each set
-    is the one int ``rev << 2n | mask << n | single``; ``_unpack`` reads it.
+    ``_MutationScanner.single_hits`` would compute again.  The sets come
+    in enumeration order and none is kept; the first value of visit
+    that is not None stops the search and is returned.
     """
     size = len(rows)
     vertices = (1 << size) - 1
     nbrs = [vertices & ~row & ~(1 << i) for i, row in enumerate(rows)]
-    # vertex v, bit-reversed over n bits and placed above the mask and the single hits
-    flipped = [1 << 3 * size - 1 - v for v in range(size)]
-    found: list[int] = []
 
-    def expand(r: int, rev: int, p: int, x: int, once: int, twice: int) -> None:
+    def expand(r: int, p: int, x: int, once: int, twice: int) -> Any:
         if not p:
-            if not x:
-                found.append(rev | r << size | once & ~twice & ~r)
-            return
+            return None if x else visit(r, once & ~twice & ~r)
         best, pivot = -1, 0
         rest = p | x
         while rest:
@@ -93,30 +82,34 @@ def _maximal_independent(rows: tuple[int, ...]) -> list[int]:
             low = branch & -branch
             v = low.bit_length() - 1
             nb, row = nbrs[v], rows[v]
-            expand(r | low, rev | flipped[v], p & nb, x & nb, once | row, twice | once & row)
+            found = expand(r | low, p & nb, x & nb, once | row, twice | once & row)
+            if found is not None:
+                return found
             p ^= low
             x |= low
             branch ^= low
+        return None
 
-    expand(0, 0, vertices, 0, 0, 0)
-    # maximal sets form an antichain, so label order puts first the set holding the
-    # lowest vertex of their symmetric difference: the larger bit-reversed mask, which
-    # leads each int
-    found.sort(reverse=True)
-    return found
-
-
-def _unpack(entry: int, size: int) -> tuple[int, int]:
-    """The (mask, single hits) of one set of ``_maximal_independent`` over size vertices."""
-    full = (1 << size) - 1
-    return entry >> size & full, entry & full
+    return expand(0, vertices, 0, 0, 0)
 
 
 def maximal_rigid(model: CategoryModel) -> tuple[tuple[IndexTuple, ...], ...]:
     """All inclusion-maximal rigid sets, each its sorted summands, in label order."""
-    rows = model.conflict_rows
-    return tuple(_labels(model, _unpack(entry, len(rows))[0])
-                 for entry in _maximal_independent(rows))
+    sets: list[tuple[IndexTuple, ...]] = []
+    _maximal_independent(model.conflict_rows, lambda t, single: sets.append(_labels(model, t)))
+    return tuple(sorted(sets))
+
+
+def count_maximal_rigid(model: CategoryModel) -> int:
+    """The number of inclusion-maximal rigid sets, counted as they are found."""
+    count = 0
+
+    def visit(t: int, single: int) -> None:
+        nonlocal count
+        count += 1
+
+    _maximal_independent(model.conflict_rows, visit)
+    return count
 
 
 def tilting_sets(model: CategoryModel) -> tuple[tuple[IndexTuple, ...], ...]:
@@ -293,8 +286,9 @@ def mutate(model: CategoryModel, t: tuple[IndexTuple, ...],
 
 def mutation_graph_dot(model: CategoryModel) -> str:
     """DOT digraph of the mutation graph: nodes are maximal rigid sets."""
-    rows = model.conflict_rows
-    sets = [_unpack(entry, len(rows)) for entry in _maximal_independent(rows)]
+    sets: list[tuple[int, int]] = []
+    _maximal_independent(model.conflict_rows, lambda t, single: sets.append((t, single)))
+    sets.sort(key=lambda entry: _labels(model, entry[0]))
     scan = _MutationScanner(model)
     names = [",".join(str(v) for v in lbl) for lbl in model.objects]
     ids: dict[int, str] = {}
@@ -346,36 +340,37 @@ def _premise_failure(base: CategoryModel, projinj: set[IndexTuple],
     return None
 
 
-def _scan_tilting(base: CategoryModel, tilts: list[int],
-                  projinj: set[IndexTuple], counters: dict[str, int]):
-    """Mutate every tilting set at every live summand: the first counterexample, or None.
+def _scan_tilting(base: CategoryModel, projinj: set[IndexTuple], counters: dict[str, int]):
+    """Mutate each tilting set, as it is found, at every live summand.
 
-    ``tilts`` holds the sets of ``_maximal_independent``, one int each,
-    read with ``_unpack`` into the set's mask and its single hits.
-    A summand with an empty bucket has nothing to check; for the others
-    the scanner's ``step`` gives the replacement candidates and the middles
-    of the linked exchange exangles, and a set adds only the test that the
-    middles lie in the rest and the mutation edge.  An edge is kept only
-    until its reverse arrives; the first edge left unmatched, in scan
-    order, shows that mutation is not an involution.  Adds the scan counts
-    of ``correspondence_check`` to ``counters`` as it goes.
+    Runs ``_maximal_independent`` with the scan as its visitor and returns
+    the first counterexample, or None.  Each set comes with its single
+    hits, and the bucket of a summand x is those of them that conflict
+    with x.  A summand with an empty bucket has nothing to check; for the
+    others the scanner's ``step`` gives the replacement candidates and the
+    middles of the linked exchange exangles, and a set adds only the test
+    that the middles lie in the rest.  A mutation edge t -> t' = t - x + y
+    is checked where it is found: t' is maximal rigid when every other
+    member of the bucket conflicts with y, and then y's bucket in t' is
+    the members of x's bucket that conflict with y, plus x, so mutating
+    t' at y must give back x.  That bucket is the key the scan uses at
+    t', so ``step`` settles it once.  Adds the counts of
+    ``correspondence_check`` to ``counters`` as it goes; a counterexample
+    stops the scan with the counts it reached.
     """
     scan = _MutationScanner(base)
     rows = scan.rows
-    size = len(rows)
     live = ~_mask(base, projinj)
-    # an edge end (set, summand) is the int set << width | summand index
-    width = size.bit_length()
+    counters.update(tilting_sets=0, set_size_min=len(rows), set_size_max=0,
+                    exchange_exangles=0, mutations_checked=0)
 
-    def at(end: int):
-        return _labels(base, end >> width), base.objects[end & (1 << width) - 1]
-
-    # mutating (old set, x) gave (new set, y); mutating (new set, y) must give (old set, x).
-    # An edge (new set, y) -> (old set, x) stays here until that reverse edge arrives.
-    unmatched: dict[int, int] = {}
-    for entry in tilts:
-        t, single = _unpack(entry, size)
+    def visit(t: int, single: int):
+        size = (t & live).bit_count()
+        counters["tilting_sets"] += 1
+        counters["set_size_min"] = min(counters["set_size_min"], size)
+        counters["set_size_max"] = max(counters["set_size_max"], size)
         exchanges = 0
+        failure = None
         for x in bit_indices(t & live):
             bucket = rows[x] & single
             if not bucket:
@@ -386,24 +381,25 @@ def _scan_tilting(base: CategoryModel, tilts: list[int],
                 if not middles & ~rest:
                     exchanges += 1
             if cand & (cand - 1):
+                failure = ("ambiguous-mutation", _labels(base, t), base.objects[x],
+                           list(_labels(base, cand)))
+            elif cand:
+                y = cand.bit_length() - 1
+                if (bucket & ~rows[y] & ~cand
+                        or scan.step(y, bucket & rows[y] | 1 << x)[0] != 1 << x):
+                    failure = ("mutation-not-involutive", (_labels(base, t), base.objects[x]),
+                               (_labels(base, rest | cand), base.objects[y]))
+            if failure is not None:
                 # the live summands of t below x passed; x got as far as its exchanges
                 counters["exchange_exangles"] += exchanges
                 counters["mutations_checked"] += 2 * (t & live & (1 << x) - 1).bit_count()
-                return ("ambiguous-mutation", *at(t << width | x), list(_labels(base, cand)))
-            if cand:
-                edge = (rest | cand) << width | cand.bit_length() - 1
-                source = t << width | x
-                if unmatched.get(source) == edge:
-                    del unmatched[source]
-                else:
-                    unmatched[edge] = source
+                return failure
         counters["exchange_exangles"] += exchanges
         # one verified pair for each of the two target models
-        counters["mutations_checked"] += 2 * (t & live).bit_count()
-    if unmatched:
-        edge, source = next(iter(unmatched.items()))
-        return ("mutation-not-involutive", at(source), at(edge))
-    return None
+        counters["mutations_checked"] += 2 * size
+        return None
+
+    return _maximal_independent(rows, visit)
 
 
 def correspondence_check(d: int, n: int) -> VerificationReport:
@@ -416,16 +412,17 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
     projective-injectives conflict with nothing; the quotient by them is
     the almost-positive model, objects, hom and ext tables and exangles
     alike (``compare_to_model``, as in ``equiv``); and the restricted
-    cyclic model has the same objects and conflict rows.  Maximal independent sets of a graph plus isolated
-    vertices are those of the graph with the isolated vertices added, so
-    this proves the bijection of sets, that buckets and replacements
-    agree, and that the exchange exangles match.  One enumeration of the
-    tilting sets then gives every count, and hands each set over with its
-    single hits, so the mutation scan on the module model reads every
-    bucket off one mask.  Per set the scan counts the exchange pairs with
-    middles in the rest, requires unique replacements, and matches each
-    mutation edge with its reverse, so that mutation is checked to be an
-    involution.
+    cyclic model has the same objects and conflict rows.  Maximal
+    independent sets of a graph plus isolated vertices are those of the
+    graph with the isolated vertices added, so this proves the bijection
+    of sets, that buckets and replacements agree, and that the exchange
+    exangles match.  One enumeration of the tilting sets then gives every
+    count, and hands each set over with its single hits as it is found,
+    so the mutation scan on the module model reads every bucket off one
+    mask and holds no set.  Per set the scan counts the exchange pairs
+    with middles in the rest, requires unique replacements, and checks at
+    each mutation edge that the new set is maximal rigid and mutates back,
+    so that mutation is checked to be an involution.
 
     ``mutations_checked`` counts the (set, live summand) pairs whose
     checks passed, once for each of the two targets, so a scan that stops
@@ -441,12 +438,9 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
         failure = _premise_failure(base, projinj, ap, relf)
         if failure is not None:
             return failure
-        rows = base.conflict_rows
-        tilts = _maximal_independent(rows)
-        # not all maximal rigid sets have the same size once d reaches 3
-        sizes = {_unpack(t, len(rows))[0].bit_count() - len(projinj) for t in tilts}
-        counters.update(tilting_sets=len(tilts), ap_maximal_rigid=len(tilts),
-                        relf_maximal_rigid=len(tilts), set_size_min=min(sizes),
-                        set_size_max=max(sizes), exchange_exangles=0, mutations_checked=0)
-        return _scan_tilting(base, tilts, projinj, counters)
+        failure = _scan_tilting(base, projinj, counters)
+        # every tilting set is a maximal rigid set of both targets, by the premise
+        counters.update(ap_maximal_rigid=counters["tilting_sets"],
+                        relf_maximal_rigid=counters["tilting_sets"])
+        return failure
     return run_check("correspondence", d, n, check)

@@ -25,10 +25,9 @@ from hicat.rigidity import (
     _maximal_independent,
     _MutationScanner,
     _scan_tilting,
-    _unpack,
     correspondence_check,
+    count_maximal_rigid,
     exchange_exangles,
-    is_rigid,
     maximal_rigid,
     mutate,
     mutation_graph_dot,
@@ -87,14 +86,6 @@ def brute_exchanges(model, summands, x):
                 if all(lbl in rest for level in e.middles for lbl in level):
                     found.append(e)
     return sorted(found, key=lambda e: (e.x0, e.xlast))
-
-
-def test_is_rigid_examples():
-    ap = almost_positive_model(1, 2)
-    assert is_rigid(ap, [(1, 3), (1, 4)])
-    assert not is_rigid(ap, [(1, 3), (2, 4)])
-    for a in ap.objects:
-        assert is_rigid(ap, [a])
 
 
 def test_maximal_rigid_small_examples():
@@ -194,7 +185,6 @@ def test_exchange_needs_maximal_rigid_set():
     ap = almost_positive_model(1, 2)
     # rigid, but (1, 4) and (3, 5) can still be added
     t = ((1, 3),)
-    assert is_rigid(ap, t)
     with pytest.raises(ValueError, match="maximal rigid"):
         exchange_exangles(ap, t, (1, 3))
     with pytest.raises(ValueError, match="maximal rigid"):
@@ -352,8 +342,8 @@ def test_correspondence_detects_wrong_almost_positive_model(monkeypatch):
 def test_correspondence_detects_a_non_involutive_mutation(monkeypatch):
     # on maximal independent sets the replacement rule makes mutation an
     # involution, or the scan reports an ambiguous mutation first; so this
-    # injects a faulty rule, the lowest bucket member, which the involution
-    # check over all edges catches after the whole scan has passed
+    # injects a faulty rule, the lowest bucket member, which the scan catches
+    # at the first edge that does not mutate back, in the fourth set found
     monkeypatch.setattr(_MutationScanner, "candidates", lambda self, x, bucket: bucket & -bucket)
     report = correspondence_check(3, 2)
     assert not report.ok
@@ -363,9 +353,10 @@ def test_correspondence_detects_a_non_involutive_mutation(monkeypatch):
            (1, 5, 7, 9), (2, 4, 6, 8), (2, 4, 7, 9))
     assert report.counterexample == ("mutation-not-involutive", (old, (1, 3, 5, 7)),
                                      (new, (2, 4, 6, 8)))
+    # the counts the scan reached: three whole sets, and the fourth up to its first summand
     assert report.counters == {
-        "tilting_sets": 12, "ap_maximal_rigid": 12, "relf_maximal_rigid": 12,
-        "exchange_exangles": 26, "mutations_checked": 90, "set_size_min": 3, "set_size_max": 4,
+        "tilting_sets": 4, "ap_maximal_rigid": 4, "relf_maximal_rigid": 4,
+        "exchange_exangles": 7, "mutations_checked": 24, "set_size_min": 3, "set_size_max": 4,
     }
 
 
@@ -378,44 +369,52 @@ def _highest_member(bucket):
 
 
 def _first_edge_without_reverse(d, n, rule):
-    """The involution counterexample of a replacement rule, from a store of every edge.
+    """The involution counterexample of a replacement rule, and the sets found up to it.
 
-    The reference for the scan: it mutates every tilting set of the module
-    model at every live summand with a nonempty bucket, keeps each edge
-    (new set, replacement) -> (old set, replaced summand) to the end, and
-    reports the first edge, in scan order, whose reverse is not stored.
+    The reference for the scan: it mutates each tilting set of the module
+    model, in enumeration order, at every live summand x with a nonempty
+    bucket, recomputes the single hits of the new set t' from scratch, and
+    reports the first edge where t' is not maximal rigid (``single_hits``
+    raises) or mutating t' at the replacement y does not give back x.
     """
     base = module_model(d, n + 1)
-    rows = base.conflict_rows
+    scan = _MutationScanner(base)
+    rows = scan.rows
     live = ~sum(1 << base.index[z] for z, _ in projinj_ideal(base))
-    edges = {}
-    for entry in _maximal_independent(rows):
-        t, single = _unpack(entry, len(rows))
+    at = lambda t, i: (tuple(base.objects[j] for j in bit_indices(t)), base.objects[i])
+    visited = 0
+
+    def visit(t, single):
+        nonlocal visited
+        visited += 1
         for x in bit_indices(t & live):
             bucket = rows[x] & single
             if bucket:
-                y = rule(bucket)
-                edges[(t ^ 1 << x | y, y)] = (t, 1 << x)
-    at = lambda t, bit: (tuple(base.objects[i] for i in bit_indices(t)),
-                         base.objects[bit.bit_length() - 1])
-    for key, value in edges.items():
-        if edges.get(value) != key:
-            return ("mutation-not-involutive", at(*value), at(*key))
-    return None
+                y = rule(bucket).bit_length() - 1
+                new = t ^ 1 << x | 1 << y
+                try:
+                    back = rule(rows[y] & scan.single_hits(new))
+                except ValueError:
+                    back = None
+                if back != 1 << x:
+                    return ("mutation-not-involutive", at(t, x), at(new, y))
+        return None
+
+    return _maximal_independent(rows, visit), visited
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (3, 3)])
 @pytest.mark.parametrize("rule", [_lowest_member, _highest_member], ids=["lowest", "highest"])
 def test_a_faulty_replacement_rule_gives_the_edge_store_counterexample(monkeypatch, rule, d, n):
-    # the scan keeps an edge only until its reverse arrives; it must report the
-    # same first counterexample as a store of every edge, after a whole scan
-    healthy = correspondence_check(d, n)
-    expected = _first_edge_without_reverse(d, n, rule)
+    # the scan checks each edge's reverse where it finds the edge; it must
+    # report the same first counterexample as a reference that recomputes
+    # the new set's single hits, and stop at the same set
+    expected, visited = _first_edge_without_reverse(d, n, rule)
     assert expected is not None
     monkeypatch.setattr(_MutationScanner, "candidates", lambda self, x, bucket: rule(bucket))
     report = correspondence_check(d, n)
     assert report.counterexample == expected
-    assert report.counters == healthy.counters
+    assert report.counters["tilting_sets"] == visited
 
 
 def test_tilting_sets_rejects_a_set_without_the_projective_injectives():
@@ -486,10 +485,9 @@ def test_no_module_level_cache_keeps_models_alive():
     code = """
 import gc, weakref
 from hicat.models import almost_positive_model
-from hicat.rigidity import is_rigid, maximal_rigid, mutate
+from hicat.rigidity import maximal_rigid, mutate
 model = almost_positive_model(2, 3)
 t = maximal_rigid(model)[0]
-assert is_rigid(model, t)
 mutate(model, t, t[0])
 ref = weakref.ref(model)
 del model, t
@@ -612,15 +610,15 @@ def test_scan_reports_an_ambiguous_mutation(monkeypatch):
                            frozenset(map(frozenset, conflicts)))
     # an empty middle term for each extension: the scan reads only the middles
     monkeypatch.setattr("hicat.rigidity.middle_terms", lambda model, b, a: ((),))
-    counters = {"exchange_exangles": 0, "mutations_checked": 0}
-    tilts = _maximal_independent(table.conflict_rows)
-    first, _ = _unpack(tilts[0], len(table.objects))
+    first = _maximal_independent(table.conflict_rows, lambda t, single: t)
     assert [table.objects[i] for i in bit_indices(first)] == ["a", "r", "x"]
-    failure = _scan_tilting(table, tilts, {"r"}, counters)
+    counters = {}
+    failure = _scan_tilting(table, {"r"}, counters)
     # the first set {a, r, x} mutates at a to {b, r, x}, with the two exchanges
     # between a and b; x has three candidates, after its six exchanges
     assert failure == ("ambiguous-mutation", ("a", "r", "x"), "x", ["y1", "y2", "y3"])
-    assert counters == {"exchange_exangles": 8, "mutations_checked": 2}
+    assert counters == {"tilting_sets": 1, "set_size_min": 2, "set_size_max": 2,
+                        "exchange_exangles": 8, "mutations_checked": 2}
 
 
 @st.composite
@@ -633,19 +631,67 @@ def _conflict_tables(draw):
                           frozenset(p for p, k in zip(pairs, keep) if k))
 
 
+def _found_sets(table):
+    """The (mask, single hits) of every set of the enumeration, in the order found."""
+    found = []
+    _maximal_independent(table.conflict_rows, lambda t, single: found.append((t, single)))
+    return found
+
+
 @settings(max_examples=200, deadline=None)
 @given(_conflict_tables())
 def test_enumeration_matches_bruteforce_with_its_single_hits(table):
-    # the enumerator yields one int per set, strictly descending, which is label
-    # order; each holds the single-hit mask it carried down the recursion, and
-    # sets and single hits are checked against a fresh count
-    entries = _maximal_independent(table.conflict_rows)
-    assert all(type(e) is int for e in entries)
-    assert all(a > b for a, b in zip(entries, entries[1:]))
-    found = [_unpack(e, len(table.objects)) for e in entries]
+    # the enumeration hands each set to the visitor with the single-hit mask it
+    # carried down the recursion; sets and single hits are checked against a
+    # fresh count
+    found = _found_sets(table)
     conflict = lambda x, y: bool(table.ext_dim(x, y))
-    assert [tuple(table.objects[i] for i in range(len(table.objects)) if m >> i & 1)
-            for m, _ in found] == brute_maximal_independent(table.objects, conflict)
+    assert sorted(tuple(table.objects[i] for i in bit_indices(m)) for m, _ in found) == \
+        brute_maximal_independent(table.objects, conflict)
+    assert count_maximal_rigid(table) == len(found)
     scan = _MutationScanner(table)
     for m, single in found:
         assert single == scan.single_hits(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_conflict_tables())
+def test_a_mutation_edge_is_read_off_the_set_that_found_it(table):
+    # for every member y of the bucket of every summand x of a maximal set t,
+    # t' = t - x + y is maximal rigid exactly when every other member of the
+    # bucket conflicts with y, and then y's bucket in t' is the members of x's
+    # bucket that conflict with y, plus x: the scan's two checks of an edge
+    scan = _MutationScanner(table)
+    rows = scan.rows
+    for t, single in _found_sets(table):
+        for x in bit_indices(t):
+            bucket = rows[x] & single
+            for y in bit_indices(bucket):
+                new = t ^ 1 << x | 1 << y
+                maximal = not bucket & ~rows[y] & ~(1 << y)
+                if not maximal:
+                    with pytest.raises(ValueError, match="maximal rigid"):
+                        scan.single_hits(new)
+                    continue
+                assert bucket & rows[y] | 1 << x == rows[y] & scan.single_hits(new)
+                assert y in bit_indices(scan.candidates(x, bucket))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_conflict_tables(), st.integers(0, 50))
+def test_a_visitor_value_stops_the_enumeration(table, stop):
+    # the first value that is not None ends the search at that set and is returned
+    found = _found_sets(table)
+    seen = []
+
+    def visit(t, single):
+        seen.append(t)
+        return ("stop", t) if len(seen) > stop else None
+
+    result = _maximal_independent(table.conflict_rows, visit)
+    if stop < len(found):
+        assert result == ("stop", found[stop][0])
+        assert seen == [t for t, _ in found[:stop + 1]]
+    else:
+        assert result is None
+        assert seen == [t for t, _ in found]
