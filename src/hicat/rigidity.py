@@ -129,6 +129,10 @@ def tilting_sets(model: CategoryModel) -> tuple[tuple[IndexTuple, ...], ...]:
     return sets
 
 
+#: step(x, bucket): the bare middles masks, the edge verdict and the candidates
+_Step = tuple[tuple[int, ...], str | None, int]
+
+
 class _MutationScanner:
     """The mutation engine of one model, shared by every mutation path.
 
@@ -139,6 +143,11 @@ class _MutationScanner:
     replacements of x are the members of its bucket that conflict with
     every other compatible object.  Sets, buckets and summands are masks
     and bit positions over the model's object index.
+
+    ``step`` settles, once per (summand, bucket) key, all that the scan
+    needs and that does not depend on the set: the middles of the links,
+    the verdict of the mutation edge and the candidates.  Its cache is
+    the only per-(summand, bucket) cache.
     """
 
     def __init__(self, model: CategoryModel):
@@ -147,8 +156,7 @@ class _MutationScanner:
         # (b, a) -> mask of the middle terms of its exangle, or None without extension
         self._exchange: dict[tuple[int, int], int | None] = {}
         # x -> bucket -> step(x, bucket)
-        self._steps: list[dict[int, tuple[int, tuple[tuple[tuple[int, int], int], ...]]]] = [
-            {} for _ in self.rows]
+        self._steps: list[dict[int, _Step]] = [{} for _ in self.rows]
 
     def single_hits(self, t: int) -> int:
         """Outside objects with exactly one conflict in the maximal rigid set t.
@@ -179,19 +187,44 @@ class _MutationScanner:
                 found |= 1 << y
         return found
 
-    def step(self, x: int, bucket: int) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
-        """The candidates of summand x and its links, settled once per (x, bucket).
+    def step(self, x: int, bucket: int) -> _Step:
+        """(middles, verdict, candidates) of summand x, settled once per (x, bucket).
 
-        The links are the sorted (oriented end pair, middles mask) of the
-        extensions between x and the members of its bucket.
+        The middles are the masks of the ``links``, less those that meet x
+        or the bucket, which no rest of x in a set with this key contains.
+        The verdict is the failure of the mutation edge at x, or None: more
+        than one candidate is ``ambiguous-mutation``; with one candidate y,
+        the new set t - x + y must be maximal rigid (every other bucket
+        member conflicts with y) and y's bucket there, the members of x's
+        bucket that conflict with y plus x, must give back exactly x, or it
+        is ``mutation-not-involutive``.  The new set's y and bucket are
+        functions of (x, bucket), so one verdict serves every set with this
+        key and still checks each of their edges.
         """
         steps = self._steps[x]
         found = steps.get(bucket)
         if found is None:
-            links = sorted((pair, middles) for y in bit_indices(bucket) for pair in ((x, y), (y, x))
-                           if (middles := self.exchange(*pair)) is not None)
-            found = steps[bucket] = (self.candidates(x, bucket), tuple(links))
+            cand = self.candidates(x, bucket)
+            verdict = None
+            if cand & (cand - 1):
+                verdict = "ambiguous-mutation"
+            elif cand:
+                y = cand.bit_length() - 1
+                row = self.rows[y]
+                if bucket & ~row & ~cand or self.candidates(y, bucket & row | 1 << x) != 1 << x:
+                    verdict = "mutation-not-involutive"
+            away = bucket | 1 << x
+            found = steps[bucket] = (tuple(m for _, m in self.links(x, bucket) if not m & away),
+                                     verdict, cand)
         return found
+
+    def links(self, x: int, bucket: int):
+        """(oriented end pair, middles mask) of each extension between x and a bucket member."""
+        for y in bit_indices(bucket):
+            for pair in ((x, y), (y, x)):
+                middles = self.exchange(*pair)
+                if middles is not None:
+                    yield pair, middles
 
     def replacement(self, x: int, bucket: int) -> int | None:
         """The unique replacement of summand x, or None; raises when ambiguous.
@@ -225,7 +258,7 @@ class _MutationScanner:
         """The linked exangles with middles inside the rest, ordered by their end terms."""
         objects = self.model.objects
         return tuple(sorted((realize(self.model, objects[b], objects[a])
-                             for (b, a), middles in self.step(x, bucket)[1]
+                             for (b, a), middles in self.links(x, bucket)
                              if not middles & ~rest), key=lambda e: (e.x0, e.xlast)))
 
 
@@ -347,59 +380,63 @@ def _scan_tilting(base: CategoryModel, projinj: set[IndexTuple], counters: dict[
     the first counterexample, or None.  Each set comes with its single
     hits, and the bucket of a summand x is those of them that conflict
     with x.  A summand with an empty bucket has nothing to check; for the
-    others the scanner's ``step`` gives the replacement candidates and the
-    middles of the linked exchange exangles, and a set adds only the test
-    that the middles lie in the rest.  A mutation edge t -> t' = t - x + y
-    is checked where it is found: t' is maximal rigid when every other
-    member of the bucket conflicts with y, and then y's bucket in t' is
-    the members of x's bucket that conflict with y, plus x, so mutating
-    t' at y must give back x.  That bucket is the key the scan uses at
-    t', so ``step`` settles it once.  Adds the counts of
-    ``correspondence_check`` to ``counters`` as it goes; a counterexample
-    stops the scan with the counts it reached.
+    others one lookup in the cache of the scanner's ``step`` gives the
+    middles of the linked exchange exangles and the verdict of the
+    mutation edge, and a set adds only the test that the middles lie in
+    the rest, read against the complement of the set.  The edge t -> t' = t - x + y is checked
+    where it is found, though its verdict is settled once per (x, bucket):
+    y is the one candidate of (x, bucket), and whether t' is maximal
+    rigid and y's bucket in t' both depend on the bucket alone, so the
+    verdict is the same at every set with this key.  A cached failure
+    becomes the counterexample of the set at hand.  Writes the counts of
+    ``correspondence_check`` to ``counters`` when the enumeration returns;
+    a counterexample stops the scan with the counts it reached.
     """
     scan = _MutationScanner(base)
-    rows = scan.rows
+    rows, steps, step = scan.rows, scan._steps, scan.step
     live = ~_mask(base, projinj)
-    counters.update(tilting_sets=0, set_size_min=len(rows), set_size_max=0,
-                    exchange_exangles=0, mutations_checked=0)
+    sets = size_max = exchanges = checked = 0
+    size_min = len(rows)
 
     def visit(t: int, single: int):
-        size = (t & live).bit_count()
-        counters["tilting_sets"] += 1
-        counters["set_size_min"] = min(counters["set_size_min"], size)
-        counters["set_size_max"] = max(counters["set_size_max"], size)
-        exchanges = 0
-        failure = None
-        for x in bit_indices(t & live):
+        nonlocal sets, size_min, size_max, exchanges, checked
+        summands = t & live
+        size = summands.bit_count()
+        sets += 1
+        if size < size_min:
+            size_min = size
+        if size > size_max:
+            size_max = size
+        out = ~t
+        linked = 0
+        while summands:
+            low = summands & -summands
+            summands ^= low
+            x = low.bit_length() - 1
             bucket = rows[x] & single
             if not bucket:
                 continue
-            cand, links = scan.step(x, bucket)
-            rest = t ^ 1 << x
-            for _, middles in links:
-                if not middles & ~rest:
-                    exchanges += 1
-            if cand & (cand - 1):
-                failure = ("ambiguous-mutation", _labels(base, t), base.objects[x],
-                           list(_labels(base, cand)))
-            elif cand:
-                y = cand.bit_length() - 1
-                if (bucket & ~rows[y] & ~cand
-                        or scan.step(y, bucket & rows[y] | 1 << x)[0] != 1 << x):
-                    failure = ("mutation-not-involutive", (_labels(base, t), base.objects[x]),
-                               (_labels(base, rest | cand), base.objects[y]))
-            if failure is not None:
+            middles, verdict, cand = steps[x].get(bucket) or step(x, bucket)
+            for m in middles:
+                if not m & out:
+                    linked += 1
+            if verdict is not None:
                 # the live summands of t below x passed; x got as far as its exchanges
-                counters["exchange_exangles"] += exchanges
-                counters["mutations_checked"] += 2 * (t & live & (1 << x) - 1).bit_count()
-                return failure
-        counters["exchange_exangles"] += exchanges
+                exchanges += linked
+                checked += 2 * (t & live & low - 1).bit_count()
+                if verdict == "ambiguous-mutation":
+                    return (verdict, _labels(base, t), base.objects[x], list(_labels(base, cand)))
+                return (verdict, (_labels(base, t), base.objects[x]),
+                        (_labels(base, t ^ low | cand), base.objects[cand.bit_length() - 1]))
+        exchanges += linked
         # one verified pair for each of the two target models
-        counters["mutations_checked"] += 2 * size
+        checked += 2 * size
         return None
 
-    return _maximal_independent(rows, visit)
+    failure = _maximal_independent(rows, visit)
+    counters.update(tilting_sets=sets, set_size_min=size_min, set_size_max=size_max,
+                    exchange_exangles=exchanges, mutations_checked=checked)
+    return failure
 
 
 def correspondence_check(d: int, n: int) -> VerificationReport:

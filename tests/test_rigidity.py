@@ -695,3 +695,104 @@ def test_a_visitor_value_stops_the_enumeration(table, stop):
     else:
         assert result is None
         assert seen == [t for t, _ in found]
+
+
+def _reference_scan(base, projinj, counters):
+    """The scan of ``_scan_tilting`` with only the candidates settled per (summand, bucket).
+
+    Per set it reads the candidates of ``step`` at every live summand with a
+    nonempty bucket, tests each of its ``links``' middles against the rest,
+    and checks the mutation edge there: one candidate y, the new set maximal
+    rigid, and the candidates of ``step`` at y's bucket in the new set
+    giving back x.  Each live summand of a set counts
+    two checked mutations, one per target model, once the summands before
+    it passed.
+    """
+    scan = _MutationScanner(base)
+    rows = scan.rows
+    live = ~sum(1 << base.index[z] for z in projinj)
+    labels = lambda mask: tuple(base.objects[i] for i in bit_indices(mask))
+    counters.update(tilting_sets=0, set_size_min=len(rows), set_size_max=0,
+                    exchange_exangles=0, mutations_checked=0)
+
+    def visit(t, single):
+        size = (t & live).bit_count()
+        counters["tilting_sets"] += 1
+        counters["set_size_min"] = min(counters["set_size_min"], size)
+        counters["set_size_max"] = max(counters["set_size_max"], size)
+        for x in bit_indices(t & live):
+            bucket = rows[x] & single
+            if not bucket:
+                continue
+            cand = scan.step(x, bucket)[2]
+            rest = t ^ 1 << x
+            counters["exchange_exangles"] += sum(not middles & ~rest
+                                                 for _, middles in scan.links(x, bucket))
+            failure = None
+            if cand & (cand - 1):
+                failure = ("ambiguous-mutation", labels(t), base.objects[x], list(labels(cand)))
+            elif cand:
+                y = cand.bit_length() - 1
+                if (bucket & ~rows[y] & ~cand
+                        or scan.step(y, bucket & rows[y] | 1 << x)[2] != 1 << x):
+                    failure = ("mutation-not-involutive", (labels(t), base.objects[x]),
+                               (labels(rest | cand), base.objects[y]))
+            if failure is not None:
+                # the live summands of t below x passed
+                counters["mutations_checked"] += 2 * (t & live & (1 << x) - 1).bit_count()
+                return failure
+        counters["mutations_checked"] += 2 * size
+        return None
+
+    return _maximal_independent(rows, visit)
+
+
+#: replacement rules for ``_MutationScanner.candidates``: None keeps the real one
+_RULES = [None, _lowest_member, _highest_member, lambda bucket: bucket]
+_RULE_IDS = ["real", "lowest", "highest", "all-members"]
+
+
+def _both_scans(base, projinj, rule):
+    """(counters, counterexample) of ``_scan_tilting`` and of the reference, under a rule."""
+    with pytest.MonkeyPatch.context() as patch:
+        if rule is not None:
+            patch.setattr(_MutationScanner, "candidates", lambda self, x, bucket: rule(bucket))
+        got, want = {}, {}
+        return ((got, _scan_tilting(base, projinj, got)),
+                (want, _reference_scan(base, projinj, want)))
+
+
+def _stand_in_middles(model, b, a):
+    """Middle terms for a stand-in table: the objects c with index(b) + 2 index(a) +
+    index(c) divisible by 3, so that some lie in a rest and some hold an end term."""
+    i, j = model.index[b], model.index[a]
+    return (tuple(c for k, c in enumerate(model.objects) if (i + 2 * j + k) % 3 == 0),)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_conflict_tables())
+@pytest.mark.parametrize("rule", _RULES, ids=_RULE_IDS)
+def test_the_scan_settles_each_edge_as_the_reference_checks_it(rule, table):
+    # the isolated vertices stand for the projective-injectives
+    projinj = {lbl for lbl, row in zip(table.objects, table.conflict_rows) if not row}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("hicat.rigidity.middle_terms", _stand_in_middles)
+        got, want = _both_scans(table, projinj, rule)
+    assert got == want
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("rule", _RULES, ids=_RULE_IDS)
+def test_the_correspondence_scan_matches_the_reference(monkeypatch, rule, d, n):
+    base = module_model(d, n + 1)
+    projinj = {z for z, _ in projinj_ideal(base)}
+    got, (want, failure) = _both_scans(base, projinj, rule)
+    assert got == (want, failure)
+    # at d = 2 every nonempty bucket is its one replacement, so no rule fails there
+    assert (failure is None) == (rule is None or d == 2)
+    if rule is not None:
+        monkeypatch.setattr(_MutationScanner, "candidates", lambda self, x, bucket: rule(bucket))
+    report = correspondence_check(d, n)
+    assert report.counterexample == failure
+    assert report.counters == {**want, "ap_maximal_rigid": want["tilting_sets"],
+                               "relf_maximal_rigid": want["tilting_sets"]}
