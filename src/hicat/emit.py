@@ -87,7 +87,7 @@ def _tikz_graph(nodes, edges) -> str:
 def model_descriptor(model) -> dict:
     desc = {"kind": model.kind, "d": model.d, "n": model.n,
             "objects": [list(t) for t in model.objects]}
-    if getattr(model, "window", None):
+    if model.window:
         desc["window"] = list(model.window)
     return desc
 

@@ -42,7 +42,7 @@ def projinj_ideal(model: CategoryModel) -> Arrows:
     if model.kind != MODULE:
         raise ValueError(f"projective-injective ideal needs a module model, got {model.kind}")
     return tuple((a, a) for a in model.objects
-                 if model.classify(a).projective and model.classify(a).injective)
+                 if (flags := model.classify(a)).projective and flags.injective)
 
 
 def injproj_ideal(model: CategoryModel) -> Arrows:
@@ -72,9 +72,11 @@ class QuotientModel(CategoryModel):
     base objects whose identity survives.  Its hom table is the base
     table with the killed basis morphisms cleared, its ext table the base
     table, both with the zero objects squeezed out; every pair is read
-    from these tables, and a composite is the base one wherever its hom
-    space survives.  So ``realize`` keeps the mixes that are nonzero
-    objects of the quotient, as in any model.
+    from these tables.  A composite is the base one wherever both of its
+    hom spaces survive; the model's own ``compose_row`` and its one cache
+    serve it, with the base row read through ``_cyclic_row``.  So
+    ``realize`` keeps the mixes that are nonzero objects of the
+    quotient, as in any model.
     """
     base: CategoryModel
     killed_rows: tuple[int, ...]
@@ -128,16 +130,16 @@ class QuotientModel(CategoryModel):
         self._require(y)
         return getattr(self, table).out[self.index[x]] >> self.index[y] & 1
 
-    def compose_row(self, i: int, j: int) -> int:
-        """The base row, restricted, where both hom spaces of the composite survive."""
-        rows = self._compose_rows
-        row = rows.get((i, j))
-        if row is None:
-            keep, drop = self._kept
-            out = self.hom_rows.out
-            row = rows[i, j] = _squeeze(self.base.compose_row(keep[i], keep[j]), drop) \
-                & out[i] & out[j]
-        return row
+    def _cyclic_row(self, i: int, j: int) -> int:
+        """The base composition row, squeezed to the objects, within the hom row of objects[i].
+
+        ``compose_row`` keeps it within the hom row of objects[j] as well, so
+        a composite is the base one where both of its hom spaces survive.
+        A quotient of a linear kind never reads this: its rows are the AND
+        of its own hom rows, as in any linear model.
+        """
+        keep, drop = self._kept
+        return _squeeze(self.base.compose_row(keep[i], keep[j]), drop) & self.hom_rows.out[i]
 
 
 def quotient(model: CategoryModel, arrows) -> QuotientModel:

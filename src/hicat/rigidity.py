@@ -112,23 +112,6 @@ def count_maximal_rigid(model: CategoryModel) -> int:
     return count
 
 
-def tilting_sets(model: CategoryModel) -> tuple[tuple[IndexTuple, ...], ...]:
-    """Maximal rigid sets of a module model, all containing the projective-injectives.
-
-    The projective-injective objects are extension-orthogonal to
-    everything, so maximality forces their inclusion; this is checked.
-    Raises ValueError when a set misses one, or for a model of another kind.
-    """
-    projinj = {z for z, _ in projinj_ideal(model)}
-    sets = maximal_rigid(model)
-    for t in sets:
-        missing = projinj - set(t)
-        if missing:
-            raise ValueError(f"maximal rigid set {t} misses "
-                             f"projective-injectives {sorted(missing)}")
-    return sets
-
-
 #: step(x, bucket): the bare middles masks, the edge verdict and the candidates
 _Step = tuple[tuple[int, ...], str | None, int]
 

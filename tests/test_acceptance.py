@@ -14,7 +14,7 @@ from hicat.models import (
     relative_f_model,
 )
 from hicat.quotients import projinj_ideal, quotient
-from hicat.rigidity import correspondence_check, maximal_rigid, tilting_sets
+from hicat.rigidity import correspondence_check, maximal_rigid
 from hicat.tuples import build_quiver, gen_derset_window, gen_modset, gen_nonconsec
 from hicat.verify import (
     find_noncommuting_witness,
@@ -198,11 +198,11 @@ def test_criterion_5_count_coincidence():
             q = quotient(mod, projinj_ideal(mod))
             dead = set(q.zero_objects)
             images = {tuple(s for s in t if s not in dead)
-                      for t in tilting_sets(mod)}
+                      for t in maximal_rigid(mod)}
             assert len(images) == ap_count
         for n in range(1, 4):
             counts = {
-                "module": len(tilting_sets(module_model(2, n + 1))),
+                "module": len(maximal_rigid(module_model(2, n + 1))),
                 "relative-f": len(maximal_rigid(relative_f_model(2, n))),
                 "almost-positive": len(maximal_rigid(almost_positive_model(2, n))),
             }

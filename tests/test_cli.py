@@ -169,6 +169,19 @@ def test_emit_category_in_json_rejects_arrows(capsys):
         "and does not read --arrows\n")
 
 
+@pytest.mark.parametrize("content", ["category", "mutation-graph"])
+def test_emit_of_a_model_needs_the_model(capsys, content):
+    assert run_cli(capsys, "emit", "--content", content, "--d", "1", "--n", "2") == (
+        2, "", f"error: {content} emission needs --model\n")
+
+
+def test_emit_category_json_carries_the_window(capsys):
+    code, out, _ = run_cli(capsys, "emit", "--content", "category", "--model", "derived",
+                           "--d", "1", "--n", "2", "--window", "1:2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["window"] == [1, 2]
+
+
 def test_verify_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "--theorem", "equiv",
                            "--grid", "1:2:50")

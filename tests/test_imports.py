@@ -1,5 +1,8 @@
 """The package's modules import one another without a cycle."""
 import ast
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -9,11 +12,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hicat"
 
 
 def relative_imports() -> dict[str, set[str]]:
-    """Each module's relative imports, those inside functions too; __init__ is left out."""
+    """Each module's relative imports, those inside functions too."""
     graph = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem == "__init__":
-            continue
         targets = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -52,8 +53,18 @@ def unused_imports(path: Path) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
-                                  if p.stem != "__init__"], ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_every_import_is_used(path):
-    # __init__ imports to re-export, so it is left out
     assert unused_imports(path) == []
+
+
+def test_a_submodule_imports_only_what_it_reads():
+    # the package root re-exports nothing, so importing the tuples loads
+    # neither the models nor the verifiers
+    code = ("import sys, hicat.tuples, hicat; "
+            "print(sorted(m for m in sys.modules if m.startswith('hicat'))); "
+            "print(sorted(k for k in vars(hicat) if not k.startswith('__')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout.splitlines()
+    assert out == ["['hicat', 'hicat.tuples']", "['tuples']"]

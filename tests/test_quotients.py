@@ -4,11 +4,13 @@ from hypothesis import strategies as st
 
 from hicat.exangles import realize
 from hicat.models import (
+    bit_indices,
     cluster_model,
     module_model,
     relative_f_model,
 )
 from hicat.quotients import (
+    _squeeze,
     injproj_ideal,
     projinj_ideal,
     quotient,
@@ -145,6 +147,25 @@ def test_quotient_module_examples():
     m2 = module_model(2, 4)
     q2 = quotient(m2, projinj_ideal(m2))
     assert len(q2.objects) == 16
+
+
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 2), (2, 3), (3, 2)])
+def test_quotient_composition_is_the_base_one_where_both_homs_survive(d, n):
+    # the rule of the quotient's own composition cache, kept here: the base
+    # row, squeezed to the objects, within the hom rows of both ends
+    module, relf = module_model(d, n + 1), relative_f_model(d, n)
+    for q in (quotient(module, projinj_ideal(module)), quotient(relf, injproj_ideal(relf))):
+        keep, drop = q._kept
+        out, base = q.hom_rows.out, q.base
+        pairs = 0
+        for i, reach in enumerate(out):
+            for j in bit_indices(reach):
+                want = _squeeze(base.compose_row(keep[i], keep[j]), drop) & out[i] & out[j]
+                assert q.compose_row(i, j) == want, (q.kind, q.objects[i], q.objects[j])
+                if q.kind == module.kind:
+                    assert want == out[i] & out[j], (q.objects[i], q.objects[j])
+                pairs += 1
+        assert pairs
 
 
 def test_quotient_zero_objects_are_exactly_the_class():

@@ -31,7 +31,6 @@ from hicat.rigidity import (
     maximal_rigid,
     mutate,
     mutation_graph_dot,
-    tilting_sets,
 )
 
 from pair_rules import with_bit
@@ -94,7 +93,7 @@ def test_maximal_rigid_small_examples():
     assert sets == [((1, 3), (1, 4)), ((1, 3), (3, 5)), ((1, 4), (2, 4)),
                     ((2, 4), (2, 5)), ((2, 5), (3, 5))]
     mod = module_model(1, 3)
-    tilts = tilting_sets(mod)
+    tilts = maximal_rigid(mod)
     assert len(tilts) == 5
     assert all(len(t) == 3 for t in tilts)
     assert all((1, 5) in t for t in tilts)
@@ -124,11 +123,6 @@ def test_two_full_size_maximal_rigid_sets_from_2d_plus_2_points(n, d, count):
     projinj = {z for z, _ in projinj_ideal(model)}
     full = comb(n + d - 1, d) + len(projinj)
     assert sum(len(t) == full for t in maximal_rigid(model)) == count
-
-
-def test_tilting_sets_needs_a_module_model():
-    with pytest.raises(ValueError):
-        tilting_sets(cluster_model(1, 3))
 
 
 @pytest.mark.parametrize("model", [
@@ -417,13 +411,6 @@ def test_a_faulty_replacement_rule_gives_the_edge_store_counterexample(monkeypat
     assert report.counters["tilting_sets"] == visited
 
 
-def test_tilting_sets_rejects_a_set_without_the_projective_injectives():
-    # with (1, 3, 7) made to conflict with (2, 4, 6), maximal rigid sets without it exist
-    model = _flipping_conflict(module_model, (1, 3, 7), (2, 4, 6))(2, 3)
-    with pytest.raises(ValueError, match=r"misses projective-injectives \[\(1, 3, 7\)\]"):
-        tilting_sets(model)
-
-
 def _flipping_conflict(factory, x, y):
     """The factory, with the conflict of x and y flipped through ext_dim in both
     orders, and in the ext table."""
@@ -468,6 +455,20 @@ def test_correspondence_certificate_detects_a_conflicting_projinj(monkeypatch):
     assert not report.ok
     assert report.counterexample == ("projinj-conflict", (1, 3, 7), (2, 4, 6))
     # a failed certificate reports no counters
+    assert report.counters == {}
+
+
+def test_correspondence_certificate_detects_a_missing_tilting_image(monkeypatch):
+    # the restricted cyclic model is held to the almost-positive objects
+    # before its conflict rows are read
+    full = relative_f_model(2, 2)
+    lost = full.objects[3]
+    objects = tuple(a for a in full.objects if a != lost)
+    monkeypatch.setattr("hicat.rigidity.relative_f_model",
+                        lambda d, n: CategoryModel(full.kind, d, n, None, objects))
+    report = correspondence_check(2, 2)
+    assert not report.ok
+    assert report.counterexample == ("tilting-image-mismatch", "relative-f", lost)
     assert report.counters == {}
 
 
