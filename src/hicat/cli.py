@@ -23,8 +23,8 @@ from .emit import (
     quotient_to_dict,
 )
 from .exangles import realize
-from .models import KINDS, MODULE, RELATIVE_F, make_model
-from .quotients import injproj_ideal, projinj_ideal, quotient
+from .models import KINDS, make_model
+from .quotients import injproj_ideal, quotient
 from .rigidity import count_maximal_rigid, maximal_rigid, mutate, mutation_graph_dot
 from .tuples import IndexTuple, build_quiver
 from .verify import DEFAULT_GRID, THEOREMS, FormatError, parse_grid, run_point, run_theorem
@@ -175,15 +175,9 @@ def _exangle(args) -> None:
     _print(json.dumps(exangle_to_dict(e), indent=2) + "\n", args.out)
 
 
-#: model kind -> the ideal `hicat quotient` divides it by; other kinds have none
-_QUOTIENT_IDEALS = {MODULE: projinj_ideal, RELATIVE_F: injproj_ideal}
-
-
 def _quotient(args) -> None:
     model = _model(args)
-    if model.kind not in _QUOTIENT_IDEALS:
-        raise ValueError(f"no ideal quotient is defined for the {model.kind} model")
-    q = quotient(model, _QUOTIENT_IDEALS[model.kind](model))
+    q = quotient(model, injproj_ideal(model))
     _print(json.dumps(quotient_to_dict(q), indent=2) + "\n", args.out)
 
 
@@ -237,11 +231,10 @@ def _emit(args) -> None:
         if args.format != "json":
             # before the theorem runs, which can take seconds
             raise ValueError("reports are emitted as JSON only")
-        reports = run_point(args.theorem, args.d, args.n)
-        if len(reports) != 1:
-            raise ValueError(f"{args.theorem} gives {len(reports)} reports; "
+        if args.theorem == "sanity":  # the one theorem of several reports, one per kind
+            raise ValueError(f"sanity gives {len(KINDS)} reports; "
                              "report emission takes a theorem with one")
-        obj = reports[0]
+        obj = run_point(args.theorem, args.d, args.n)[0]
     else:
         if args.model is None:
             raise ValueError(f"{args.content} emission needs --model")

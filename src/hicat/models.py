@@ -112,15 +112,6 @@ def _prefix_masks(labels, width: int, span: int) -> tuple[int, list[list[int]], 
 
 
 @dataclass(frozen=True)
-class ObjectClass:
-    """Classification flags for a single object."""
-    projective: bool = False
-    injective: bool = False
-    projective_image: bool = False
-    shifted_projective: bool = False
-
-
-@dataclass(frozen=True)
 class BitRows:
     """A 0/1 table over a model's object order as integer bit-rows.
 
@@ -358,14 +349,6 @@ class CategoryModel:
                 col |= (self.compose_row(t, j) >> k & 1) << t
             cols[j, k] = col
         return col
-
-    def classify(self, a: IndexTuple) -> ObjectClass:
-        """Projectivity and shift flags for one object."""
-        self._require(a)
-        if self.kind == MODULE:
-            return ObjectClass(projective=a[0] == 1, injective=a[-1] == self.top)
-        return ObjectClass(projective_image=a[0] == 1,
-                           shifted_projective=a[-1] == self.modulus)
 
 
 def module_model(d: int, n: int) -> CategoryModel:

@@ -1,12 +1,12 @@
-"""Factoring-through ideals and the resulting quotient models.
+"""The injective-to-projective ideal and the quotients by it.
 
-Both quotients divide by an ideal of morphisms factoring through a set
-of admissible arrows, given as sorted label pairs z1 -> z2: the
-identities of the projective-injective objects of the module model, and
-the arrows from shifted projectives to projective images in the cyclic
-model with restricted extensions.  An ideal generated by objects is the
-one generated by their identity arrows.  Since all hom spaces are at
-most one-dimensional and composition scalars are 0/1, a single
+Both Oppermann–Thomas models become the almost-positive category on
+dividing by one ideal: the morphisms factoring through an arrow from an
+injective to a projective object.  ``injproj_ideal`` returns those
+arrows, as sorted label pairs z1 -> z2, for the module model and for the
+cyclic model with restricted extensions; ``quotient`` divides any model
+by the ideal generated by any such set of arrows.  Since all hom spaces
+are at most one-dimensional and composition scalars are 0/1, a single
 admissible arrow suffices to witness membership in the ideal; closure
 under composition is verified by tests rather than assumed.
 
@@ -37,22 +37,22 @@ from .tuples import IndexTuple
 Arrows = tuple[tuple[IndexTuple, IndexTuple], ...]
 
 
-def projinj_ideal(model: CategoryModel) -> Arrows:
-    """The identity arrows of the projective-injective objects of a module model, sorted."""
-    if model.kind != MODULE:
-        raise ValueError(f"projective-injective ideal needs a module model, got {model.kind}")
-    return tuple((a, a) for a in model.objects
-                 if (flags := model.classify(a)).projective and flags.injective)
-
-
 def injproj_ideal(model: CategoryModel) -> Arrows:
-    """The arrows from shifted projectives to projective images, sorted."""
-    if model.kind != RELATIVE_F:
-        raise ValueError(f"arrow ideal needs the restricted cyclic model, got {model.kind}")
+    """The arrows with a nonzero hom from an injective to a projective object, sorted.
+
+    A label is projective when a_0 = 1, and injective when a_d is the
+    largest entry of its kind: ``top`` in the module model, ``modulus``
+    in the restricted cyclic model.  No other kind has the ideal.
+    """
+    if model.kind == MODULE:
+        top = model.top
+    elif model.kind == RELATIVE_F:
+        top = model.modulus
+    else:
+        raise ValueError(f"no ideal quotient is defined for the {model.kind} model")
     objects, out = model.objects, model.hom_rows.out
-    targets = [j for j, a in enumerate(objects) if model.classify(a).projective_image]
-    return tuple((z1, objects[j]) for i, z1 in enumerate(objects)
-                 if model.classify(z1).shifted_projective
+    targets = [j for j, a in enumerate(objects) if a[0] == 1]
+    return tuple((z1, objects[j]) for i, z1 in enumerate(objects) if z1[-1] == top
                  for j in targets if out[i] >> j & 1)
 
 
@@ -145,12 +145,14 @@ class QuotientModel(CategoryModel):
 def quotient(model: CategoryModel, arrows) -> QuotientModel:
     """The quotient of a model by the ideal generated by arrows, label pairs z1 -> z2.
 
-    The labels are mapped to indices once; one that is not an object of
-    the model raises ValueError.  The basis morphism s -> t is killed when,
-    for some arrow z1 -> z2, the homs s -> z1 and s -> z2 are nonzero and
-    so are the composites s -> z1 -> z2 and s -> z2 -> t; for an identity
-    arrow (z, z) the unit law makes this the object rule.  Row s of
-    ``killed_rows`` collects those t.
+    The arrows of the paper's two quotients are those of ``injproj_ideal``;
+    any arrows of the model will do.  The labels are mapped to indices
+    once; one that is not an object of the model raises ValueError.  The
+    basis morphism s -> t is killed when, for some arrow z1 -> z2, the
+    homs s -> z1 and s -> z2 are nonzero and so are the composites
+    s -> z1 -> z2 and s -> z2 -> t; for an identity arrow (z, z) the unit
+    law makes this the object rule.  Row s of ``killed_rows`` collects
+    those t, and the zero objects are the s whose identity it holds.
     """
     ends = model._indices(z for arrow in arrows for z in arrow)
     pairs = tuple(zip(ends[::2], ends[1::2]))

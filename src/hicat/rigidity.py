@@ -30,7 +30,7 @@ from .models import (
     module_model,
     relative_f_model,
 )
-from .quotients import compare_to_model, projinj_ideal, quotient
+from .quotients import QuotientModel, compare_to_model, injproj_ideal, quotient
 from .report import VerificationReport, run_check
 from .tuples import IndexTuple
 
@@ -330,21 +330,22 @@ def mutation_graph_dot(model: CategoryModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _premise_failure(base: CategoryModel, projinj: set[IndexTuple],
-                     ap: CategoryModel, relf: CategoryModel):
+def _premise_failure(q: QuotientModel, ap: CategoryModel, relf: CategoryModel):
     """The first failure of the correspondence premise, or None.
 
-    The premise: the projective-injectives of the module model conflict
-    with nothing; the quotient by them is the almost-positive model, by
-    the comparer of ``equiv``; and the restricted cyclic model has the
+    q is the quotient of the module model by its injective-to-projective
+    ideal, whose zero objects are the projective-injectives.  The premise:
+    they conflict with nothing; q is the almost-positive model, by the
+    comparer of ``equiv``; and the restricted cyclic model has the
     almost-positive model's objects and conflict rows.
     """
+    base = q.base
     labels, rows = base.objects, base.conflict_rows
-    for z in sorted(projinj):
+    for z in q.zero_objects:
         row = rows[base.index[z]]
         if row:
             return ("projinj-conflict", z, labels[(row & -row).bit_length() - 1])
-    failure = compare_to_model(quotient(base, projinj_ideal(base)), ap, {})
+    failure = compare_to_model(q, ap, {})
     if failure is not None:
         return failure
     if relf.objects != ap.objects:
@@ -356,10 +357,11 @@ def _premise_failure(base: CategoryModel, projinj: set[IndexTuple],
     return None
 
 
-def _scan_tilting(base: CategoryModel, projinj: set[IndexTuple], counters: dict[str, int]):
+def _scan_tilting(base: CategoryModel, projinj, counters: dict[str, int]):
     """Mutate each tilting set, as it is found, at every live summand.
 
-    Runs ``_maximal_independent`` with the scan as its visitor and returns
+    The live summands are those not among the labels projinj.  Runs
+    ``_maximal_independent`` with the scan as its visitor and returns
     the first counterexample, or None.  Each set comes with its single
     hits, and the bucket of a summand x is those of them that conflict
     with x.  A summand with an empty bucket has nothing to check; for the
@@ -428,9 +430,11 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
     Deleting the projective-injectives carries the tilting sets of the
     module model of A^d_{n+1} onto the maximal rigid sets of the
     almost-positive and the restricted cyclic model, and mutation goes
-    along.  The premise is checked first, as a certificate: the
-    projective-injectives conflict with nothing; the quotient by them is
-    the almost-positive model, objects, hom and ext tables and exangles
+    along.  The premise is checked first, as a certificate, on the
+    quotient of the module model by its injective-to-projective ideal,
+    whose zero objects are the projective-injectives: they conflict with
+    nothing; the quotient is the almost-positive model, objects, hom and
+    ext tables and exangles
     alike (``compare_to_model``, as in ``equiv``); and the restricted
     cyclic model has the same objects and conflict rows.  Maximal
     independent sets of a graph plus isolated vertices are those of the
@@ -454,11 +458,11 @@ def correspondence_check(d: int, n: int) -> VerificationReport:
         base = module_model(d, n + 1)
         ap = almost_positive_model(d, n)
         relf = relative_f_model(d, n)
-        projinj = {z for z, _ in projinj_ideal(base)}
-        failure = _premise_failure(base, projinj, ap, relf)
+        q = quotient(base, injproj_ideal(base))
+        failure = _premise_failure(q, ap, relf)
         if failure is not None:
             return failure
-        failure = _scan_tilting(base, projinj, counters)
+        failure = _scan_tilting(base, q.zero_objects, counters)
         # every tilting set is a maximal rigid set of both targets, by the premise
         counters.update(ap_maximal_rigid=counters["tilting_sets"],
                         relf_maximal_rigid=counters["tilting_sets"])

@@ -31,12 +31,7 @@ from .models import (
     module_model,
     relative_f_model,
 )
-from .quotients import (
-    compare_to_model,
-    injproj_ideal,
-    projinj_ideal,
-    quotient,
-)
+from .quotients import compare_to_model, injproj_ideal, quotient
 from .report import VerificationReport, run_check
 from .rigidity import correspondence_check
 from .tuples import shift_cluster, shift_derived
@@ -76,10 +71,10 @@ def grid_points(dmax: int, nmax: int, objmax: int) -> tuple[tuple[int, int], ...
 
 
 def verify_equiv_module_ap(d: int, n: int) -> VerificationReport:
-    """Projective-injective quotient of the module model vs the almost-positive model."""
+    """Injective-to-projective quotient of the module model vs the almost-positive model."""
     def check(counters):
         base = module_model(d, n + 1)
-        return compare_to_model(quotient(base, projinj_ideal(base)),
+        return compare_to_model(quotient(base, injproj_ideal(base)),
                                 almost_positive_model(d, n), counters)
     return run_check("equiv", d, n, check)
 
@@ -100,8 +95,7 @@ def verify_f_exangles(d: int, n: int) -> VerificationReport:
         objects = cl.objects
         if relf.objects != objects:
             return ("object-sets", relf.objects, objects)
-        killed = quotient(cl, ((z, z) for z in objects
-                               if cl.classify(z).shifted_projective)).killed_rows
+        killed = quotient(cl, ((z, z) for z in objects if z[-1] == cl.modulus)).killed_rows
         shift, hom, relf_ext = _cluster_shift(cl), cl.hom_rows.out, relf.ext_rows.out
         counters.update(ext_pairs=0, distinguished=0, objects=len(objects))
         for i, (b, row) in enumerate(zip(objects, cl.ext_rows.out)):
@@ -120,7 +114,8 @@ def verify_f_exangles(d: int, n: int) -> VerificationReport:
 
 
 def verify_main2(d: int, n: int) -> VerificationReport:
-    """Arrow-ideal quotient of the restricted cyclic model vs the almost-positive model."""
+    """Injective-to-projective quotient of the restricted cyclic model vs the
+    almost-positive model."""
     def check(counters):
         relf = relative_f_model(d, n)
         return compare_to_model(quotient(relf, injproj_ideal(relf)),

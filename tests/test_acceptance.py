@@ -13,7 +13,7 @@ from hicat.models import (
     module_model,
     relative_f_model,
 )
-from hicat.quotients import projinj_ideal, quotient
+from hicat.quotients import injproj_ideal, quotient
 from hicat.rigidity import correspondence_check, maximal_rigid
 from hicat.tuples import build_quiver, gen_derset_window, gen_modset, gen_nonconsec
 from hicat.verify import (
@@ -195,7 +195,7 @@ def test_criterion_5_count_coincidence():
             assert ap_count == mod_count
             assert ap_count == len(maximal_rigid(ap))
             # the value produced by mapping tilting sets through the quotient
-            q = quotient(mod, projinj_ideal(mod))
+            q = quotient(mod, injproj_ideal(mod))
             dead = set(q.zero_objects)
             images = {tuple(s for s in t if s not in dead)
                       for t in maximal_rigid(mod)}

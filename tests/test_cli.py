@@ -116,6 +116,9 @@ MODULE_23_EXANGLE = ["--model", "module", "--d", "2", "--n", "3", "--from", "246
     ("emit_mutation-graph_almost-positive_1_3.dot",
      ["emit", "--content", "mutation-graph", "--model", "almost-positive", "--d", "1",
       "--n", "3"]),
+    # the injective-to-projective ideal has 10 arrows here, against the 4 identities of
+    # the projective-injectives, which kill the same morphisms
+    ("quotient_module_2_4.json", ["quotient", "--model", "module", "--d", "2", "--n", "4"]),
 ])
 def test_output_bytes_match_the_goldens(capsys, name, argv):
     # the differentials' source and target lists, the key order, the
@@ -136,9 +139,12 @@ def test_output_bytes_match_the_goldens(capsys, name, argv):
     *((["emit", "--content", "report", "--theorem", theorem, "--d", "5", "--n", "3",
         "--format", "dot"], "reports are emitted as JSON only")
       for theorem in ("correspondence", "sanity")),
+    # sanity in JSON, which gives one report per model kind and takes a second here
+    (["emit", "--content", "report", "--theorem", "sanity", "--d", "4", "--n", "5",
+      "--format", "json"], "sanity gives 5 reports; report emission takes a theorem with one"),
 ])
 def test_emit_in_a_format_the_content_lacks_is_usage_error(capsys, monkeypatch, argv, message):
-    # the format is refused before any theorem runs
+    # the format, and a theorem of several reports, are refused before any theorem runs
     def never(*args):
         raise AssertionError("run_point ran")
     monkeypatch.setattr("hicat.cli.run_point", never)

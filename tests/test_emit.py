@@ -15,7 +15,7 @@ from hicat.emit import (
 )
 from hicat.exangles import realize
 from hicat.models import almost_positive_model, cluster_model, derived_model, module_model
-from hicat.quotients import projinj_ideal, quotient
+from hicat.quotients import injproj_ideal, quotient
 from hicat.rigidity import mutation_graph_dot
 from hicat.tuples import build_quiver
 from hicat.verify import verify_equiv_module_ap
@@ -164,7 +164,7 @@ digraph {
 
 def test_quotient_category_emission():
     base = module_model(1, 3)
-    q = quotient(base, projinj_ideal(base))
+    q = quotient(base, injproj_ideal(base))
     assert emit(q) == MODULE_13_QUOTIENT_DOT
     payload = json.loads(emit(q, "json"))
     # the tables are the quotient's, over its objects; objects lists the base's

@@ -29,7 +29,7 @@ from hicat.tuples import (
     normalize_cyclic,
     rotate_window_rep,
 )
-from hicat.quotients import injproj_ideal, projinj_ideal, quotient
+from hicat.quotients import injproj_ideal, quotient
 from pair_rules import composes_to_zero, composite, m_mix
 
 
@@ -221,7 +221,7 @@ def _sign_flips(e):
     for build in (module_model, cluster_model, almost_positive_model, relative_f_model,
                   lambda d, n: derived_model(d, n, (1, 3)))
 ] + [
-    quotient(module_model(2, 4), projinj_ideal(module_model(2, 4))),
+    quotient(module_model(2, 4), injproj_ideal(module_model(2, 4))),
     quotient(relative_f_model(2, 3), injproj_ideal(relative_f_model(2, 3))),
 ], ids=lambda m: f"{type(m).__name__}-{m.kind}-{m.d}-{m.n}")
 def test_complex_condition_matches_the_matrix_product(model):

@@ -123,18 +123,6 @@ def test_compose_unit_law(model):
                 assert composite(model, x, y, y) == 1
 
 
-def test_classify():
-    m = module_model(1, 3)
-    cls = m.classify((1, 5))
-    assert cls.projective and cls.injective
-    assert not m.classify((2, 4)).projective
-    assert m.classify((1, 3)).projective and not m.classify((1, 3)).injective
-    c = cluster_model(2, 3)
-    assert c.classify((2, 4, 8)).shifted_projective
-    assert c.classify((1, 3, 7)).projective_image
-    assert not c.classify((2, 4, 6)).shifted_projective
-
-
 @given(st.sampled_from(gen_nonconsec(9, 1)), st.sampled_from(gen_nonconsec(9, 1)))
 def test_cluster_hom_is_shifted_crossing(src, tgt):
     # hom nonzero exactly when the shifted source cyclically interleaves the target

@@ -4,17 +4,14 @@ from hypothesis import strategies as st
 
 from hicat.exangles import realize
 from hicat.models import (
+    almost_positive_model,
     bit_indices,
     cluster_model,
+    derived_model,
     module_model,
     relative_f_model,
 )
-from hicat.quotients import (
-    _squeeze,
-    injproj_ideal,
-    projinj_ideal,
-    quotient,
-)
+from hicat.quotients import _squeeze, injproj_ideal, quotient
 from hicat.verify import grid_points
 from pair_rules import composite
 
@@ -25,48 +22,71 @@ def _identity_objects(arrows):
     return {z for z, _ in arrows}
 
 
-def test_projinj_ideal_members():
-    assert _identity_objects(projinj_ideal(module_model(1, 3))) == {(1, 5)}
-    marked = _identity_objects(projinj_ideal(module_model(2, 4)))
-    assert marked == {(1, 3, 8), (1, 4, 8), (1, 5, 8), (1, 6, 8)}
-    # cross-check: the marked objects are exactly the surplus of the full
+def _projective_injectives(model):
+    """The module labels with a_0 = 1 and a_d = top, in label order."""
+    return tuple(z for z in model.objects if z[0] == 1 and z[-1] == model.top)
+
+
+def test_injproj_ideal_members():
+    # the arrows with a nonzero hom from an injective label, a_d = 8 in
+    # both models, to a projective one, a_0 = 1
+    for model in (module_model(2, 4), relative_f_model(2, 3)):
+        want = {(z1, z2) for z1 in model.objects for z2 in model.objects
+                if z1[-1] == 8 and z2[0] == 1 and model.hom_dim(z1, z2)}
+        assert set(injproj_ideal(model)) == want
+    # module (1, 3): (1, 5) is projective and injective, (1, 3) only
+    # projective, (2, 4) neither; the one arrow is the identity of (1, 5)
+    assert injproj_ideal(module_model(1, 3)) == (((1, 5), (1, 5)),)
+    m = module_model(2, 4)
+    marked = quotient(m, injproj_ideal(m)).zero_objects
+    assert marked == ((1, 3, 8), (1, 4, 8), (1, 5, 8), (1, 6, 8))
+    # cross-check: the zero objects are exactly the surplus of the full
     # family over the cyclically gapped one
     from hicat.tuples import gen_modset, gen_nonconsec
     assert len(marked) == len(gen_modset(8, 2)) - len(gen_nonconsec(8, 2))
 
 
 def test_ideal_kind_mismatch():
-    with pytest.raises(ValueError):
-        injproj_ideal(module_model(1, 3))
-    with pytest.raises(ValueError):
-        projinj_ideal(relative_f_model(1, 3))
-    with pytest.raises(ValueError):
-        projinj_ideal(cluster_model(1, 3))
+    # the module and restricted cyclic models have the ideal, no other kind
+    assert injproj_ideal(module_model(1, 3))
+    for make in (cluster_model, almost_positive_model, derived_model):
+        kind = make(1, 3).kind
+        with pytest.raises(ValueError, match=f"no ideal quotient is defined for the {kind} model"):
+            injproj_ideal(make(1, 3))
 
 
 def test_factors_through_object_class():
     m = module_model(1, 3)
-    killed = quotient(m, projinj_ideal(m)).killed
+    killed = quotient(m, injproj_ideal(m)).killed
     assert m.hom_dim((1, 4), (2, 5)) == m.hom_dim((1, 4), (2, 4)) == 1
     assert ((1, 4), (2, 5)) in killed
     assert ((1, 4), (2, 4)) not in killed
 
 
 def _shifted_projective_ideal(model):
-    return tuple((z, z) for z in model.objects if model.classify(z).shifted_projective)
+    return tuple((z, z) for z in model.objects if z[-1] == model.modulus)
 
 
-@pytest.mark.parametrize("d,n", [(1, 3), (2, 3), (3, 2)])
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 3), (3, 2), (2, 5), (3, 4), (4, 3), (5, 3), (1, 7)])
 @pytest.mark.parametrize("make,ideal_of", [
-    (module_model, projinj_ideal),
+    (module_model, injproj_ideal),
     (cluster_model, _shifted_projective_ideal),
 ])
 def test_identity_arrow_ideal_is_the_object_ideal(d, n, make, ideal_of):
+    # the quotient kills exactly the morphisms factoring through an object:
+    # in the module model a projective-injective, though the injective-to-
+    # projective arrows are more than their identities; in the cyclic model
+    # a shifted projective, whose identities are the arrows
     model = make(d, n)
     ideal = ideal_of(model)
-    objects = _identity_objects(ideal)
+    if make is module_model:
+        objects = set(_projective_injectives(model))
+    else:
+        objects = _identity_objects(ideal)
     assert objects
-    killed = quotient(model, ideal).killed
+    q = quotient(model, ideal)
+    assert set(q.zero_objects) == objects
+    killed = q.killed
     count = 0
     for s in model.objects:
         for t in model.objects:
@@ -99,7 +119,7 @@ def _closure(model, ideal):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([
-    (module_model, projinj_ideal),
+    (module_model, injproj_ideal),
     (relative_f_model, injproj_ideal),
     (cluster_model, _shifted_projective_ideal),
 ]), st.sampled_from(grid_points(7, 10, 60)))
@@ -116,7 +136,7 @@ def test_one_admissible_arrow_decides_membership(case, point):
 
 
 def test_ideal_arrows_are_sorted_label_pairs():
-    for model, arrows in ((module_model(2, 4), projinj_ideal(module_model(2, 4))),
+    for model, arrows in ((module_model(2, 4), injproj_ideal(module_model(2, 4))),
                           (relative_f_model(2, 3), injproj_ideal(relative_f_model(2, 3)))):
         assert arrows and arrows == tuple(sorted(arrows))
         assert all(model.hom_dim(z1, z2) for z1, z2 in arrows)
@@ -136,16 +156,16 @@ def test_quotient_rejects_an_arrow_off_the_model():
     # (1, 6) is projective-injective in module (1, 4) and no object of module (1, 3)
     small, large = module_model(1, 3), module_model(1, 4)
     with pytest.raises(ValueError, match=r"\(1, 6\) is not an object of module"):
-        quotient(small, projinj_ideal(large))
+        quotient(small, injproj_ideal(large))
 
 
 def test_quotient_module_examples():
     m = module_model(1, 3)
-    q = quotient(m, projinj_ideal(m))
+    q = quotient(m, injproj_ideal(m))
     assert q.zero_objects == ((1, 5),)
     assert len(q.objects) == 5
     m2 = module_model(2, 4)
-    q2 = quotient(m2, projinj_ideal(m2))
+    q2 = quotient(m2, injproj_ideal(m2))
     assert len(q2.objects) == 16
 
 
@@ -154,7 +174,7 @@ def test_quotient_composition_is_the_base_one_where_both_homs_survive(d, n):
     # the rule of the quotient's own composition cache, kept here: the base
     # row, squeezed to the objects, within the hom rows of both ends
     module, relf = module_model(d, n + 1), relative_f_model(d, n)
-    for q in (quotient(module, projinj_ideal(module)), quotient(relf, injproj_ideal(relf))):
+    for q in (quotient(module, injproj_ideal(module)), quotient(relf, injproj_ideal(relf))):
         keep, drop = q._kept
         out, base = q.hom_rows.out, q.base
         pairs = 0
@@ -169,9 +189,10 @@ def test_quotient_composition_is_the_base_one_where_both_homs_survive(d, n):
 
 
 def test_quotient_zero_objects_are_exactly_the_class():
+    # the module quotient's zero objects are the projective-injectives, in label order
     m = module_model(2, 3)
-    q = quotient(m, projinj_ideal(m))
-    assert set(q.zero_objects) == _identity_objects(projinj_ideal(m))
+    q = quotient(m, injproj_ideal(m))
+    assert q.zero_objects == _projective_injectives(m) == ((1, 3, 7), (1, 4, 7), (1, 5, 7))
 
 
 def test_injproj_quotient_has_no_zero_objects():
@@ -209,10 +230,11 @@ def test_relative_f_factoring_branch():
 
 
 @pytest.mark.parametrize("make,ideal_of", [
-    (lambda: module_model(1, 3), projinj_ideal),
-    (lambda: module_model(2, 3), projinj_ideal),
     (lambda: relative_f_model(1, 4), injproj_ideal),
     (lambda: relative_f_model(2, 2), injproj_ideal),
+    (lambda: module_model(1, 3), injproj_ideal),
+    (lambda: module_model(2, 3), injproj_ideal),
+    (lambda: cluster_model(2, 2), _shifted_projective_ideal),
 ])
 def test_killed_set_is_an_ideal(make, ideal_of):
     model = make()
@@ -231,7 +253,7 @@ def test_killed_set_is_an_ideal(make, ideal_of):
 
 def test_quotient_exangle_strips_zero_summands():
     m = module_model(2, 3)
-    q = quotient(m, projinj_ideal(m))
+    q = quotient(m, injproj_ideal(m))
     dead = set(q.zero_objects)
     for b in q.objects:
         for a in q.objects:

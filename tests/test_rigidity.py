@@ -20,7 +20,7 @@ from hicat.models import (
     module_model,
     relative_f_model,
 )
-from hicat.quotients import QuotientModel, projinj_ideal
+from hicat.quotients import QuotientModel, injproj_ideal, quotient
 from hicat.rigidity import (
     _maximal_independent,
     _MutationScanner,
@@ -120,7 +120,7 @@ def test_two_full_size_maximal_rigid_sets_from_2d_plus_2_points(n, d, count):
     #   Santos, "Triangulations", Springer 2010: Gale duality and the
     #   chamber complex of a configuration of dimension + 3 points).
     model = module_model(d, n + 1)
-    projinj = {z for z, _ in projinj_ideal(model)}
+    projinj = quotient(model, injproj_ideal(model)).zero_objects
     full = comb(n + d - 1, d) + len(projinj)
     assert sum(len(t) == full for t in maximal_rigid(model)) == count
 
@@ -374,7 +374,7 @@ def _first_edge_without_reverse(d, n, rule):
     base = module_model(d, n + 1)
     scan = _MutationScanner(base)
     rows = scan.rows
-    live = ~sum(1 << base.index[z] for z, _ in projinj_ideal(base))
+    live = ~sum(1 << base.index[z] for z in quotient(base, injproj_ideal(base)).zero_objects)
     at = lambda t, i: (tuple(base.objects[j] for j in bit_indices(t)), base.objects[i])
     visited = 0
 
@@ -786,7 +786,7 @@ def test_the_scan_settles_each_edge_as_the_reference_checks_it(rule, table):
 @pytest.mark.parametrize("rule", _RULES, ids=_RULE_IDS)
 def test_the_correspondence_scan_matches_the_reference(monkeypatch, rule, d, n):
     base = module_model(d, n + 1)
-    projinj = {z for z, _ in projinj_ideal(base)}
+    projinj = quotient(base, injproj_ideal(base)).zero_objects
     got, (want, failure) = _both_scans(base, projinj, rule)
     assert got == (want, failure)
     # at d = 2 every nonempty bucket is its one replacement, so no rule fails there
