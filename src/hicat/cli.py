@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .emit import (
@@ -25,6 +24,7 @@ from .emit import (
 from .exangles import realize
 from .models import KINDS, make_model
 from .quotients import injproj_ideal, quotient
+from .report import write_stdout
 from .rigidity import count_maximal_rigid, maximal_rigid, mutate, mutation_graph_dot
 from .tuples import IndexTuple, build_quiver
 from .verify import DEFAULT_GRID, THEOREMS, FormatError, parse_grid, run_point, run_theorem
@@ -128,18 +128,11 @@ def _model(args):
 def _print(text: str, out: str | None = None) -> None:
     """Write text to the file out, or to stdout when out is None or empty.
 
-    A reader that closes stdout ends the output, not the command: stdout
-    is pointed at os.devnull, so that later writes and the flush at exit
-    stay silent, and the command keeps its exit code.
+    A reader that closes stdout ends the output, not the command
+    (``write_stdout``).
     """
     if not out:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        write_stdout(text)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:

@@ -19,7 +19,9 @@ operations.
 Composition is one table keyed by object index, read a row at a time:
 ``compose_row(i, j)`` is the mask of the z with a nonzero composite
 objects[i] -> objects[j] -> z.  The linear kinds AND two hom rows; the
-cyclic kinds read a box rule from per-shift prefix masks.
+cyclic kinds read it off the two boxes of the hom rule, the box of a hom
+being its shift, since a composite is nonzero exactly when the shifts
+add up.
 """
 from __future__ import annotations
 
@@ -260,59 +262,17 @@ class CategoryModel:
         return self._dim("ext_rows", "_ext_rule", b, a)
 
     @cached_property
-    def _compose_rows(self) -> dict[tuple[int, int], int]:
-        """The composition rows read so far, keyed by index pair."""
-        return {}
+    def _hom_boxes(self) -> tuple[BitRows, ...]:
+        """The hom table split by the boxes of its rule: box k holds the homs of shift k.
 
-    @cached_property
-    def _compose_cols(self) -> dict[tuple[int, int], int]:
-        """The composition columns read so far, keyed by index pair."""
-        return {}
-
-    @cached_property
-    def _shift_masks(self) -> tuple[tuple[tuple[int, ...], ...], list, list]:
-        """(shifts, coords, masks) for the cyclic composition rule.
-
-        Shift k adds k to every entry and reduces into [1, m]; shifts[i]
-        lists the shifts that bring an entry of objects[i] to 1, coords[k][i]
-        is objects[i] under shift k, and masks[k] are the prefix masks of
-        the objects under it.
+        The cyclic rule has two disjoint boxes, the lead box (shift 0) and
+        the shifted box (shift 1), each read from the rule, not from
+        ``hom_rows``.  A linear kind has one box, its hom table itself.
         """
-        objects, m = self.objects, self.modulus
-        coords = [[tuple(sorted((v + k - 1) % m + 1 for v in x)) for x in objects]
-                  for k in range(m)]
-        masks = [_prefix_masks(rotated, self.d + 1, m) for rotated in coords]
-        return tuple(tuple((1 - v) % m for v in x) for x in objects), coords, masks
-
-    def _cyclic_row(self, i: int, j: int) -> int:
-        """The z in chain position with objects[i] -> objects[j] in some rotation.
-
-        The criterion (Oppermann–Thomas 2012): in some rotated coordinate
-        system on [1, m] the three tuples satisfy
-
-            x_t <= y_t <= z_t,  z_t < x_{t+1} - 1,  z_d < x_0 + m - 1.
-
-        Every inequality is invariant under translation, and all entries lie
-        in [x_0, z_d], so a rotation that works can be moved on until it
-        brings x_0 to 1: one rotation per entry of x suffices.  With x_0 = 1
-        the rule is a box on the coordinates of z, z_t in [y_t, x_{t+1} - 2]
-        and z_d in [y_d, m - 1], read from the prefix masks of the shift.
-        """
-        shifts, coords, masks = self._shift_masks
-        m, d = self.modulus, self.d
-        row = 0
-        for k in shifts[i]:
-            x, y = coords[k][i], coords[k][j]
-            base, below, _ = masks[k]
-            box = -1
-            for t in range(d + 1):
-                lo, hi = y[t], (x[t + 1] - 1 if t < d else m)  # lo <= z_t < hi
-                if x[t] > lo or lo >= hi:
-                    break
-                box &= below[t][hi - base] ^ below[t][lo - base]
-            else:
-                row |= box
-        return row
+        rule = self._hom_rule
+        if len(rule) == 1:
+            return (self.hom_rows,)
+        return tuple(self._table((box,)) for box in rule)
 
     def compose_row(self, i: int, j: int) -> int:
         """The z with a nonzero composite objects[i] -> objects[j] -> z, as a mask.
@@ -322,33 +282,43 @@ class CategoryModel:
         objects[i] -> objects[j], and lies in the hom row of objects[j].
         In the linear kinds a composite is nonzero exactly when the hom
         space it lands in is, so the row is the AND of two hom rows.  In
-        the cyclic kinds it is not (``find_noncommuting_witness``): the row
-        is the chain-position rule, ANDed with the hom row of objects[j]
-        only, so that a composite off the hom row of objects[i] shows.
+        the cyclic kinds it is not (``find_noncommuting_witness``): each
+        hom has a shift, the box of the rule it lies in, and a composite
+        x -> y -> z is nonzero exactly when shift(x, y) + shift(y, z) =
+        shift(x, z).  This is Oppermann–Thomas's chain-position rule
+        (2012), which ``test_cyclic_composition_from_rotation_table`` and
+        ``test_cyclic_composition_rows_match_the_chain_position_rule``
+        check against every rotation.  The row is ANDed with the hom row
+        of objects[j] only, so that a composite off the hom row of
+        objects[i] shows.
         """
         out = self.hom_rows.out
-        if self.kind not in CYCLIC_KINDS:
+        boxes = self._hom_boxes
+        if len(boxes) == 1:
             return out[i] & out[j]
-        rows = self._compose_rows
-        row = rows.get((i, j))
-        if row is None:
-            row = rows[i, j] = self._cyclic_row(i, j) & out[j]
-        return row
+        lead, shifted = boxes[0].out, boxes[1].out
+        if lead[i] >> j & 1:
+            return (lead[i] & lead[j] | shifted[i] & shifted[j]) & out[j]
+        return shifted[i] & lead[j] & out[j]
 
     def compose_column(self, j: int, k: int) -> int:
         """The t with a nonzero composite t -> objects[j] -> objects[k], as a mask.
 
-        It is read off the rows of the t with a nonzero hom to objects[j],
-        and kept once read.
+        The mirror of ``compose_row`` on the into rows: it is 0 unless
+        objects[j] -> objects[k] is a nonzero hom, and lies in the hom
+        column of objects[j].
         """
-        cols = self._compose_cols
-        col = cols.get((j, k))
-        if col is None:
-            col = 0
-            for t in bit_indices(self.hom_rows.into[j]):
-                col |= (self.compose_row(t, j) >> k & 1) << t
-            cols[j, k] = col
-        return col
+        hom = self.hom_rows
+        if not hom.out[j] >> k & 1:
+            return 0
+        into = hom.into
+        boxes = self._hom_boxes
+        if len(boxes) == 1:
+            return into[j] & into[k]
+        lead, shifted = boxes[0].into, boxes[1].into
+        if boxes[0].out[j] >> k & 1:
+            return (lead[j] & lead[k] | shifted[j] & shifted[k]) & into[j]
+        return lead[j] & shifted[k] & into[j]
 
 
 def module_model(d: int, n: int) -> CategoryModel:

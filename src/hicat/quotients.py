@@ -73,8 +73,8 @@ class QuotientModel(CategoryModel):
     table with the killed basis morphisms cleared, its ext table the base
     table, both with the zero objects squeezed out; every pair is read
     from these tables.  A composite is the base one wherever both of its
-    hom spaces survive; the model's own ``compose_row`` and its one cache
-    serve it, with the base row read through ``_cyclic_row``.  So
+    hom spaces survive: the model's own ``compose_row`` serves it, read
+    off the base hom boxes restricted to the quotient's table.  So
     ``realize`` keeps the mixes that are nonzero objects of the
     quotient, as in any model.
     """
@@ -130,16 +130,19 @@ class QuotientModel(CategoryModel):
         self._require(y)
         return getattr(self, table).out[self.index[x]] >> self.index[y] & 1
 
-    def _cyclic_row(self, i: int, j: int) -> int:
-        """The base composition row, squeezed to the objects, within the hom row of objects[i].
+    @cached_property
+    def _hom_boxes(self) -> tuple[BitRows, ...]:
+        """The base hom boxes on the quotient's objects, within its hom table.
 
-        ``compose_row`` keeps it within the hom row of objects[j] as well, so
-        a composite is the base one where both of its hom spaces survive.
-        A quotient of a linear kind never reads this: its rows are the AND
-        of its own hom rows, as in any linear model.
+        So a composite is the base one where both of its hom spaces survive.
+        A linear kind's one box is its hom table, as in any model.
         """
-        keep, drop = self._kept
-        return _squeeze(self.base.compose_row(keep[i], keep[j]), drop) & self.hom_rows.out[i]
+        hom = self.hom_rows
+        if len(self._hom_rule) == 1:
+            return (hom,)
+        boxes = (self._restrict(box.out, box.into) for box in self.base._hom_boxes)
+        return tuple(BitRows(tuple(a & b for a, b in zip(box.out, hom.out)),
+                             tuple(a & b for a, b in zip(box.into, hom.into))) for box in boxes)
 
 
 def quotient(model: CategoryModel, arrows) -> QuotientModel:

@@ -5,9 +5,12 @@ counterexample, or None.  ``run_check`` times the check and builds the
 report, which passes exactly when there is no counterexample; a check
 that stops early keeps the partial counts it reached.  The report also
 holds the process's peak resident memory when the check ended.
+``write_stdout`` is the one writer of reports and query answers to
+stdout.
 """
 from __future__ import annotations
 
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -51,6 +54,22 @@ def peak_rss_mib() -> float | None:
         return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / 2**20 if sys.platform == "darwin" else peak / 1024
+
+
+def write_stdout(text: str) -> None:
+    """Write text to stdout and flush it.
+
+    A reader that closes stdout ends the output, not the run: stdout is
+    pointed at os.devnull, so that later writes and the flush at exit
+    stay silent, and the process keeps its exit code.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def run_check(theorem: str, d: int, n: int,

@@ -2,11 +2,12 @@
 
 A reference for the interval rules of ``hicat.models``, which read the
 same rules a whole row at a time, and for the helpers that put a
-one-value change into a model's table or read one composite by label.
-It also holds the label-level references of ``hicat.exangles``: the
-mixing of two tuples and the complex condition as a matrix product.
+one-value change into a model's table, read one composite by label or
+read a column of composites off the rows.  It also holds the label-level
+references of ``hicat.exangles``: the mixing of two tuples and the
+complex condition as a matrix product.
 """
-from hicat.models import CLUSTER, CYCLIC_KINDS, DERIVED, MODULE, BitRows
+from hicat.models import CLUSTER, CYCLIC_KINDS, DERIVED, MODULE, BitRows, bit_indices
 from hicat.tuples import intertwines, normalize_cyclic
 
 
@@ -60,6 +61,18 @@ def composite(model, x, y, z) -> int:
     """The composite scalar of basis morphisms x -> y -> z, read from ``compose_row``."""
     index = model.index
     return model.compose_row(index[x], index[y]) >> index[z] & 1
+
+
+def column_from_rows(model, j: int, k: int) -> int:
+    """The t with a nonzero composite t -> objects[j] -> objects[k], as a mask.
+
+    Bit t is read off ``compose_row(t, j)`` at each t with a nonzero hom
+    to objects[j]: the column as the rows give it.
+    """
+    col = 0
+    for t in bit_indices(model.hom_rows.into[j]):
+        col |= (model.compose_row(t, j) >> k & 1) << t
+    return col
 
 
 def m_mix(I, a, b):

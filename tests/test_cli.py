@@ -353,6 +353,19 @@ def test_a_closed_stdout_ends_the_output_with_exit_0():
     assert (proc.wait(timeout=60), err) == (0, b"")
 
 
+def test_run_verification_script_survives_a_closed_stdout():
+    # unbuffered (-u), each line reaches the pipe as it is printed, so the
+    # lines after the first meet the closed pipe; the run still passes
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+    proc = subprocess.Popen([sys.executable, "-u", str(script), "1:2:50"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"verification grid:")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+
+
 #: the commands that take --out, each with a small query
 WRITERS = {
     "exangle": ["exangle", "--model", "module", "--d", "2", "--n", "3",

@@ -180,13 +180,15 @@ def test_realize_matches_the_subset_reference(build, d, n):
 
 
 def test_exangles_compose_nothing_until_checked():
-    # realizing reads pairs and membership only: no hom table, no composition row;
-    # the complex condition reads composition rows, still no column
+    # realizing reads pairs and membership only: no hom table, no hom boxes;
+    # the complex condition reads composition rows off the boxes and keeps
+    # no composition table
     model = cluster_model(2, 3)
     e = realize(model, (1, 3, 6), (2, 5, 8))
-    assert not {"hom_rows", "_compose_rows", "_compose_cols"} & set(vars(model))
+    fields = set(vars(model))
+    assert not {"hom_rows", "_hom_boxes"} & fields
     assert is_complex(e)
-    assert model._compose_rows and not vars(model).get("_compose_cols")
+    assert set(vars(model)) - fields == {"_hom_rule", "hom_rows", "_hom_boxes"}
 
 
 def test_corrupted_signs_break_complex():

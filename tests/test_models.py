@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hicat.models import (
     DERIVED,
     KINDS,
+    CategoryModel,
     almost_positive_model,
     bit_indices,
     cluster_model,
@@ -14,7 +15,7 @@ from hicat.models import (
     relative_f_model,
 )
 from hicat.tuples import gen_derset_window, gen_modset, gen_nonconsec
-from pair_rules import composite
+from pair_rules import column_from_rows, composite, with_bit
 
 
 def test_object_sets():
@@ -235,3 +236,37 @@ def test_cyclic_composition_rows_match_the_chain_position_rule(factory):
                     assert model.compose_row(i, j) == want, (model.objects[i], model.objects[j])
                     rows += 1
     assert rows == 6092
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("d,n", [(1, 4), (2, 3), (3, 2)])
+def test_compose_column_is_the_column_of_the_rows(kind, d, n):
+    # every pair (j, k), composable or not, against the column read off the rows
+    model = make_model(kind, d, n)
+    size = len(model.objects)
+    for j in range(size):
+        for k in range(size):
+            assert model.compose_column(j, k) == column_from_rows(model, j, k), \
+                (model.objects[j], model.objects[k])
+
+
+@pytest.mark.parametrize("factory", [module_model, cluster_model])
+def test_composition_stays_in_the_hom_table_of_the_middle_object(factory):
+    # with one hom y -> z cleared from the table but not from the rule, no
+    # row through y reaches z and every column is still the column of the rows
+    model = factory(1, 4)
+    size = len(model.objects)
+    for y, reach in enumerate(model.hom_rows.out):
+        for z in bit_indices(reach & ~(1 << y)):
+            class Cleared(CategoryModel):
+                hom_rows = with_bit(model.hom_rows, y, z, 0)
+
+            cleared = Cleared(model.kind, model.d, model.n, model.window, model.objects)
+            out = cleared.hom_rows.out
+            for i in range(size):
+                if out[i] >> y & 1:
+                    assert not cleared.compose_row(i, y) >> z & 1, (i, y, z)
+            for j in range(size):
+                for k in range(size):
+                    assert cleared.compose_column(j, k) == column_from_rows(cleared, j, k), \
+                        (y, z, j, k)

@@ -13,7 +13,7 @@ from hicat.models import (
 )
 from hicat.quotients import _squeeze, injproj_ideal, quotient
 from hicat.verify import grid_points
-from pair_rules import composite
+from pair_rules import column_from_rows, composite
 
 
 def _identity_objects(arrows):
@@ -186,6 +186,30 @@ def test_quotient_composition_is_the_base_one_where_both_homs_survive(d, n):
                     assert want == out[i] & out[j], (q.objects[i], q.objects[j])
                 pairs += 1
         assert pairs
+
+
+@pytest.mark.parametrize("factory", [module_model, cluster_model])
+def test_a_killed_hom_is_no_composite_of_surviving_ones(factory):
+    # dividing by the arrow (1, 3) -> (1, 5) kills it, though (1, 3) -> (1, 4)
+    # and (1, 4) -> (1, 5) survive and compose to it in the base
+    model = factory(1, 3)
+    q = quotient(model, [((1, 3), (1, 5))])
+    x, y, z = (1, 3), (1, 4), (1, 5)
+    assert composite(model, x, y, z) == 1
+    assert (q.hom_dim(x, y), q.hom_dim(y, z), q.hom_dim(x, z)) == (1, 1, 0)
+    assert composite(q, x, y, z) == 0
+    assert not q.compose_column(q.index[y], q.index[z]) >> q.index[x] & 1
+
+
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 2), (2, 3), (3, 2)])
+def test_quotient_compose_column_is_the_column_of_its_rows(d, n):
+    module, relf = module_model(d, n + 1), relative_f_model(d, n)
+    for q in (quotient(module, injproj_ideal(module)), quotient(relf, injproj_ideal(relf))):
+        size = len(q.objects)
+        for j in range(size):
+            for k in range(size):
+                assert q.compose_column(j, k) == column_from_rows(q, j, k), \
+                    (q.kind, q.objects[j], q.objects[k])
 
 
 def test_quotient_zero_objects_are_exactly_the_class():
